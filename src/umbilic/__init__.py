@@ -18,7 +18,6 @@ from .conformal import (
 from .elliptic import elliptic_K, jacobi_am, jacobi_cn, jacobi_dn, jacobi_sn
 from .families import (
     FamilyDefinition,
-    FamilySpec,
     build_family,
     catalog_rows,
     family_names,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConformalMap",
     "FamilyDefinition",
-    "FamilySpec",
     "GeneratingCurve",
     "IdentityCheck",
     "ImmersionError",

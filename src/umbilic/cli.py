@@ -159,11 +159,11 @@ def cmd_falsify(args) -> int:
     grid = _parse_grid(args.grid)
     result = nonexistence_falsifier(
         args.kappa, args.tau, family=args.family, n_starts=args.starts,
-        budget=args.budget, seed=args.seed, grid=grid, threads=args.threads)
+        budget=args.budget, seed=args.seed, grid=grid)
     config = {
         "command": "falsify", "kappa": args.kappa, "tau": args.tau,
         "family": args.family, "starts": args.starts, "budget": args.budget,
-        "seed": args.seed, "grid": list(grid), "threads": args.threads,
+        "seed": args.seed, "grid": list(grid),
     }
     _emit(config, result, args.out)
     if args.out is not None:
@@ -275,14 +275,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto", "graph", "sphere"))
     fal.add_argument("--starts", type=int, default=8)
     fal.add_argument("--budget", type=int, default=4000,
-                     help="total objective-evaluation budget shared by the "
-                          "restarts; exhausting it flags the result partial "
-                          "and exits 1")
+                     help="objective-evaluation budget per trial family, "
+                          "shared by its restarts (at least 8 per restart); "
+                          "exhausting it flags the result partial and exits 1")
     fal.add_argument("--seed", type=int, default=0)
     fal.add_argument("--grid", default="24x24",
                      help="objective evaluation grid on each trial patch")
-    fal.add_argument("--threads", type=int, default=None,
-                     help="restart parallelism (default: UMBILIC_THREADS or 1)")
     fal.add_argument("--out", default=None)
     fal.set_defaults(func=cmd_falsify)
 

@@ -27,17 +27,6 @@ from .surfaces import SurfacePatch, orbit_surface, patch_from_chart, synthetic_p
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus parameter value, validated against the registry."""
-
-    family: str
-    param: float | None = None
-
-    def __post_init__(self):
-        definition(self.family).validate(self.param)
-
-
-@dataclass(frozen=True)
 class FamilyDefinition:
     """Registry row: naming, parameter contract, and patch builder."""
 

@@ -20,6 +20,10 @@ Conventions fixed here and relied on throughout the package:
 * Cross product: <X ^ Y, Z> = sqrt(det g) * det[X, Y, Z] (right-handed in
   chart coordinates).
 
+Each kind gives its metric, inverse metric, volume factor sqrt(det g) and
+Christoffel symbols in closed form, analytic in the point; the curvature
+tensor follows from the symbols and their complex-step derivatives.
+
 All tensor-valued functions broadcast over leading point axes: points have
 shape (..., 3), metrics (..., 3, 3), Christoffel symbols (..., 3, 3, 3) with
 ``gamma[..., l, i, j]`` the coefficient of d_l in nab_{d_i} d_j.
@@ -159,7 +163,15 @@ def _chart_clearance(space, q):
 
 
 # ---------------------------------------------------------------------------
-# metric and first derivatives (closed form, complex-safe)
+# metric, inverse metric and volume factor (closed form, complex-safe)
+
+
+def _zeros(p, tail):
+    return np.zeros(p.shape[:-1] + tail, dtype=p.dtype if np.iscomplexobj(p) else float)
+
+
+def _m3_lambda(space, x, y):
+    return 1.0 / (1.0 + space.kappa * (x**2 + y**2) / 4.0)
 
 
 def metric_at(space: ModelGeometry, p) -> np.ndarray:
@@ -168,7 +180,7 @@ def metric_at(space: ModelGeometry, p) -> np.ndarray:
     _check_domain(space, p)
     x, y = p[..., 0], p[..., 1]
     z = p[..., 2]
-    g = np.zeros(p.shape[:-1] + (3, 3), dtype=p.dtype if np.iscomplexobj(p) else float)
+    g = _zeros(p, (3, 3))
     if space.kind == "r3":
         g[..., 0, 0] = g[..., 1, 1] = g[..., 2, 2] = 1.0
     elif space.kind == "h3":
@@ -183,8 +195,8 @@ def metric_at(space: ModelGeometry, p) -> np.ndarray:
         g[..., 0, 0] = g[..., 1, 1] = F**2
         g[..., 2, 2] = 1.0
     else:  # m3
-        k, tau = space.kappa, space.tau
-        lam = 1.0 / (1.0 + k * (x**2 + y**2) / 4.0)
+        tau = space.tau
+        lam = _m3_lambda(space, x, y)
         wx = tau * lam * y
         wy = -tau * lam * x
         g[..., 0, 0] = lam**2 + wx**2
@@ -202,72 +214,145 @@ def _conformal_factor(space, x, y):
     return (2.0 / np.sqrt(-space.kappa)) / (1.0 - x**2 - y**2)
 
 
-def metric_deriv(space: ModelGeometry, p) -> np.ndarray:
-    """Coordinate derivatives dg[..., k, i, j] = d_k g_ij (closed form)."""
+def _log_conformal_grad(space, x, y):
+    """(d_x, d_y) log F for the product base factor F = c / (1 + s(x^2 + y^2))."""
+    s = 1.0 if space.kind == "s2xr" else -1.0
+    w = -2.0 * s / (1.0 + s * (x**2 + y**2))
+    return w * x, w * y
+
+
+def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
+    """Inverse metric g^ij at p in closed form; broadcasts like :func:`metric_at`.
+
+    For ``m3`` it is E1 E1 + E2 E2 + E3 E3 in the orthonormal frame
+    E1 = d_x/lam - tau y d_z, E2 = d_y/lam + tau x d_z, E3 = d_z dual to the
+    coframe (lam dx, lam dy, dz + tau lam (y dx - x dy)).
+    """
     p = np.asarray(p)
     _check_domain(space, p)
     x, y = p[..., 0], p[..., 1]
     z = p[..., 2]
-    dg = np.zeros(p.shape[:-1] + (3, 3, 3), dtype=p.dtype if np.iscomplexobj(p) else float)
+    h = _zeros(p, (3, 3))
     if space.kind == "r3":
-        return dg
+        h[..., 0, 0] = h[..., 1, 1] = h[..., 2, 2] = 1.0
+    elif space.kind == "h3":
+        h[..., 0, 0] = h[..., 1, 1] = h[..., 2, 2] = z**2
+    elif space.kind == "sol":
+        h[..., 0, 0] = np.exp(-2.0 * z)
+        h[..., 1, 1] = np.exp(2.0 * z)
+        h[..., 2, 2] = 1.0
+    elif space.kind in ("s2xr", "h2xr"):
+        h[..., 0, 0] = h[..., 1, 1] = _conformal_factor(space, x, y) ** -2
+        h[..., 2, 2] = 1.0
+    else:  # m3
+        tau = space.tau
+        ilam = 1.0 / _m3_lambda(space, x, y)
+        h[..., 0, 0] = h[..., 1, 1] = ilam**2
+        h[..., 0, 2] = h[..., 2, 0] = -tau * y * ilam
+        h[..., 1, 2] = h[..., 2, 1] = tau * x * ilam
+        h[..., 2, 2] = 1.0 + tau**2 * (x**2 + y**2)
+    return h
+
+
+def volume_factor(space: ModelGeometry, p) -> np.ndarray:
+    """sqrt(det g) at p in closed form (the chart keeps every factor positive)."""
+    p = np.asarray(p)
+    _check_domain(space, p)
+    x, y = p[..., 0], p[..., 1]
+    z = p[..., 2]
+    if space.kind in ("r3", "sol"):
+        return np.ones(p.shape[:-1], dtype=p.dtype if np.iscomplexobj(p) else float)
     if space.kind == "h3":
-        d = -2.0 / z**3
-        dg[..., 2, 0, 0] = dg[..., 2, 1, 1] = dg[..., 2, 2, 2] = d
-        return dg
-    if space.kind == "sol":
-        dg[..., 2, 0, 0] = 2.0 * np.exp(2.0 * z)
-        dg[..., 2, 1, 1] = -2.0 * np.exp(-2.0 * z)
-        return dg
+        return z**-3
     if space.kind in ("s2xr", "h2xr"):
-        F = _conformal_factor(space, x, y)
-        sgn = 1.0 if space.kind == "s2xr" else -1.0
-        # F = c/(1 + sgn*(x^2+y^2)) => dF = -sgn * F^2 * (2x, 2y)/c
-        c = 2.0 / np.sqrt(abs(space.kappa))
-        Fx = -sgn * 2.0 * x * F**2 / c
-        Fy = -sgn * 2.0 * y * F**2 / c
-        dg[..., 0, 0, 0] = dg[..., 0, 1, 1] = 2.0 * F * Fx
-        dg[..., 1, 0, 0] = dg[..., 1, 1, 1] = 2.0 * F * Fy
-        return dg
-    # m3
-    k, tau = space.kappa, space.tau
-    lam = 1.0 / (1.0 + k * (x**2 + y**2) / 4.0)
-    lx = -0.5 * k * x * lam**2
-    ly = -0.5 * k * y * lam**2
-    # g_xx = lam^2 (1 + tau^2 y^2), g_yy = lam^2 (1 + tau^2 x^2)
-    dg[..., 0, 0, 0] = 2.0 * lam * lx * (1.0 + tau**2 * y**2)
-    dg[..., 1, 0, 0] = 2.0 * lam * ly * (1.0 + tau**2 * y**2) + 2.0 * tau**2 * y * lam**2
-    dg[..., 0, 1, 1] = 2.0 * lam * lx * (1.0 + tau**2 * x**2) + 2.0 * tau**2 * x * lam**2
-    dg[..., 1, 1, 1] = 2.0 * lam * ly * (1.0 + tau**2 * x**2)
-    # g_xy = -tau^2 lam^2 x y
-    gxy_x = -(tau**2) * (2.0 * lam * lx * x * y + lam**2 * y)
-    gxy_y = -(tau**2) * (2.0 * lam * ly * x * y + lam**2 * x)
-    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = gxy_x
-    dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = gxy_y
-    # g_xz = tau lam y, g_yz = -tau lam x
-    dg[..., 0, 0, 2] = dg[..., 0, 2, 0] = tau * lx * y
-    dg[..., 1, 0, 2] = dg[..., 1, 2, 0] = tau * (ly * y + lam)
-    dg[..., 0, 1, 2] = dg[..., 0, 2, 1] = -tau * (lx * x + lam)
-    dg[..., 1, 1, 2] = dg[..., 1, 2, 1] = -tau * ly * x
-    return dg
+        return _conformal_factor(space, x, y) ** 2
+    return _m3_lambda(space, x, y) ** 2
 
 
 # ---------------------------------------------------------------------------
 # connection and curvature
 
 
+def _set_symmetric(G, l, i, j, value):
+    G[..., l, i, j] = value
+    G[..., l, j, i] = value
+
+
 def christoffels(space: ModelGeometry, p) -> np.ndarray:
-    """Christoffel symbols gamma[..., l, i, j] from the Koszul formula."""
-    g = metric_at(space, p)
-    dg = metric_deriv(space, p)
-    ginv = np.linalg.inv(g)
-    # low[..., m, i, j] = (d_i g_jm + d_j g_im - d_m g_ij) / 2
-    low = 0.5 * (
-        np.swapaxes(dg, -3, -2)
-        + np.einsum("...jim->...mij", dg)
-        - dg
-    )
-    return np.einsum("...lm,...mij->...lij", ginv, low)
+    """Christoffel symbols gamma[..., l, i, j] in closed form for each kind.
+
+    Only the nonzero symbols are filled.  Every expression is analytic in
+    the point, so complex-step differentiation (:func:`christoffel_deriv`)
+    goes through unchanged.
+    """
+    p = np.asarray(p)
+    _check_domain(space, p)
+    x, y = p[..., 0], p[..., 1]
+    z = p[..., 2]
+    G = _zeros(p, (3, 3, 3))
+    if space.kind == "r3":
+        return G
+    if space.kind == "h3":
+        # conformally flat with log factor -log z
+        iz = 1.0 / z
+        _set_symmetric(G, 0, 0, 2, -iz)
+        _set_symmetric(G, 1, 1, 2, -iz)
+        G[..., 2, 2, 2] = -iz
+        G[..., 2, 0, 0] = G[..., 2, 1, 1] = iz
+        return G
+    if space.kind == "sol":
+        _set_symmetric(G, 0, 0, 2, 1.0)
+        _set_symmetric(G, 1, 1, 2, -1.0)
+        G[..., 2, 0, 0] = -np.exp(2.0 * z)
+        G[..., 2, 1, 1] = np.exp(-2.0 * z)
+        return G
+    if space.kind in ("s2xr", "h2xr"):
+        # conformal base F^2 (dx^2 + dy^2) with phi = log F; the fiber is flat
+        px, py = _log_conformal_grad(space, x, y)
+        G[..., 0, 0, 0] = px
+        G[..., 1, 1, 1] = py
+        _set_symmetric(G, 0, 0, 1, py)
+        _set_symmetric(G, 1, 0, 1, px)
+        G[..., 0, 1, 1] = -px
+        G[..., 1, 0, 0] = -py
+        return G
+    # m3 with d = 1/(4 + kappa r^2), c = kappa - 4 tau^2, e = kappa - 2 tau^2
+    k, tau = space.kappa, space.tau
+    d = 1.0 / (4.0 + k * (x**2 + y**2))
+    c = k - 4.0 * tau**2
+    e = k - 2.0 * tau**2
+    G[..., 0, 0, 0] = -2.0 * k * x * d
+    _set_symmetric(G, 0, 0, 1, -2.0 * e * y * d)
+    G[..., 0, 1, 1] = 2.0 * c * x * d
+    _set_symmetric(G, 0, 1, 2, tau)
+    G[..., 1, 0, 0] = 2.0 * c * y * d
+    _set_symmetric(G, 1, 0, 1, -2.0 * e * x * d)
+    _set_symmetric(G, 1, 0, 2, -tau)
+    G[..., 1, 1, 1] = -2.0 * k * y * d
+    tcd2 = 4.0 * tau * c * d**2
+    G[..., 2, 0, 0] = 2.0 * tcd2 * x * y
+    _set_symmetric(G, 2, 0, 1, -tcd2 * (x**2 - y**2))
+    _set_symmetric(G, 2, 0, 2, -4.0 * tau**2 * x * d)
+    G[..., 2, 1, 1] = -2.0 * tcd2 * x * y
+    _set_symmetric(G, 2, 1, 2, -4.0 * tau**2 * y * d)
+    return G
+
+
+def _matvec(A, v):
+    """A[..., k, j] v[..., j] for (k x 3) blocks, by explicit components."""
+    v = np.asarray(v)
+    return (A[..., 0] * v[..., None, 0] + A[..., 1] * v[..., None, 1]
+            + A[..., 2] * v[..., None, 2])
+
+
+def christoffel_contract(G, a, b) -> np.ndarray:
+    """Gamma(a, b)^l = Gamma^l_ij a^i b^j for Christoffel symbols G at the points of a, b.
+
+    The j sum runs as one matmul over the nine (l, i) rows of each point.
+    """
+    b = np.asarray(b)
+    Gb = (G.reshape(G.shape[:-3] + (9, 3)) @ b[..., None])[..., 0]
+    return _matvec(Gb.reshape(Gb.shape[:-1] + (3, 3)), a)
 
 
 def christoffel_deriv(space: ModelGeometry, p) -> np.ndarray:
@@ -303,8 +388,7 @@ def curvature_tensor(space: ModelGeometry, p, X, Y, Z) -> np.ndarray:
 
 
 def inner(space: ModelGeometry, p, X, Y) -> np.ndarray:
-    g = metric_at(space, p)
-    return np.einsum("...ij,...i,...j->...", g, X, Y)
+    return np.sum(np.asarray(X) * _matvec(metric_at(space, p), Y), axis=-1)
 
 
 def norm(space: ModelGeometry, p, X) -> np.ndarray:
@@ -313,13 +397,11 @@ def norm(space: ModelGeometry, p, X) -> np.ndarray:
 
 def cross(space: ModelGeometry, p, X, Y) -> np.ndarray:
     """Riemannian cross product, <X ^ Y, Z> = sqrt(det g) det[X, Y, Z]."""
-    g = metric_at(space, p)
-    sq = np.sqrt(np.linalg.det(g))
-    e = np.zeros((3, 3, 3))
-    e[0, 1, 2] = e[1, 2, 0] = e[2, 0, 1] = 1.0
-    e[0, 2, 1] = e[2, 1, 0] = e[1, 0, 2] = -1.0
-    low = np.einsum("...,lmn,...m,...n->...l", sq, e, X, Y)
-    return np.einsum("...kl,...l->...k", np.linalg.inv(g), low)
+    X, Y = np.asarray(X), np.asarray(Y)
+    x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
+    y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
+    euclid = np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
+    return _matvec(inverse_metric(space, p), volume_factor(space, p)[..., None] * euclid)
 
 
 def vertical_field(space: ModelGeometry, p=None) -> np.ndarray:
@@ -341,8 +423,7 @@ def _geodesic_rhs(space, state):
     """state (..., 6) -> derivative; velocity transport by the connection."""
     q = state[..., :3]
     v = state[..., 3:]
-    G = christoffels(space, q)
-    acc = -np.einsum("...lij,...i,...j->...l", G, v, v)
+    acc = -christoffel_contract(christoffels(space, q), v, v)
     return np.concatenate([v, acc], axis=-1)
 
 

@@ -1,63 +1,8 @@
-"""Small numerical differentiation helpers.
-
-Complex-step differentiation gives first derivatives of real-analytic
-functions to machine precision (no subtractive cancellation), provided the
-implementation of ``f`` only uses arithmetic that extends analytically to
-complex arguments.  Central differences (optionally Richardson-extrapolated)
-are the fallback for functions that are only available through iterative
-solvers.
-"""
+"""Richardson extrapolation of limits sampled at shrinking steps."""
 
 from __future__ import annotations
 
 import numpy as np
-
-CS_STEP = 1e-100
-
-
-def complex_step_jacobian(f, p, step=CS_STEP):
-    """Jacobian of ``f: R^n -> R^m`` via complex-step, column by column.
-
-    ``f`` must accept complex input.  Returns an array of shape
-    ``f(p).shape + (n,)``.
-    """
-    p = np.asarray(p, dtype=float)
-    cols = []
-    for k in range(p.size):
-        pc = p.astype(complex)
-        pc[k] += 1j * step
-        cols.append(np.imag(f(pc)) / step)
-    return np.stack(cols, axis=-1)
-
-
-def central_jacobian(f, p, h=1e-6, richardson=False):
-    """Central-difference Jacobian; Richardson uses steps h and h/2."""
-    p = np.asarray(p, dtype=float)
-
-    def diff(step):
-        cols = []
-        for k in range(p.size):
-            dp = np.zeros_like(p)
-            dp[k] = step
-            cols.append((np.asarray(f(p + dp)) - np.asarray(f(p - dp))) / (2 * step))
-        return np.stack(cols, axis=-1)
-
-    if not richardson:
-        return diff(h)
-    coarse, fine = diff(h), diff(h / 2)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def central_second(f, x, h):
-    """Second derivative of a scalar-or-array valued function of one variable."""
-    return (np.asarray(f(x + h)) - 2.0 * np.asarray(f(x)) + np.asarray(f(x - h))) / h**2
-
-
-def richardson_second(f, x, h):
-    """Richardson-extrapolated second derivative (steps h and h/2)."""
-    coarse = central_second(f, x, h)
-    fine = central_second(f, x, h / 2)
-    return (4.0 * fine - coarse) / 3.0
 
 
 def richardson_limit(f, h0, nodes=3, ratio=2.0, order=2):

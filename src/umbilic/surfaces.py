@@ -25,6 +25,8 @@ from scipy.optimize import brentq
 
 from .geometry import (
     ModelGeometry,
+    _matvec,
+    christoffel_contract,
     christoffels,
     cross,
     h2xr,
@@ -503,12 +505,17 @@ def _jet_arrays(patch, U, V, h=None):
     return fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)(U, V)
 
 
+def _dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
 def _forms_from_jet(space, j, orient):
     X, Xu, Xv = j["X"], j["Xu"], j["Xv"]
     g = metric_at(space, X)
-    E = np.einsum("...ij,...i,...j->...", g, Xu, Xu)
-    F = np.einsum("...ij,...i,...j->...", g, Xu, Xv)
-    G = np.einsum("...ij,...i,...j->...", g, Xv, Xv)
+    gXu = _matvec(g, Xu)
+    E = _dot(Xu, gXu)
+    F = _dot(Xv, gXu)
+    G = _dot(Xv, _matvec(g, Xv))
     I = np.stack(
         [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
     )
@@ -516,15 +523,16 @@ def _forms_from_jet(space, j, orient):
 
     factor = orient * np.asarray(j.get("orient_sign", 1.0))
     n_raw = cross(space, X, Xu, Xv) * np.expand_dims(factor, -1)
-    n_len = norm(space, X, n_raw)
-    safe = np.where(n_len > 0, n_len, 1.0)
-    N = n_raw / safe[..., None]
+    gn = _matvec(g, n_raw)
+    n_len = np.sqrt(_dot(n_raw, gn))
+    safe = np.where(n_len > 0, n_len, 1.0)[..., None]
+    N = n_raw / safe
+    gN = gn / safe
 
     Gamma = christoffels(space, X)
 
     def second(Xa, Xb, Xab):
-        acc = Xab + np.einsum("...kij,...i,...j->...k", Gamma, Xa, Xb)
-        return np.einsum("...ij,...i,...j->...", g, acc, N)
+        return _dot(Xab + christoffel_contract(Gamma, Xa, Xb), gN)
 
     L = second(Xu, Xu, j["Xuu"])
     M = second(Xu, Xv, j["Xuv"])
@@ -622,7 +630,7 @@ def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     I, II, N, det_I = _forms_from_jet(patch.space, j, patch.orient)
 
     X = j["X"]
-    orbit_speed = norm(patch.space, X, j["Xv"])
+    orbit_speed = np.sqrt(I[..., 1, 1])
     included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
     if not np.any(included):
         raise ImmersionError(
@@ -720,8 +728,7 @@ def _slice_geodesic_curvature(space, chart2d, vs, dv):
         cm = chart2d(v - step)
         vel = (cp - cm) / (2.0 * step)
         acc2 = (cp - 2.0 * c0 + cm) / step**2
-        Gamma = christoffels(space, c0)
-        acc = acc2 + np.einsum("kij,i,j->k", Gamma, vel, vel)
+        acc = acc2 + christoffel_contract(christoffels(space, c0), vel, vel)
         speed2 = inner(space, c0, vel, vel)
         xi = vertical_field(space, c0)
         n_in = cross(space, c0, xi, vel)

@@ -12,8 +12,6 @@ from zero exactly when no umbilic surface exists.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +20,7 @@ from scipy.optimize import minimize
 from .geometry import (
     ModelGeometry,
     _geodesic_rhs,
+    christoffel_contract,
     christoffels,
     cross,
     curvature_tensor,
@@ -133,8 +132,7 @@ def check_killing(space: ModelGeometry, grid=(32, 16), seed=0) -> IdentityCheck:
     rng = np.random.default_rng(seed + 1)
     X = rng.normal(size=(n, 3))
     X /= norm(space, p, X)[:, None]
-    G = christoffels(space, p)
-    nabla = np.einsum("...lij,...i,...j->...l", G, X, xi)
+    nabla = christoffel_contract(christoffels(space, p), X, xi)
     resid = norm(space, p, nabla - space.tau * cross(space, p, X, xi))
     return IdentityCheck("killing", (n_u, n_v), _stats(resid))
 
@@ -170,7 +168,7 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
         for j in range(3):
             # nabla_{E_i} E_j; frame fields depend on z only
             flow = E[i][..., 2:3] * dE[j]
-            conn = np.einsum("...lab,...a,...b->...l", G, E[i], E[j])
+            conn = christoffel_contract(G, E[i], E[j])
             want = table.get((i, j), 0.0)
             frame_resid.append(norm(space, X, flow + conn - want))
     frame = IdentityCheck("sol_frame_table", (n_u, n_v),
@@ -227,7 +225,7 @@ def _surface_fields(patch: SurfacePatch, U, V):
     I, II, N, det_I = _forms_from_jet(space, j, patch.orient)
     lam1, lam2, H = _shape_invariants(I, II)
     X = j["X"]
-    orbit_speed = norm(space, X, j["Xv"])
+    orbit_speed = np.sqrt(I[..., 1, 1])
     included = (det_I > IMMERSION_FLOOR) & (orbit_speed > AXIS_TUBE)
     out = {
         "X": X, "Xu": j["Xu"], "Xv": j["Xv"], "I": I, "II": II, "N": N,
@@ -280,7 +278,7 @@ def _covariant_along(space, fields, shifted, W, name, hu, hv):
     Av = (shifted["vp"][name] - shifted["vm"][name]) / (2.0 * hv)
     flow = w1[..., None] * Au + w2[..., None] * Av
     G = christoffels(space, fields["X"])
-    return flow + np.einsum("...lab,...a,...b->...l", G, W, fields[name])
+    return flow + christoffel_contract(G, W, fields[name])
 
 
 def _bracket_field(patch, U, V, hu, hv):
@@ -560,14 +558,11 @@ def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24),
     return float(val) if np.isfinite(val) else 1e3
 
 
-def _resolve_threads(threads):
-    if threads is None:
-        threads = int(os.environ.get("UMBILIC_THREADS", "1"))
-    return max(1, int(threads))
+_MIN_EVALS_PER_RESTART = 8
 
 
 def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
-                           seed=0, grid=(24, 24), threads=None) -> dict:
+                           seed=0, grid=(24, 24)) -> dict:
     """Search the trial families for an umbilic surface in M^3(kappa, tau).
 
     Runs derivative-free minimization of the max-defect objective from
@@ -578,8 +573,10 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     The sphere radius is bounded below (0.5) because small geodesic spheres
     are asymptotically umbilic in any space, so letting the radius shrink
     would drive the defect to zero without exhibiting an actual umbilic
-    surface.  ``partial`` is set when some restart stopped at its evaluation
-    cap before meeting the convergence tolerances.
+    surface.  ``budget`` is the evaluation budget of each trial family,
+    split evenly across its restarts; it must allow at least 8 evaluations
+    per restart.  ``partial`` is set when some restart stopped at its
+    evaluation cap before meeting the convergence tolerances.
     """
     space = m3(float(kappa), float(tau))
     if family == "auto":
@@ -588,12 +585,18 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
         plans = [(family, n_starts)]
     else:
         raise ValueError(f"unknown trial family {family!r}")
+    if n_starts < 1:
+        raise ValueError("starts must be at least 1")
+    min_budget = _MIN_EVALS_PER_RESTART * max(starts for _, starts in plans)
+    if budget < min_budget:
+        raise ValueError(f"budget must be at least {min_budget} "
+                         f"({_MIN_EVALS_PER_RESTART} evaluations per restart)")
 
     jobs = []
     for fam, starts in plans:
         fam_spec = _TRIAL_FAMILIES[fam]
         bounds = fam_spec["bounds"]
-        maxfev = max(8, budget // max(1, starts))
+        maxfev = budget // starts
         if fam == "sphere":
             maxfev = min(maxfev, _SPHERE_MAXFEV)
         for k in range(starts):
@@ -615,12 +618,7 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
             options={"maxfev": maxfev, **_TRIAL_FAMILIES[fam]["options"]})
         return fam, float(res.fun), np.asarray(res.x), int(res.nfev), bool(res.success)
 
-    workers = _resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = [run(job) for job in jobs]
 
     by_family = {}
     n_evals = 0

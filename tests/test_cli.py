@@ -183,6 +183,14 @@ def test_falsify_budget_exhaustion_exits_one(capsys):
     assert "partial" in err and err.count("\n") == 1
 
 
+def test_falsify_budget_below_eight_per_restart_exits_2(capsys):
+    rc, out, err = _run(capsys, [
+        "falsify", "--kappa", "0", "--tau", "0.5", "--family", "graph",
+        "--starts", "50", "--budget", "100"])
+    assert rc == 2 and out == ""
+    assert err == "error: budget must be at least 400 (8 evaluations per restart)\n"
+
+
 def test_falsify_reports_are_byte_identical(capsys):
     argv = ["falsify", "--kappa", "0", "--tau", "0.5", "--family", "graph",
             "--starts", "2", "--budget", "200", "--seed", "5"]

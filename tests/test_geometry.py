@@ -2,7 +2,8 @@
 
 Frozen expected values come from independent routes: finite differences of
 the closed-form metrics, textbook curvature constants of the model spaces,
-and closed-form geodesics.
+closed-form geodesics, and a Koszul-formula oracle (metric derivatives, a
+batched inverse and einsum contractions) for the closed-form connection.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from umbilic.geometry import (
     IllFormedIsometryError,
     apply_isometry,
     chart_contains,
+    christoffel_deriv,
     christoffels,
     cross,
     curvature_tensor,
@@ -25,10 +27,10 @@ from umbilic.geometry import (
     h3,
     hyperbolic_translation,
     inner,
+    inverse_metric,
     isometry_jet,
     m3,
     metric_at,
-    metric_deriv,
     norm,
     parabolic,
     pullback_residual,
@@ -43,6 +45,7 @@ from umbilic.geometry import (
     vertical_field,
     vertical_shift,
 )
+from umbilic.verify import sample_points
 
 ALL_SPACES = [r3(), h3(), sol(), s2xr(1.0), h2xr(-1.0), m3(1.0, 0.5), m3(-1.0, 1.0)]
 
@@ -82,19 +85,6 @@ def test_m3_metric_has_bundle_cross_terms():
     assert_allclose(g[1, 2], -tau * lam * p[0], rtol=1e-14)
 
 
-def test_metric_deriv_matches_finite_differences():
-    # layout: metric_deriv(space, p)[k, i, j] = d_k g_ij
-    h = 1e-6
-    for space in ALL_SPACES:
-        p = interior_point(space)
-        dg = metric_deriv(space, p)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fd = (metric_at(space, p + e) - metric_at(space, p - e)) / (2 * h)
-            assert_allclose(dg[k], fd, atol=5e-9, err_msg=space.kind)
-
-
 def test_chart_domains():
     assert chart_contains(h2xr(-1.0), [0.9, 0.0, 3.0])
     assert not chart_contains(h2xr(-1.0), [1.1, 0.0, 0.0])
@@ -108,6 +98,123 @@ def test_space_parameter_validation():
         s2xr(-1.0)
     with pytest.raises(ValueError):
         h2xr(1.0)
+
+
+# --- Koszul oracle for the closed-form connection ------------------------------
+
+
+def metric_deriv(space, p):
+    """Coordinate derivatives dg[..., k, i, j] = d_k g_ij (closed form, complex-safe)."""
+    p = np.asarray(p)
+    x, y = p[..., 0], p[..., 1]
+    z = p[..., 2]
+    dg = np.zeros(p.shape[:-1] + (3, 3, 3), dtype=p.dtype if np.iscomplexobj(p) else float)
+    if space.kind == "r3":
+        return dg
+    if space.kind == "h3":
+        d = -2.0 / z**3
+        dg[..., 2, 0, 0] = dg[..., 2, 1, 1] = dg[..., 2, 2, 2] = d
+        return dg
+    if space.kind == "sol":
+        dg[..., 2, 0, 0] = 2.0 * np.exp(2.0 * z)
+        dg[..., 2, 1, 1] = -2.0 * np.exp(-2.0 * z)
+        return dg
+    if space.kind in ("s2xr", "h2xr"):
+        sgn = 1.0 if space.kind == "s2xr" else -1.0
+        c = 2.0 / np.sqrt(abs(space.kappa))
+        F = c / (1.0 + sgn * (x**2 + y**2))
+        # F = c/(1 + sgn*(x^2+y^2)) => dF = -sgn * F^2 * (2x, 2y)/c
+        Fx = -sgn * 2.0 * x * F**2 / c
+        Fy = -sgn * 2.0 * y * F**2 / c
+        dg[..., 0, 0, 0] = dg[..., 0, 1, 1] = 2.0 * F * Fx
+        dg[..., 1, 0, 0] = dg[..., 1, 1, 1] = 2.0 * F * Fy
+        return dg
+    k, tau = space.kappa, space.tau
+    lam = 1.0 / (1.0 + k * (x**2 + y**2) / 4.0)
+    lx = -0.5 * k * x * lam**2
+    ly = -0.5 * k * y * lam**2
+    # g_xx = lam^2 (1 + tau^2 y^2), g_yy = lam^2 (1 + tau^2 x^2)
+    dg[..., 0, 0, 0] = 2.0 * lam * lx * (1.0 + tau**2 * y**2)
+    dg[..., 1, 0, 0] = 2.0 * lam * ly * (1.0 + tau**2 * y**2) + 2.0 * tau**2 * y * lam**2
+    dg[..., 0, 1, 1] = 2.0 * lam * lx * (1.0 + tau**2 * x**2) + 2.0 * tau**2 * x * lam**2
+    dg[..., 1, 1, 1] = 2.0 * lam * ly * (1.0 + tau**2 * x**2)
+    # g_xy = -tau^2 lam^2 x y
+    gxy_x = -(tau**2) * (2.0 * lam * lx * x * y + lam**2 * y)
+    gxy_y = -(tau**2) * (2.0 * lam * ly * x * y + lam**2 * x)
+    dg[..., 0, 0, 1] = dg[..., 0, 1, 0] = gxy_x
+    dg[..., 1, 0, 1] = dg[..., 1, 1, 0] = gxy_y
+    # g_xz = tau lam y, g_yz = -tau lam x
+    dg[..., 0, 0, 2] = dg[..., 0, 2, 0] = tau * lx * y
+    dg[..., 1, 0, 2] = dg[..., 1, 2, 0] = tau * (ly * y + lam)
+    dg[..., 0, 1, 2] = dg[..., 0, 2, 1] = -tau * (lx * x + lam)
+    dg[..., 1, 1, 2] = dg[..., 1, 2, 1] = -tau * ly * x
+    return dg
+
+
+def koszul_christoffels(space, p):
+    """gamma[..., l, i, j] = g^lm (d_i g_jm + d_j g_im - d_m g_ij) / 2."""
+    dg = metric_deriv(space, p)
+    low = 0.5 * (np.swapaxes(dg, -3, -2) + np.einsum("...jim->...mij", dg) - dg)
+    return np.einsum("...lm,...mij->...lij", np.linalg.inv(metric_at(space, p)), low)
+
+
+def koszul_christoffel_deriv(space, p, step=1e-100):
+    out = np.empty(p.shape[:-1] + (3, 3, 3, 3))
+    for m in range(3):
+        pc = p.astype(complex)
+        pc[..., m] += 1j * step
+        out[..., m, :, :, :] = koszul_christoffels(space, pc).imag / step
+    return out
+
+
+def koszul_cross(space, p, X, Y):
+    g = metric_at(space, p)
+    e = np.zeros((3, 3, 3))
+    e[0, 1, 2] = e[1, 2, 0] = e[2, 0, 1] = 1.0
+    e[0, 2, 1] = e[2, 1, 0] = e[1, 0, 2] = -1.0
+    low = np.einsum("...,lmn,...m,...n->...l", np.sqrt(np.linalg.det(g)), e, X, Y)
+    return np.einsum("...kl,...l->...k", np.linalg.inv(g), low)
+
+
+def koszul_inner(space, p, X, Y):
+    return np.einsum("...ij,...i,...j->...", metric_at(space, p), X, Y)
+
+
+def assert_relative(actual, oracle, rtol=1e-12):
+    scale = max(float(np.max(np.abs(oracle))), 1e-300)
+    assert np.max(np.abs(actual - oracle)) <= rtol * scale
+
+
+ORACLE_SPACES = [r3(), h3(), sol(), s2xr(1.0), h2xr(-1.0)] + [
+    m3(kappa, tau) for kappa in (-1.0, 0.0, 1.0) for tau in (0.0, 0.5, 1.0)
+]
+
+
+def test_metric_deriv_matches_finite_differences():
+    # layout: metric_deriv(space, p)[k, i, j] = d_k g_ij
+    h = 1e-6
+    for space in ALL_SPACES:
+        p = interior_point(space)
+        dg = metric_deriv(space, p)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            fd = (metric_at(space, p + e) - metric_at(space, p - e)) / (2 * h)
+            assert_allclose(dg[k], fd, atol=5e-9, err_msg=space.kind)
+
+
+@pytest.mark.parametrize(
+    "space", ORACLE_SPACES, ids=lambda s: f"{s.kind}({s.kappa:g},{s.tau:g})")
+def test_closed_form_connection_matches_koszul_oracle(space):
+    # includes the space form m3(1, 0.5), where kappa = 4 tau^2
+    p = sample_points(space, 64, seed=11)
+    X, Y = np.random.default_rng(12).standard_normal((2, 64, 3))
+    assert_relative(christoffels(space, p), koszul_christoffels(space, p))
+    assert_relative(cross(space, p, X, Y), koszul_cross(space, p, X, Y))
+    assert_relative(inner(space, p, X, Y), koszul_inner(space, p, X, Y))
+    assert_allclose(inverse_metric(space, p) @ metric_at(space, p),
+                    np.broadcast_to(np.eye(3), (64, 3, 3)), atol=1e-12)
+    assert_relative(christoffel_deriv(space, p), koszul_christoffel_deriv(space, p))
 
 
 # --- connection and curvature ----------------------------------------------
