@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .geometry import (
     ModelGeometry,
@@ -97,25 +97,28 @@ class SurfacePatch:
 
 
 def fd_jet(chart, u_range, v_range, h=None):
-    """Centered finite-difference jet of an arbitrary chart map."""
+    """Centered finite-difference jet of an arbitrary chart map.
+
+    The 9-point stencil goes through the chart in one call on a stacked
+    leading axis, so ``chart`` must act elementwise over leading axes.
+    """
     hu = h if h is not None else FD_STEP_FRACTION * (u_range[1] - u_range[0])
     hv = h if h is not None else FD_STEP_FRACTION * (v_range[1] - v_range[0])
 
     def jet(U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        X = chart(U, V)
-        Xpu, Xmu = chart(U + hu, V), chart(U - hu, V)
-        Xpv, Xmv = chart(U, V + hv), chart(U, V - hv)
-        Xpp, Xpm = chart(U + hu, V + hv), chart(U + hu, V - hv)
-        Xmp, Xmm = chart(U - hu, V + hv), chart(U - hu, V - hv)
+        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
+        P = chart(
+            np.stack([U, U + hu, U - hu, U, U, U + hu, U + hu, U - hu, U - hu]),
+            np.stack([V, V, V, V + hv, V - hv, V + hv, V - hv, V + hv, V - hv]),
+        )
         return {
-            "X": X,
-            "Xu": (Xpu - Xmu) / (2 * hu),
-            "Xv": (Xpv - Xmv) / (2 * hv),
-            "Xuu": (Xpu - 2 * X + Xmu) / hu**2,
-            "Xvv": (Xpv - 2 * X + Xmv) / hv**2,
-            "Xuv": (Xpp - Xpm - Xmp + Xmm) / (4 * hu * hv),
+            # a copy, so the stacked stencil is freed with this frame
+            "X": P[0].copy(),
+            "Xu": (P[1] - P[2]) / (2 * hu),
+            "Xv": (P[3] - P[4]) / (2 * hv),
+            "Xuu": (P[1] - 2 * P[0] + P[2]) / hu**2,
+            "Xvv": (P[3] - 2 * P[0] + P[4]) / hv**2,
+            "Xuv": (P[5] - P[6] - P[7] + P[8]) / (4 * hu * hv),
         }
 
     return jet
@@ -683,34 +686,49 @@ def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
 # slice structure
 
 
+def _find_roots(f, lo, hi, args):
+    """Elementwise roots of f on the brackets [lo, hi] (Chandrupatla)."""
+    res = find_root(f, (lo, hi), args=args, tolerances={"xatol": 1e-14})
+    if not np.all(res.success):
+        bad = int(np.count_nonzero(~res.success))
+        raise RuntimeError(f"root solve failed at {bad} of {res.x.size} points "
+                           f"(status {np.unique(res.status[~res.success])})")
+    return res.x
+
+
 def _level_points(patch, level, n_v):
-    """Intersections of the patch with the slice t = level, one per v-line."""
+    """Intersections of the patch with the slice t = level, one per v-line.
+
+    Each v-line is sampled at 257 u-values in one chart call.  A line whose
+    heights all sit within 1e-12 of the level is flat; otherwise its hit is
+    the root in the first sign-changing interval, or failing that the first
+    exact zero.  Returns the hit coordinates ``(us, vs)`` as arrays in
+    v order, the number of flat lines and the number of lines.
+    """
     (u0, u1), (v0, v1) = patch.u_range, patch.v_range
     du = GRID_MARGIN * (u1 - u0)
     dv = GRID_MARGIN * (v1 - v0)
     vs = np.linspace(v0 + dv, v1 - dv, n_v)
     u_grid = np.linspace(u0 + du, u1 - du, 257)
 
-    def height(u, v):
-        return float(patch.chart(np.asarray(u), np.asarray(v))[..., 2]) - level
+    U, V = np.meshgrid(u_grid, vs, indexing="ij")
+    f = patch.chart(U, V)[..., 2] - level
+    flat = np.all(np.abs(f) < 1e-12, axis=0)
+    change = np.sign(f[:-1]) * np.sign(f[1:]) < 0
+    zero = f == 0.0
+    bracketed = ~flat & np.any(change, axis=0)
+    touched = ~flat & ~bracketed & np.any(zero, axis=0)
 
-    hits = []
-    flat = 0
-    for v in vs:
-        f = patch.chart(u_grid, np.full_like(u_grid, v))[..., 2] - level
-        if np.all(np.abs(f) < 1e-12):
-            flat += 1
-            continue
-        idx = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]
-        if idx.size == 0:
-            zeros = np.nonzero(f == 0.0)[0]
-            if zeros.size:
-                hits.append((float(u_grid[zeros[0]]), float(v)))
-            continue
-        k = idx[0]
-        u_star = brentq(height, u_grid[k], u_grid[k + 1], args=(v,), xtol=1e-14)
-        hits.append((float(u_star), float(v)))
-    return hits, flat, len(vs)
+    cols = np.nonzero(bracketed)[0]
+    k = np.argmax(change[:, cols], axis=0)
+    roots = _find_roots(lambda u, v: patch.chart(u, v)[..., 2] - level,
+                        u_grid[k], u_grid[k + 1], (vs[cols],))
+
+    us = np.empty(n_v)
+    us[bracketed] = roots
+    us[touched] = u_grid[np.argmax(zero[:, touched], axis=0)]
+    hit = bracketed | touched
+    return us[hit], vs[hit], int(np.count_nonzero(flat)), n_v
 
 
 def _slice_geodesic_curvature(space, chart2d, vs, dv):
@@ -720,28 +738,27 @@ def _slice_geodesic_curvature(space, chart2d, vs, dv):
     projected onto the in-slice normal (the velocity rotated a quarter turn
     about the vertical) is the intrinsic geodesic curvature.  Centered
     differences at steps dv and dv/2 are Richardson-combined to cancel the
-    leading truncation term.
+    leading truncation term.  ``chart2d`` maps an array of v to level-curve
+    points; it is called once, on the centers and all four stencil offsets.
     """
+    half = dv / 2.0
+    P = chart2d(np.concatenate([vs, vs + dv, vs - dv, vs + half, vs - half]))
+    c0, cp, cm, hp, hm = np.split(P, 5)
+    Gamma = christoffels(space, c0)
+    xi = vertical_field(space, c0)
 
-    def kg_at(c0, step, v):
-        cp = chart2d(v + step)
-        cm = chart2d(v - step)
+    def kg(cp, cm, step):
         vel = (cp - cm) / (2.0 * step)
         acc2 = (cp - 2.0 * c0 + cm) / step**2
-        acc = acc2 + christoffel_contract(christoffels(space, c0), vel, vel)
+        acc = acc2 + christoffel_contract(Gamma, vel, vel)
         speed2 = inner(space, c0, vel, vel)
-        xi = vertical_field(space, c0)
         n_in = cross(space, c0, xi, vel)
         n_len = norm(space, c0, n_in)
-        return float(inner(space, c0, acc, n_in) / (n_len * speed2))
+        return inner(space, c0, acc, n_in) / (n_len * speed2)
 
-    kgs = []
-    for v in vs:
-        c0 = chart2d(v)
-        coarse = kg_at(c0, dv, v)
-        fine = kg_at(c0, dv / 2.0, v)
-        kgs.append((4.0 * fine - coarse) / 3.0)
-    return np.asarray(kgs)
+    coarse = kg(cp, cm, dv)
+    fine = kg(hp, hm, half)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
@@ -752,9 +769,14 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
     For each level t0, the level curve is sampled (one intersection per
     v-line), its geodesic curvature inside the slice and the normal's
     vertical component nu are measured, and their constancy is checked.
-    Levels the patch meets tangentially (|T| below 1e-6 at a hit, or a
-    slice contained in the patch) are skipped and reported, or raise
-    :class:`TransversalityError` when ``strict``.
+    The hits, and the level-curve points of the k_g stencil (re-solved
+    within 5% of the u-range around the nearest hit), come from batched
+    bracketing root solves to 1e-14 in u, one per stage.  Levels the patch
+    meets tangentially (|T| below 1e-6 at a hit, or a slice contained in
+    the patch), and levels whose curve leaves the re-solve bracket at some
+    stencil point, are skipped and reported, or raise
+    :class:`TransversalityError` when ``strict``.  A root solve that fails
+    to converge raises ``RuntimeError``.
 
     Tags: ``geodesic`` when |k_g| sits within ``band`` of 0; on the sphere
     base every other circle is ``elliptic``; on the hyperbolic base |k_g|
@@ -767,20 +789,18 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
     out = []
     for level in levels:
         entry = {"level": float(level), "tag": None, "skipped": False}
-        hits, flat, n_lines = _level_points(patch, level, n_v)
+        us, vs, flat, n_lines = _level_points(patch, level, n_v)
         if flat == n_lines:
             entry.update(skipped=True, reason="slice contained in patch (tangential)")
             if strict:
                 raise TransversalityError(entry["reason"])
             out.append(entry)
             continue
-        if not hits:
+        if us.size == 0:
             entry.update(skipped=True, reason="level not attained on patch")
             out.append(entry)
             continue
 
-        us = np.array([p[0] for p in hits])
-        vs = np.array([p[1] for p in hits])
         j = patch.jet(us, vs)
         _, _, N, _ = _forms_from_jet(patch.space, j, patch.orient)
         xi = vertical_field(patch.space, j["X"])
@@ -798,25 +818,37 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
         dv = 1e-3 * (patch.v_range[1] - patch.v_range[0])
         bracket = 0.05 * (patch.u_range[1] - patch.u_range[0])
 
-        def chart2d(v, _level=level):
-            u_near = us[np.argmin(np.abs(vs - v))]
-            f = lambda u: float(
-                patch.chart(np.asarray(u), np.asarray(v))[..., 2]
-            ) - _level
-            lo = max(u_near - bracket, patch.u_range[0])
-            hi = min(u_near + bracket, patch.u_range[1])
-            u_star = brentq(f, lo, hi, xtol=1e-14) if f(lo) * f(hi) < 0 else u_near
-            return patch.chart(np.asarray(u_star), np.asarray(v))
+        def height(u, v, _level=level):
+            return patch.chart(u, v)[..., 2] - _level
+
+        def chart2d(v, us=us, vs=vs):
+            # re-solve near the hit of the closest v-line; a point whose
+            # bracket holds no sign change would not lie on the level curve
+            u_near = us[np.argmin(np.abs(vs - v[:, None]), axis=1)]
+            lo = np.maximum(u_near - bracket, patch.u_range[0])
+            hi = np.minimum(u_near + bracket, patch.u_range[1])
+            lost = np.count_nonzero(~(height(lo, v) * height(hi, v) < 0))
+            if lost:
+                raise TransversalityError(
+                    f"level curve left its root bracket at {lost} of {v.size} points")
+            return patch.chart(_find_roots(height, lo, hi, (v,)), v)
 
         inner_vs = vs[1:-1] if len(vs) > 4 else vs
-        kg = _slice_geodesic_curvature(patch.space, chart2d, inner_vs, dv)
+        try:
+            kg = _slice_geodesic_curvature(patch.space, chart2d, inner_vs, dv)
+        except TransversalityError as exc:
+            entry.update(skipped=True, reason=str(exc))
+            if strict:
+                raise
+            out.append(entry)
+            continue
         kg_mean = float(np.mean(kg))
         entry.update(
             k_g=kg_mean,
             k_g_residual=float(np.max(np.abs(kg - kg_mean))),
             nu=float(np.mean(nu)),
             nu_residual=float(np.max(np.abs(nu - np.mean(nu)))),
-            n_points=len(hits),
+            n_points=len(us),
         )
 
         if entry["k_g_residual"] > constancy_tol or entry["nu_residual"] > constancy_tol:

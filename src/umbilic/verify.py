@@ -38,6 +38,7 @@ from .surfaces import (
     ImmersionError,
     SurfacePatch,
     curvature_report,
+    patch_from_chart,
     _forms_from_jet,
     _shape_invariants,
 )
@@ -493,25 +494,8 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
         dirs = np.stack([su * np.cos(V), su * np.sin(V), np.cos(U)], axis=-1)
         return _rk4_flow(space, p0, radius * dirs, n_steps)
 
-    hu = 1e-4 * (u_range[1] - u_range[0])
-    hv = 1e-4 * (v_range[1] - v_range[0])
-
-    def jet(U, V):
-        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-        UU = np.stack([U, U + hu, U - hu, U, U, U + hu, U + hu, U - hu, U - hu])
-        VV = np.stack([V, V, V, V + hv, V - hv, V + hv, V - hv, V + hv, V - hv])
-        P = chart(UU, VV)
-        return {
-            "X": P[0],
-            "Xu": (P[1] - P[2]) / (2 * hu),
-            "Xv": (P[3] - P[4]) / (2 * hv),
-            "Xuu": (P[1] - 2 * P[0] + P[2]) / hu**2,
-            "Xvv": (P[3] - 2 * P[0] + P[4]) / hv**2,
-            "Xuv": (P[5] - P[6] - P[7] + P[8]) / (4 * hu * hv),
-        }
-
-    return SurfacePatch(space, name or "geodesic-sphere", u_range, v_range,
-                        jet, chart=chart)
+    return patch_from_chart(space, name or "geodesic-sphere", chart,
+                            u_range, v_range)
 
 
 _TRIAL_FAMILIES = {

@@ -55,6 +55,16 @@ def test_obj_round_trip(tmp_path, patch):
     assert np.array_equal(faces - 1, quads)
 
 
+def test_obj_matches_per_line_format(tmp_path, patch):
+    path = tmp_path / "s.obj"
+    write_obj(path, patch, n_u=6, n_v=5)
+    vertices, quads = grid_mesh(patch, 6, 5)
+    lines = ["# %s: %d x %d grid\n" % (patch.name, 6, 5)]
+    lines.extend("v %.17g %.17g %.17g\n" % tuple(v) for v in vertices)
+    lines.extend("f %d %d %d %d\n" % tuple(q + 1) for q in quads)
+    assert path.read_bytes() == "".join(lines).encode()
+
+
 def test_ply_round_trip_with_quality(tmp_path, patch):
     path = tmp_path / "s.ply"
     info = write_ply(path, patch, n_u=12, n_v=9, quality="defect")

@@ -1,9 +1,19 @@
-"""Orbit surfaces: umbilicity, principal curvatures, isometry invariance, slices."""
+"""Orbit surfaces: umbilicity, principal curvatures, isometry invariance, slices.
+
+The batched slice classifier is checked against a scalar oracle: one
+``brentq`` solve per v-line and per stencil point, and a per-v loop for the
+geodesic curvature.
+"""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from umbilic.families import build_family
 from umbilic.geometry import (
+    christoffel_contract,
+    christoffels,
+    cross,
     h2xr,
     h3,
     hyperbolic_translation,
@@ -16,6 +26,7 @@ from umbilic.geometry import (
     slice_reflection,
     sol,
     sol_translation,
+    vertical_field,
     vertical_shift,
 )
 from umbilic.numdiff import richardson_limit
@@ -28,6 +39,9 @@ from umbilic.profiles import (
     sol_profile,
 )
 from umbilic.surfaces import (
+    CLASSIFY_BAND,
+    CONSTANCY_TOL,
+    GRID_MARGIN,
     ImmersionError,
     IncompatibleActionError,
     TransversalityError,
@@ -41,6 +55,7 @@ from umbilic.surfaces import (
     synthetic_profile,
     transform_patch,
     umbilicity_defect,
+    _forms_from_jet,
 )
 
 
@@ -347,6 +362,151 @@ def test_classifier_skip_paths(family):
     )
     e = classify_slice_structure(cubic, [0.0])[0]
     assert e["skipped"] and "tangential contact" in e["reason"]
+
+    # the level curve u = 0.4 sin(200 v) moves further in u between v-lines
+    # than the 5% re-solve bracket reaches, so some stencil points have no
+    # root near the closest hit
+    steep = patch_from_chart(
+        h2xr(-1.0), "steep",
+        lambda U, V: np.stack(
+            [0.2 + 0.1 * U, 0.1 * V, U - 0.4 * np.sin(200 * V)], axis=-1),
+        (-0.5, 0.5), (-0.5, 0.5),
+    )
+    e = classify_slice_structure(steep, [0.0])[0]
+    assert e["skipped"] and "left its root bracket at 22 of 310" in e["reason"]
+    assert "k_g" not in e
+    with pytest.raises(TransversalityError):
+        classify_slice_structure(steep, [0.0], strict=True)
+
+
+def test_classifier_root_solve_failure_raises():
+    # the height is NaN only near its root, off the 257-point sampling grid
+    hole = patch_from_chart(
+        h2xr(-1.0), "hole",
+        lambda U, V: np.stack(
+            [0.2 + 0.1 * U, 0.1 * V,
+             np.where(np.abs(U - 0.0123) < 1e-6, np.nan, U - 0.0123)], axis=-1),
+        (-0.5, 0.5), (-0.5, 0.5),
+    )
+    with pytest.raises(RuntimeError, match="root solve failed") as info:
+        classify_slice_structure(hole, [0.0])
+    assert not isinstance(info.value, TransversalityError)
+
+
+def _scalar_classify(patch, level, n_v=64):
+    """Scalar reference classifier: brentq per point, k_g looped over v.
+
+    Covers transversal levels on the hyperbolic base, the only cases it is
+    compared on.
+    """
+    assert patch.space.kind == "h2xr"
+    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
+    vs_all = np.linspace(v0 + GRID_MARGIN * (v1 - v0),
+                         v1 - GRID_MARGIN * (v1 - v0), n_v)
+    u_grid = np.linspace(u0 + GRID_MARGIN * (u1 - u0),
+                         u1 - GRID_MARGIN * (u1 - u0), 257)
+
+    def height(u, v):
+        return float(patch.chart(np.asarray(u), np.asarray(v))[..., 2]) - level
+
+    hits = []
+    for v in vs_all:
+        f = patch.chart(u_grid, np.full_like(u_grid, v))[..., 2] - level
+        assert not np.all(np.abs(f) < 1e-12)
+        idx = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]
+        if idx.size == 0:
+            zeros = np.nonzero(f == 0.0)[0]
+            if zeros.size:
+                hits.append((float(u_grid[zeros[0]]), float(v)))
+            continue
+        k = idx[0]
+        hits.append((brentq(height, u_grid[k], u_grid[k + 1], args=(v,),
+                            xtol=1e-14), float(v)))
+    us = np.array([p[0] for p in hits])
+    vs = np.array([p[1] for p in hits])
+
+    space = patch.space
+    j = patch.jet(us, vs)
+    _, _, N, _ = _forms_from_jet(space, j, patch.orient)
+    nu = inner(space, j["X"], N, vertical_field(space, j["X"]))
+
+    dv = 1e-3 * (v1 - v0)
+    bracket = 0.05 * (u1 - u0)
+
+    def chart2d(v):
+        u_near = us[np.argmin(np.abs(vs - v))]
+        lo, hi = max(u_near - bracket, u0), min(u_near + bracket, u1)
+        assert height(lo, v) * height(hi, v) < 0
+        u_star = brentq(height, lo, hi, args=(v,), xtol=1e-14)
+        return patch.chart(np.asarray(u_star), np.asarray(v))
+
+    def kg_at(c0, step, v):
+        cp, cm = chart2d(v + step), chart2d(v - step)
+        vel = (cp - cm) / (2.0 * step)
+        acc2 = (cp - 2.0 * c0 + cm) / step**2
+        acc = acc2 + christoffel_contract(christoffels(space, c0), vel, vel)
+        speed2 = inner(space, c0, vel, vel)
+        n_in = cross(space, c0, vertical_field(space, c0), vel)
+        return float(inner(space, c0, acc, n_in) / (norm(space, c0, n_in) * speed2))
+
+    kgs = []
+    for v in vs[1:-1]:
+        c0 = chart2d(v)
+        kgs.append((4.0 * kg_at(c0, dv / 2.0, v) - kg_at(c0, dv, v)) / 3.0)
+    kg = np.asarray(kgs)
+    kg_mean = float(np.mean(kg))
+    entry = {
+        "k_g": kg_mean,
+        "k_g_residual": float(np.max(np.abs(kg - kg_mean))),
+        "nu": float(np.mean(nu)),
+        "nu_residual": float(np.max(np.abs(nu - np.mean(nu)))),
+        "n_points": len(hits),
+    }
+    if max(entry["k_g_residual"], entry["nu_residual"]) > CONSTANCY_TOL:
+        entry["tag"] = "none"
+    elif abs(kg_mean) <= CLASSIFY_BAND:
+        entry["tag"] = "geodesic"
+    elif abs(abs(kg_mean) - 1.0) <= CLASSIFY_BAND:
+        entry["tag"] = "parabolic"
+    else:
+        entry["tag"] = "elliptic" if abs(kg_mean) > 1.0 else "hyperbolic"
+    return entry
+
+
+def _c10_case(key):
+    """A C10 level (family, parameter) or the tilted negative control."""
+    if key == "tilted":
+        patch = patch_from_chart(
+            h2xr(-1.0), "tilted",
+            lambda U, V: np.stack(
+                [0.15 + 0.25 * U, 0.25 * V,
+                 U * (1.0 + 0.2 * np.sin(2.0 * V))], axis=-1),
+            (-0.8, 0.8), (-0.8, 0.8))
+        return patch, 0.1
+    name, param = key
+    curve, patch = build_family(name, param)
+    if name == "H2xR_parabolic":
+        return patch, 0.2
+    s = 1.0 if name == "H2xR_elliptic" else 0.8
+    return patch, float(curve.jet(s)["t"])
+
+
+@pytest.mark.parametrize("key", [
+    ("H2xR_elliptic", 0.5), ("H2xR_elliptic", 1.0), ("H2xR_elliptic", 2.0),
+    ("H2xR_parabolic", None),
+    ("H2xR_hyperbolic", 0.25), ("H2xR_hyperbolic", 0.5),
+    ("H2xR_hyperbolic", 0.75), "tilted",
+], ids=str)
+def test_batched_classifier_matches_scalar_oracle(key):
+    patch, level = _c10_case(key)
+    got = classify_slice_structure(patch, [level])[0]
+    want = _scalar_classify(patch, level)
+    assert got["tag"] == want["tag"]
+    assert got["n_points"] == want["n_points"]
+    assert abs(got["k_g"] - want["k_g"]) <= 1e-9
+    assert abs(got["k_g_residual"] - want["k_g_residual"]) <= 1e-8
+    assert abs(got["nu"] - want["nu"]) <= 1e-12
+    assert abs(got["nu_residual"] - want["nu_residual"]) <= 1e-12
 
 
 def test_classifier_requires_a_product_base():
