@@ -34,7 +34,7 @@ from .conformal import (
 )
 from .families import build_family, catalog_rows, resolve_cli_family
 from .meshes import write_curve_csv, write_obj, write_ply
-from .surfaces import umbilicity_defect
+from .surfaces import curvature_report
 from .verify import SUITE_NAMES, nonexistence_falsifier, run_suite
 
 SCHEMA_VERSION = 1
@@ -109,11 +109,13 @@ def cmd_gen(args) -> int:
     if fmt in ("obj", "ply", "csv") and args.out is None:
         raise ValueError("--out is required for obj, ply, or csv output")
 
-    defect = umbilicity_defect(patch, n_u, n_v)
+    # one report feeds both the summary and the PLY quality property
+    rep = curvature_report(patch, n_u, n_v)
+    defect = rep.defect_summary()
     if fmt == "obj":
         write_obj(args.out, patch, n_u, n_v)
     elif fmt == "ply":
-        write_ply(args.out, patch, n_u, n_v, quality="defect")
+        write_ply(args.out, patch, n_u, n_v, quality=rep.defect_quality())
     elif fmt == "csv":
         if curve is None:
             raise ValueError(
@@ -188,11 +190,15 @@ def _map_points(name: str, m: int) -> np.ndarray:
 
 
 def cmd_conformal(args) -> int:
+    samples = args.samples
+    if samples is None:
+        samples = 129 if args.map == "sol-flat" else 9
+    if samples < 2:
+        raise ValueError("--samples must be at least 2")
     if args.map == "sol-flat":
         a = 1.0 if args.param is None else float(args.param)
         if a <= 0.0:
             raise ValueError("a must lie in (0,inf)")
-        samples = 129 if args.samples is None else args.samples
         curve, _ = build_family("Sol_Fa", a)
         fl = sol_flattening(curve, n=samples)
         result = {k: fl[k] for k in (
@@ -200,12 +206,8 @@ def cmd_conformal(args) -> int:
             "conformal_scale", "conformal_residual", "g_yy_exponent",
             "g_yy_vs_scale_e_minus_6z", "g_yy_vs_e_minus_z")}
         result["samples"] = int(len(fl["y"]))
-        samples_resolved = samples
     else:
-        samples_resolved = 9 if args.samples is None else args.samples
-        if samples_resolved < 2:
-            raise ValueError("--samples must be at least 2")
-        pts = _map_points(args.map, samples_resolved)
+        pts = _map_points(args.map, samples)
         cmap = s2xr_to_r3_map() if args.map == "s2xr-r3" else h2xi_to_h3_map()
         res = conformality_check(cmap, pts)
         result = {
@@ -217,7 +219,7 @@ def cmd_conformal(args) -> int:
         }
     config = {
         "command": "conformal", "map": args.map, "param": args.param,
-        "samples": samples_resolved,
+        "samples": samples,
     }
     _emit(config, result, args.out)
     if args.out is not None:

@@ -19,7 +19,6 @@ from scipy.integrate import quad
 
 from .geometry import (
     ModelGeometry,
-    exp_map,
     h2xr,
     h3,
     metric_at,
@@ -119,25 +118,6 @@ def h2xi_to_h3_map() -> ConformalMap:
     return ConformalMap("h2xi_to_h3", h2xr(-1.0), h3(), evaluate)
 
 
-def h2xi_to_h3_via_exp(q):
-    """Single-point oracle for the slab map using the geodesic integrator."""
-    q = np.asarray(q, dtype=float)
-    y0, z0 = _disk_to_halfplane(q[0], q[1])
-    d = float(normal_flow_distance(q[2]))
-    p0 = np.array([0.0, y0, z0])
-    # z d/dx is the unit normal of the plane {x = 0} in the half-space chart
-    return exp_map(h3(), p0, np.array([d * z0, 0.0, 0.0]))
-
-
-def identity_map(space: ModelGeometry) -> ConformalMap:
-    eye = np.eye(3)
-    return ConformalMap(
-        "identity", space, space,
-        lambda q: np.asarray(q, dtype=float).copy(),
-        lambda q: np.broadcast_to(eye, np.shape(q)[:-1] + (3, 3)).copy(),
-    )
-
-
 def _fd_jacobian(evaluate, points, h):
     J = np.empty(points.shape[:-1] + (3, 3))
     for k in range(3):
@@ -193,6 +173,8 @@ def sol_flattening(curve, n=129, margin=0.95) -> dict:
     """
     if curve.kind != "sol":
         raise ValueError("flattening applies to Sol graph profiles")
+    if n < 2:
+        raise ValueError("the flattening needs at least 2 samples")
     if n % 2 == 0:
         n += 1
     y = np.linspace(margin * curve.span[0], margin * curve.span[1], n)

@@ -39,7 +39,6 @@ from scipy.integrate import solve_ivp
 KINDS = ("r3", "h3", "s2xr", "h2xr", "sol", "m3")
 
 GEODESIC_RTOL = 1e-12
-GEODESIC_ATOL = 1e-14
 # complex-step size for derivatives of the Christoffel symbols
 _CS = 1e-100
 
@@ -465,44 +464,6 @@ def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarra
     return sol_.y[:3, -1]
 
 
-class GeodesicFan:
-    """Dense bundle of unit-speed geodesics from one point, for sphere patches.
-
-    ``velocities`` has shape (n, 3).  :meth:`at` evaluates all rays at radius
-    r in [0, r_max], returning positions and velocities of shape (n, 3).
-    """
-
-    def __init__(self, space, p, velocities, r_max, rtol=GEODESIC_RTOL, atol=GEODESIC_ATOL):
-        self.space = space
-        self.p = np.asarray(p, dtype=float)
-        self.velocities = np.asarray(velocities, dtype=float)
-        self.r_max = float(r_max)
-        n = self.velocities.shape[0]
-        y0 = np.concatenate(
-            [np.broadcast_to(self.p, (n, 3)), self.velocities], axis=1
-        ).ravel()
-
-        def rhs(_, y):
-            return _geodesic_rhs(space, y.reshape(n, 6)).ravel()
-
-        self._sol = solve_ivp(
-            rhs,
-            (0.0, self.r_max),
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-        )
-        if not self._sol.success:
-            raise RuntimeError(f"geodesic fan integration failed: {self._sol.message}")
-        self._n = n
-
-    def at(self, r):
-        state = self._sol.sol(float(r)).reshape(self._n, 6)
-        return state[:, :3], state[:, 3:]
-
-
 # ---------------------------------------------------------------------------
 # isometries
 
@@ -687,11 +648,3 @@ def apply_isometry(space: ModelGeometry, iso: IsometrySpec, p) -> np.ndarray:
     flat = p.reshape(-1, 3)
     out = np.stack([isometry_jet(space, iso, q)[0] for q in flat])
     return out.reshape(p.shape)
-
-
-def pullback_residual(space: ModelGeometry, iso: IsometrySpec, p) -> float:
-    """|J^T g(q) J - g(p)| at p; vanishes for genuine isometries."""
-    q, J, _ = isometry_jet(space, iso, np.asarray(p, dtype=float))
-    gq = metric_at(space, q)
-    gp = metric_at(space, p)
-    return float(np.max(np.abs(J.T @ gq @ J - gp)))

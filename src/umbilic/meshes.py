@@ -49,8 +49,8 @@ def defect_quality(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     Points inside the axis tube or with a degenerate first fundamental form
     carry NaN rather than a misleading number.
     """
-    rep = curvature_report(patch, n_u=n_u, n_v=n_v, margin=margin, h=h)
-    return np.where(rep.included, rep.defect, np.nan).ravel()
+    return curvature_report(patch, n_u=n_u, n_v=n_v, margin=margin,
+                            h=h).defect_quality()
 
 
 def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN):

@@ -585,18 +585,26 @@ def principal_curvatures(patch: SurfacePatch, u, v, h=None):
 
 @dataclass
 class CurvatureReport:
-    """Grid evaluation of a patch's extrinsic curvature data.
+    """Surface fields of a patch at an array of parameter points (U, V).
 
-    ``included`` masks out points within the axis tube (orbit speed below
-    ``AXIS_TUBE``) or with degenerate first fundamental form; statistics are
-    over included points only.  ``nu``/``T``/``JT`` are None for spaces
-    without a distinguished vertical field.
+    Holds the jet's position and first derivatives, the fundamental forms,
+    the unit normal, the principal curvatures, the umbilicity factor
+    (lambda1 + lambda2) / 2 and the normalized defect.  ``included`` masks
+    out points within the axis tube (orbit speed below ``AXIS_TUBE``) or with
+    degenerate first fundamental form; statistics are over included points
+    only.  ``nu``/``T``/``JT`` split the height field d_z = nu N + T, with
+    JT = N ^ T, wherever d_z is a unit field: the vertical Killing field of
+    the products and of M^3(kappa, tau), and the frame field E3 of Sol, the
+    one space without a vertical Killing field where the split is taken.
+    They are None in every other space.
     """
 
     patch_name: str
     U: np.ndarray
     V: np.ndarray
     X: np.ndarray
+    Xu: np.ndarray
+    Xv: np.ndarray
     I: np.ndarray
     II: np.ndarray
     N: np.ndarray
@@ -624,35 +632,49 @@ class CurvatureReport:
         i, j = np.unravel_index(np.argmax(masked), masked.shape)
         return float(self.U[i, j]), float(self.V[i, j])
 
+    def defect_summary(self) -> dict:
+        """Max, mean, and argmax of the defect over included points."""
+        return {
+            "max": self.defect_max,
+            "mean": self.defect_mean,
+            "argmax": self.defect_argmax,
+        }
 
-def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-                     h=None) -> CurvatureReport:
-    """Evaluate fundamental forms, principal curvatures, and defect on a grid."""
-    U, V = patch.grid(n_u, n_v, margin=margin)
+    def defect_quality(self) -> np.ndarray:
+        """The defect as a flat per-point array, NaN at excluded points."""
+        return np.where(self.included, self.defect, np.nan).ravel()
+
+
+def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
+    """Every surface field of the patch at the parameter points (U, V).
+
+    The one place a patch jet becomes surface data: the verify checks, the
+    slice classifier and :func:`curvature_report` all read their fields from
+    here.  ``h`` forces a finite-difference jet with that step on the patch
+    chart.  Never raises on degenerate points; they are only excluded.
+    """
+    space = patch.space
     j = _jet_arrays(patch, U, V, h=h)
-    I, II, N, det_I = _forms_from_jet(patch.space, j, patch.orient)
-
+    I, II, N, det_I = _forms_from_jet(space, j, patch.orient)
     X = j["X"]
     orbit_speed = np.sqrt(I[..., 1, 1])
     included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
-    if not np.any(included):
-        raise ImmersionError(
-            f"patch {patch.name!r}: no admissible grid points outside the axis tube"
-        )
 
     lam1, lam2, H = _shape_invariants(I, II)
     defect = np.abs(lam1 - lam2) / (1.0 + np.abs(lam1) + np.abs(lam2))
 
     nu = T = JT = None
-    if patch.space.has_vertical_field:
-        xi = vertical_field(patch.space, X)
-        nu = inner(patch.space, X, N, xi)
+    if space.has_vertical_field or space.kind == "sol":
+        # d_z: the vertical Killing field, or Sol's unit frame field E3
+        xi = np.zeros_like(X)
+        xi[..., 2] = 1.0
+        nu = inner(space, X, N, xi)
         T = xi - nu[..., None] * N
-        JT = cross(patch.space, X, N, T)
+        JT = cross(space, X, N, T)
 
     return CurvatureReport(
         patch_name=patch.name,
-        U=U, V=V, X=X, I=I, II=II, N=N,
+        U=U, V=V, X=X, Xu=j["Xu"], Xv=j["Xv"], I=I, II=II, N=N,
         lambda1=lam1, lambda2=lam2,
         mean_curvature=H, umbilicity_factor=0.5 * (lam1 + lam2),
         defect=defect, included=included,
@@ -660,14 +682,20 @@ def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     )
 
 
+def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
+                     h=None) -> CurvatureReport:
+    """Surface fields on the patch grid, with at least one admissible point."""
+    rep = surface_fields(patch, *patch.grid(n_u, n_v, margin=margin), h=h)
+    if not np.any(rep.included):
+        raise ImmersionError(
+            f"patch {patch.name!r}: no admissible grid points outside the axis tube"
+        )
+    return rep
+
+
 def umbilicity_defect(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
     """Max, mean, and argmax of the scaled umbilicity defect on a grid."""
-    rep = curvature_report(patch, n_u=n_u, n_v=n_v, h=h)
-    return {
-        "max": rep.defect_max,
-        "mean": rep.defect_mean,
-        "argmax": rep.defect_argmax,
-    }
+    return curvature_report(patch, n_u=n_u, n_v=n_v, h=h).defect_summary()
 
 
 def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
@@ -801,10 +829,7 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
             out.append(entry)
             continue
 
-        j = patch.jet(us, vs)
-        _, _, N, _ = _forms_from_jet(patch.space, j, patch.orient)
-        xi = vertical_field(patch.space, j["X"])
-        nu = inner(patch.space, j["X"], N, xi)
+        nu = surface_fields(patch, us, vs).nu
         t_norm = np.sqrt(np.maximum(1.0 - nu**2, 0.0))
         if np.min(t_norm) < 1e-6:
             entry.update(skipped=True,

@@ -33,14 +33,12 @@ from .geometry import (
     vertical_field,
 )
 from .surfaces import (
-    AXIS_TUBE,
-    IMMERSION_FLOOR,
+    CurvatureReport,
     ImmersionError,
     SurfacePatch,
     curvature_report,
     patch_from_chart,
-    _forms_from_jet,
-    _shape_invariants,
+    surface_fields,
 )
 
 CHECK_NAMES = frozenset({
@@ -144,9 +142,9 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
     if patch.space.kind != "sol":
         raise ValueError("these identities live in the Sol group")
     n_u, n_v = _require_grid(grid)
-    f = _surface_fields(patch, *patch.grid(n_u, n_v))
+    f = surface_fields(patch, *patch.grid(n_u, n_v))
     _require_umbilic(patch, f)
-    space, X = patch.space, f["X"]
+    space, X = patch.space, f.X
     z = X[..., 2]
     shape = z.shape
 
@@ -196,56 +194,24 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
 
     # [T, JT](lambda) = 8 alpha beta with (alpha, beta) the horizontal frame
     # components of T
-    hu, hv = _steps(patch, fd_step)
-    U, V = patch.grid(n_u, n_v)
-    bracket, _, ok = _bracket_field(patch, U, V, hu, hv)
-    lam_u, lam_v = _scalar_derivatives(patch, U, V, hu, hv, "lam")
-    b1, b2 = _tangent_components(space, f, bracket)
+    st = _Stencil(patch, f, fd_step)
+    lam_u, lam_v = st.partials("umbilicity_factor")
+    b1, b2 = _tangent_components(space, f, _bracket(space, st))
     lie = b1 * lam_u + b2 * lam_v
-    alpha = inner(space, X, f["T"], E[0])
-    beta = inner(space, X, f["T"], E[1])
+    alpha = inner(space, X, f.T, E[0])
+    beta = inner(space, X, f.T, E[1])
     resid = np.abs(lie - 8.0 * alpha * beta)
-    mask = f["included"] & ok
     lie_check = IdentityCheck(
-        "lie_lambda", (n_u, n_v), _stats(resid, mask),
-        skipped_points=int(np.sum(~mask)),
-        extras={"alpha_max": float(np.max(np.abs(alpha[f["included"]]))),
-                "beta_max": float(np.max(np.abs(beta[f["included"]])))},
+        "lie_lambda", (n_u, n_v), _stats(resid, st.ok),
+        skipped_points=int(np.sum(~st.ok)),
+        extras={"alpha_max": float(np.max(np.abs(alpha[f.included]))),
+                "beta_max": float(np.max(np.abs(beta[f.included])))},
     )
     return [frame, curved, lie_check]
 
 
 # ---------------------------------------------------------------------------
 # surface-level identities
-
-
-def _surface_fields(patch: SurfacePatch, U, V):
-    """Pointwise frame data of a patch: jets, forms, normal, vertical split."""
-    j = patch.jet(U, V)
-    space = patch.space
-    I, II, N, det_I = _forms_from_jet(space, j, patch.orient)
-    lam1, lam2, H = _shape_invariants(I, II)
-    X = j["X"]
-    orbit_speed = np.sqrt(I[..., 1, 1])
-    included = (det_I > IMMERSION_FLOOR) & (orbit_speed > AXIS_TUBE)
-    out = {
-        "X": X, "Xu": j["Xu"], "Xv": j["Xv"], "I": I, "II": II, "N": N,
-        "lam1": lam1, "lam2": lam2, "lam": 0.5 * (lam1 + lam2),
-        "defect": np.abs(lam1 - lam2) / (1.0 + np.abs(lam1) + np.abs(lam2)),
-        "included": included,
-    }
-    if space.kind == "sol":
-        xi = np.zeros_like(X)
-        xi[..., 2] = 1.0
-    elif space.has_vertical_field:
-        xi = vertical_field(space, X)
-    else:
-        xi = None
-    if xi is not None:
-        nu = inner(space, X, N, xi)
-        T = xi - nu[..., None] * N
-        out.update(nu=nu, T=T, JT=cross(space, X, N, T))
-    return out
 
 
 def _steps(patch, fd_step):
@@ -255,55 +221,58 @@ def _steps(patch, fd_step):
             1e-5 * (patch.v_range[1] - patch.v_range[0]))
 
 
-def _scalar_derivatives(patch, U, V, hu, hv, key):
-    fp = _surface_fields(patch, U + hu, V)[key]
-    fm = _surface_fields(patch, U - hu, V)[key]
-    gp = _surface_fields(patch, U, V + hv)[key]
-    gm = _surface_fields(patch, U, V - hv)[key]
-    return (fp - fm) / (2.0 * hu), (gp - gm) / (2.0 * hv)
+class _Stencil:
+    """Surface fields at a grid and at its four shifts U +- hu, V +- hv.
+
+    Built once per check from the center report ``f``; every derivative a
+    check takes reads these five evaluations.
+    """
+
+    def __init__(self, patch: SurfacePatch, f: CurvatureReport, fd_step=None):
+        self.f = f
+        self.hu, self.hv = hu, hv = _steps(patch, fd_step)
+        U, V = f.U, f.V
+        self.up = surface_fields(patch, U + hu, V)
+        self.um = surface_fields(patch, U - hu, V)
+        self.vp = surface_fields(patch, U, V + hv)
+        self.vm = surface_fields(patch, U, V - hv)
+        # admissible at the center and at every shift
+        self.ok = (self.up.included & self.um.included & self.vp.included
+                   & self.vm.included & f.included)
+
+    def partials(self, name):
+        """Centered differences of the field ``name`` along u and along v."""
+        return ((getattr(self.up, name) - getattr(self.um, name)) / (2.0 * self.hu),
+                (getattr(self.vp, name) - getattr(self.vm, name)) / (2.0 * self.hv))
 
 
-def _tangent_components(space, fields, W):
+def _tangent_components(space, f, W):
     """Coefficients of a tangent vector in the (X_u, X_v) basis."""
-    X = fields["X"]
-    b = np.stack([inner(space, X, W, fields["Xu"]),
-                  inner(space, X, W, fields["Xv"])], axis=-1)
-    ab = np.linalg.solve(fields["I"], b[..., None])[..., 0]
+    b = np.stack([inner(space, f.X, W, f.Xu), inner(space, f.X, W, f.Xv)], axis=-1)
+    ab = np.linalg.solve(f.I, b[..., None])[..., 0]
     return ab[..., 0], ab[..., 1]
 
 
-def _covariant_along(space, fields, shifted, W, name, hu, hv):
+def _covariant_along(space, st, W, name):
     """nabla_W of the vector field ``name`` along the surface at grid points."""
-    w1, w2 = _tangent_components(space, fields, W)
-    Au = (shifted["up"][name] - shifted["um"][name]) / (2.0 * hu)
-    Av = (shifted["vp"][name] - shifted["vm"][name]) / (2.0 * hv)
+    f = st.f
+    w1, w2 = _tangent_components(space, f, W)
+    Au, Av = st.partials(name)
     flow = w1[..., None] * Au + w2[..., None] * Av
-    G = christoffels(space, fields["X"])
-    return flow + christoffel_contract(G, W, fields[name])
+    G = christoffels(space, f.X)
+    return flow + christoffel_contract(G, W, getattr(f, name))
 
 
-def _bracket_field(patch, U, V, hu, hv):
-    """[T, JT] = nabla_T JT - nabla_JT T by finite differences, plus validity."""
-    space = patch.space
-    f = _surface_fields(patch, U, V)
-    shifted = {
-        "up": _surface_fields(patch, U + hu, V),
-        "um": _surface_fields(patch, U - hu, V),
-        "vp": _surface_fields(patch, U, V + hv),
-        "vm": _surface_fields(patch, U, V - hv),
-    }
-    dTJT = _covariant_along(space, f, shifted, f["T"], "JT", hu, hv)
-    dJTT = _covariant_along(space, f, shifted, f["JT"], "T", hu, hv)
-    ok = np.ones(U.shape, dtype=bool)
-    for s in shifted.values():
-        ok &= s["included"]
-    return dTJT - dJTT, f, ok & f["included"]
+def _bracket(space, st):
+    """[T, JT] = nabla_T JT - nabla_JT T by finite differences."""
+    return (_covariant_along(space, st, st.f.T, "JT")
+            - _covariant_along(space, st, st.f.JT, "T"))
 
 
-def _require_umbilic(patch, fields):
-    bad = fields["included"] & (fields["defect"] > UMBILIC_TOL)
+def _require_umbilic(patch, f):
+    bad = f.included & (f.defect > UMBILIC_TOL)
     if np.any(bad):
-        worst = float(np.max(fields["defect"][fields["included"]]))
+        worst = float(np.max(f.defect[f.included]))
         raise NonUmbilicPatchError(
             f"patch {patch.name!r} has umbilicity defect {worst:.2e} "
             f"(needs < {UMBILIC_TOL:.0e})")
@@ -326,17 +295,15 @@ def check_curvature_commutator(space: ModelGeometry, patch: SurfacePatch,
     """
     _check_space(space, patch)
     n_u, n_v = _require_grid(grid)
-    U, V = patch.grid(n_u, n_v)
-    f = _surface_fields(patch, U, V)
+    f = surface_fields(patch, *patch.grid(n_u, n_v))
     _require_umbilic(patch, f)
-    hu, hv = _steps(patch, fd_step)
-    lam_u, lam_v = _scalar_derivatives(patch, U, V, hu, hv, "lam")
-    lhs = curvature_tensor(space, f["X"], f["Xu"], f["Xv"], f["N"])
-    rhs = lam_u[..., None] * f["Xv"] - lam_v[..., None] * f["Xu"]
-    resid = norm(space, f["X"], lhs - rhs)
+    lam_u, lam_v = _Stencil(patch, f, fd_step).partials("umbilicity_factor")
+    lhs = curvature_tensor(space, f.X, f.Xu, f.Xv, f.N)
+    rhs = lam_u[..., None] * f.Xv - lam_v[..., None] * f.Xu
+    resid = norm(space, f.X, lhs - rhs)
     return IdentityCheck("curvature_commutator", (n_u, n_v),
-                         _stats(resid, f["included"]),
-                         skipped_points=int(np.sum(~f["included"])))
+                         _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
 
 
 def check_daniel_formula(space: ModelGeometry, patch: SurfacePatch,
@@ -346,20 +313,19 @@ def check_daniel_formula(space: ModelGeometry, patch: SurfacePatch,
     if not space.has_vertical_field:
         raise ValueError("the formula needs a fibration or product space")
     n_u, n_v = _require_grid(grid)
-    U, V = patch.grid(n_u, n_v)
-    f = _surface_fields(patch, U, V)
-    if not np.any(f["included"]):
+    f = surface_fields(patch, *patch.grid(n_u, n_v))
+    if not np.any(f.included):
         raise ImmersionError(f"patch {patch.name!r} is degenerate on the grid")
-    X = f["X"]
-    lhs = curvature_tensor(space, X, f["Xu"], f["Xv"], f["N"])
+    X = f.X
+    lhs = curvature_tensor(space, X, f.Xu, f.Xv, f.N)
     c = space.bundle_discriminant
-    rhs = c * f["nu"][..., None] * (
-        inner(space, X, f["Xv"], f["T"])[..., None] * f["Xu"]
-        - inner(space, X, f["Xu"], f["T"])[..., None] * f["Xv"])
+    rhs = c * f.nu[..., None] * (
+        inner(space, X, f.Xv, f.T)[..., None] * f.Xu
+        - inner(space, X, f.Xu, f.T)[..., None] * f.Xv)
     resid = norm(space, X, lhs - rhs)
     return IdentityCheck("daniel_formula", (n_u, n_v),
-                         _stats(resid, f["included"]),
-                         skipped_points=int(np.sum(~f["included"])))
+                         _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
 
 
 def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
@@ -373,18 +339,16 @@ def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
     """
     _check_space(space, patch)
     n_u, n_v = _require_grid(grid)
-    U, V = patch.grid(n_u, n_v)
-    f = _surface_fields(patch, U, V)
+    f = surface_fields(patch, *patch.grid(n_u, n_v))
     _require_umbilic(patch, f)
-    hu, hv = _steps(patch, fd_step)
-    lam_u, lam_v = _scalar_derivatives(patch, U, V, hu, hv, "lam")
-    ab = np.linalg.solve(f["I"], np.stack([lam_u, lam_v], axis=-1)[..., None])[..., 0]
-    grad = ab[..., 0:1] * f["Xu"] + ab[..., 1:2] * f["Xv"]
+    lam_u, lam_v = _Stencil(patch, f, fd_step).partials("umbilicity_factor")
+    ab = np.linalg.solve(f.I, np.stack([lam_u, lam_v], axis=-1)[..., None])[..., 0]
+    grad = ab[..., 0:1] * f.Xu + ab[..., 1:2] * f.Xv
     c = 2.0 if space.kind == "sol" else space.bundle_discriminant
-    resid = norm(space, f["X"], grad + c * f["nu"][..., None] * f["T"])
+    resid = norm(space, f.X, grad + c * f.nu[..., None] * f.T)
     name = "gradient_sol" if space.kind == "sol" else "gradient_product"
-    return IdentityCheck(name, (n_u, n_v), _stats(resid, f["included"]),
-                         skipped_points=int(np.sum(~f["included"])))
+    return IdentityCheck(name, (n_u, n_v), _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
 
 
 def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
@@ -394,19 +358,18 @@ def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
     if space.kind not in ("s2xr", "h2xr"):
         raise ValueError("the bracket law is checked on product spaces")
     n_u, n_v = _require_grid(grid)
-    U, V = patch.grid(n_u, n_v)
-    hu, hv = _steps(patch, fd_step)
-    bracket, f, ok = _bracket_field(patch, U, V, hu, hv)
+    f = surface_fields(patch, *patch.grid(n_u, n_v))
     _require_umbilic(patch, f)
-    T_norm2 = inner(space, f["X"], f["T"], f["T"])
-    active = ok & (np.sqrt(np.maximum(T_norm2, 0.0)) >= T_FLOOR)
+    st = _Stencil(patch, f, fd_step)
+    T_norm2 = inner(space, f.X, f.T, f.T)
+    active = st.ok & (np.sqrt(np.maximum(T_norm2, 0.0)) >= T_FLOOR)
     skipped = int(np.sum(~active))
     bracket_check = IdentityCheck(
         "bracket_TJT", (n_u, n_v),
-        _stats(norm(space, f["X"], bracket), active), skipped_points=skipped)
+        _stats(norm(space, f.X, _bracket(space, st)), active), skipped_points=skipped)
 
-    nu_u, nu_v = _scalar_derivatives(patch, U, V, hu, hv, "nu")
-    jt1, jt2 = _tangent_components(space, f, f["JT"])
+    nu_u, nu_v = st.partials("nu")
+    jt1, jt2 = _tangent_components(space, f, f.JT)
     jt_nu = jt1 * nu_u + jt2 * nu_v
     resid = np.abs(jt_nu + space.tau * T_norm2)
     jtnu_check = IdentityCheck("jt_nu", (n_u, n_v), _stats(resid, active),

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import umbilic.surfaces
 from umbilic.cli import main
 from umbilic.meshes import read_ply
 
@@ -75,6 +77,26 @@ def test_gen_ply_carries_defect_quality(capsys, tmp_path):
     assert np.max(ply["vertices"][:, 3]) < 1e-6  # umbilic family
 
 
+def test_gen_ply_builds_one_curvature_report(capsys, tmp_path, monkeypatch):
+    # the defect summary and the PLY quality property share one report
+    original = umbilic.surfaces.curvature_report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("umbilic")
+                and getattr(mod, "curvature_report", None) is original):
+            monkeypatch.setattr(mod, "curvature_report", counted)
+    rc, _, _ = _run(capsys, [
+        "gen", "--space", "h2xr", "--family", "elliptic", "--param", "1.0",
+        "--grid", "16x16", "--out", str(tmp_path / "x.ply")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_gen_json_stdout(capsys):
     rc, out, _ = _run(capsys, [
         "gen", "--space", "s2xr", "--family", "a-eq-1", "--format", "json"])
@@ -132,6 +154,14 @@ def test_unknown_subcommand_is_a_single_line_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["-4", "0", "1"])
+def test_conformal_sol_flattening_needs_two_samples(capsys, samples):
+    rc, out, err = _run(capsys, [
+        "conformal", "--map", "sol-flat", "--samples", samples])
+    assert rc == 2 and out == ""
+    assert err == "error: --samples must be at least 2\n"
 
 
 # --- verify ---------------------------------------------------------------------

@@ -6,15 +6,23 @@ import pytest
 from umbilic.conformal import (
     ConformalMap,
     conformality_check,
+    _disk_to_halfplane,
     h2xi_to_h3_map,
-    h2xi_to_h3_via_exp,
-    identity_map,
+    normal_flow_distance,
     pushforward,
     s2xr_to_r3,
     s2xr_to_r3_map,
     sol_flattening,
 )
-from umbilic.geometry import parabolic, r3, rotation, vertical_shift
+from umbilic.geometry import (
+    ModelGeometry,
+    exp_map,
+    h3,
+    parabolic,
+    r3,
+    rotation,
+    vertical_shift,
+)
 from umbilic.profiles import h2xr_parabolic_profile, s2xr_profile, sol_profile
 from umbilic.surfaces import (
     curvature_report,
@@ -51,6 +59,15 @@ def test_exponential_height_map_is_conformal_with_factor_exp_t():
     fd.jacobian = None
     res = conformality_check(fd, pts)
     assert res["max_off_proportionality"] < 1e-8
+
+
+def identity_map(space: ModelGeometry) -> ConformalMap:
+    eye = np.eye(3)
+    return ConformalMap(
+        "identity", space, space,
+        lambda q: np.asarray(q, dtype=float).copy(),
+        lambda q: np.broadcast_to(eye, np.shape(q)[:-1] + (3, 3)).copy(),
+    )
 
 
 def test_identity_map_has_unit_factor_exactly():
@@ -92,6 +109,16 @@ def test_pushforward_preserves_umbilicity():
 
 
 # --- the slab-to-hyperbolic-space map -------------------------------------------
+
+
+def h2xi_to_h3_via_exp(q):
+    """Single-point oracle for the slab map using the geodesic integrator."""
+    q = np.asarray(q, dtype=float)
+    y0, z0 = _disk_to_halfplane(q[0], q[1])
+    d = float(normal_flow_distance(q[2]))
+    p0 = np.array([0.0, y0, z0])
+    # z d/dx is the unit normal of the plane {x = 0} in the half-space chart
+    return exp_map(h3(), p0, np.array([d * z0, 0.0, 0.0]))
 
 
 def test_slab_map_fixes_the_middle_slice():
@@ -186,3 +213,9 @@ def test_sol_flattening_measures_the_metric_exponent():
     assert np.max(np.abs(fl["g_yy"] - fd)[mid]) < 1e-3
     with pytest.raises(ValueError):
         sol_flattening(s2xr_profile(0.5))
+
+
+@pytest.mark.parametrize("n", [-4, 0, 1])
+def test_sol_flattening_rejects_fewer_than_two_samples(n):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        sol_flattening(sol_profile(1.0), n=n)

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from umbilic.geometry import (
+    GEODESIC_RTOL,
     ChartDomainError,
     GeodesicEscapeError,
-    GeodesicFan,
     IllFormedIsometryError,
+    IsometrySpec,
+    ModelGeometry,
+    _geodesic_rhs,
     apply_isometry,
     chart_contains,
     christoffel_deriv,
@@ -33,7 +37,6 @@ from umbilic.geometry import (
     metric_at,
     norm,
     parabolic,
-    pullback_residual,
     r3,
     riemann,
     rotation,
@@ -357,6 +360,47 @@ def test_product_fiber_geodesic():
     assert_allclose(q, [0.1, 0.2, 1.7], atol=1e-12)
 
 
+GEODESIC_ATOL = 1e-14
+
+
+class GeodesicFan:
+    """Dense bundle of unit-speed geodesics from one point, for sphere patches.
+
+    ``velocities`` has shape (n, 3).  :meth:`at` evaluates all rays at radius
+    r in [0, r_max], returning positions and velocities of shape (n, 3).
+    """
+
+    def __init__(self, space, p, velocities, r_max, rtol=GEODESIC_RTOL, atol=GEODESIC_ATOL):
+        self.space = space
+        self.p = np.asarray(p, dtype=float)
+        self.velocities = np.asarray(velocities, dtype=float)
+        self.r_max = float(r_max)
+        n = self.velocities.shape[0]
+        y0 = np.concatenate(
+            [np.broadcast_to(self.p, (n, 3)), self.velocities], axis=1
+        ).ravel()
+
+        def rhs(_, y):
+            return _geodesic_rhs(space, y.reshape(n, 6)).ravel()
+
+        self._sol = solve_ivp(
+            rhs,
+            (0.0, self.r_max),
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=atol,
+            dense_output=True,
+        )
+        if not self._sol.success:
+            raise RuntimeError(f"geodesic fan integration failed: {self._sol.message}")
+        self._n = n
+
+    def at(self, r):
+        state = self._sol.sol(float(r)).reshape(self._n, 6)
+        return state[:, :3], state[:, 3:]
+
+
 def test_geodesic_speed_is_conserved():
     for space in ALL_SPACES:
         p = interior_point(space)
@@ -439,6 +483,14 @@ def pullback_specs(space):
             vertical_shift(-0.7),
         ]
     return []
+
+
+def pullback_residual(space: ModelGeometry, iso: IsometrySpec, p) -> float:
+    """|J^T g(q) J - g(p)| at p; vanishes for genuine isometries."""
+    q, J, _ = isometry_jet(space, iso, np.asarray(p, dtype=float))
+    gq = metric_at(space, q)
+    gp = metric_at(space, p)
+    return float(np.max(np.abs(J.T @ gq @ J - gp)))
 
 
 def test_isometry_pullback_residuals():

@@ -1,5 +1,7 @@
 """Identity checks, their FD convergence, and the umbilic falsification search."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,25 @@ def test_sol_identities_reject_other_spaces(patches):
 
 
 # --- FD machinery sanity ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key,check", [
+    ("c", lambda patch: check_bracket_and_jtnu(h2xr(), patch)),
+    ("fa", check_sol_identities),
+])
+def test_stencil_checks_evaluate_five_jets(patches, key, check):
+    # the center and its four shifts, each evaluated once per check
+    patch = copy.copy(patches[key])
+    calls = []
+
+    def counted(U, V):
+        calls.append(np.shape(U))
+        return patches[key].jet(U, V)
+
+    patch.jet = counted
+    check(patch)
+    assert len(calls) == 5
+
 
 
 @pytest.mark.parametrize("check,args", [
