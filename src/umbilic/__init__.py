@@ -62,6 +62,7 @@ from .verify import (
     rotational_graph_patch,
     run_suite,
     trial_defect,
+    trial_defects,
     trial_patch,
 )
 
@@ -125,6 +126,7 @@ __all__ = [
     "sol_flattening",
     "sol_profile",
     "trial_defect",
+    "trial_defects",
     "trial_patch",
     "umbilicity_defect",
     "write_curve_csv",

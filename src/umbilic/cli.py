@@ -196,6 +196,8 @@ def cmd_conformal(args) -> int:
     if samples < 2:
         raise ValueError("--samples must be at least 2")
     if args.map == "sol-flat":
+        if samples % 2 == 0:
+            raise ValueError("--samples must be odd for sol-flat")
         a = 1.0 if args.param is None else float(args.param)
         if a <= 0.0:
             raise ValueError("a must lie in (0,inf)")
@@ -282,7 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "exhausting it flags the result partial and exits 1")
     fal.add_argument("--seed", type=int, default=0)
     fal.add_argument("--grid", default="24x24",
-                     help="objective evaluation grid on each trial patch")
+                     help="n_u x n_v evaluation grid: graph trials use n_u "
+                          "points on one meridian; the n_u x n_v grid "
+                          "rescores the best sphere")
     fal.add_argument("--out", default=None)
     fal.set_defaults(func=cmd_falsify)
 
@@ -292,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--param", type=float, default=None,
                      help="graph parameter a for sol-flat (default 1)")
     con.add_argument("--samples", type=int, default=None,
-                     help="per-axis sample count (sol-flat: profile samples)")
+                     help="per-axis sample count (sol-flat: profile samples, odd)")
     con.add_argument("--out", default=None)
     con.set_defaults(func=cmd_conformal)
 

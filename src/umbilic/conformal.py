@@ -170,13 +170,15 @@ def sol_flattening(curve, n=129, margin=0.95) -> dict:
     (t, xi) coordinates the induced metric becomes e^{2z} (dt^2 + s dxi^2)
     with a constant s (equal to 1 for the unit-parameter graph); the report
     also measures which power of e^{-z} the raw g_yy actually follows.
+    ``n`` is the odd number of profile samples; the middle one is y = 0.
     """
     if curve.kind != "sol":
         raise ValueError("flattening applies to Sol graph profiles")
     if n < 2:
         raise ValueError("the flattening needs at least 2 samples")
     if n % 2 == 0:
-        n += 1
+        raise ValueError("the flattening needs an odd sample count, so that "
+                         "y = 0 is a sample")
     y = np.linspace(margin * curve.span[0], margin * curve.span[1], n)
     j = curve.jet(y)
     z, z_y = j["z"], j["z_y"]

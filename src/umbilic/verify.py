@@ -13,9 +13,9 @@ from zero exactly when no umbilic surface exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geometry import (
     ModelGeometry,
@@ -36,7 +36,6 @@ from .surfaces import (
     CurvatureReport,
     ImmersionError,
     SurfacePatch,
-    curvature_report,
     patch_from_chart,
     surface_fields,
 )
@@ -381,28 +380,60 @@ def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
 # trial surfaces for the falsification search
 
 
+def _batch_param(a):
+    """A trial parameter: a scalar, or a (K,) batch shaped (K, 1, 1).
+
+    The batch shape broadcasts against the (K, n_u, n_v) grids on which a
+    batched trial patch is evaluated, and against the finite-difference
+    stencil axis stacked in front of them.
+    """
+    a = np.asarray(a, dtype=float)
+    return a[..., None, None] if a.ndim else a
+
+
+def _polyder(c):
+    """Coefficients of d/dw sum_i c[..., i] w^i, computed as np.polynomial does.
+
+    As there, the derivative of a constant is the one coefficient 0.
+    """
+    n = c.shape[-1]
+    if n == 1:
+        return c * 0
+    return c[..., 1:] * np.arange(1, n)
+
+
+def _polyval(c, w):
+    """sum_i c[..., i] w^i by Horner's rule, in np.polynomial's operation order."""
+    val = _batch_param(c[..., -1]) + w * 0
+    for i in range(2, c.shape[-1] + 1):
+        val = _batch_param(c[..., -i]) + val * w
+    return val
+
+
 def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
                            name=None) -> SurfacePatch:
     """Rotational graph t = f(rho), f an even polynomial with given coefficients.
 
     The jet is analytic, so the defect objective is limited only by the
-    curvature pipeline, not by chart differencing.
+    curvature pipeline, not by chart differencing.  ``coeffs`` of shape
+    (K, k) make a batch of K graphs, evaluated on (K, n_u, n_v) grids.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if rho_window is None:
         rho_window = default_rho_window(space)
-    poly = np.polynomial.Polynomial(coeffs)
-    dpoly, ddpoly = poly.deriv(), poly.deriv(2)
+    dcoeffs = _polyder(coeffs)
+    ddcoeffs = _polyder(dcoeffs)
 
     def jet(U, V):
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
         w = U * U
-        fp = dpoly(w) * 2.0 * U
-        fpp = ddpoly(w) * 4.0 * w + 2.0 * dpoly(w)
+        df = _polyval(dcoeffs, w)
+        fp = df * 2.0 * U
+        fpp = _polyval(ddcoeffs, w) * 4.0 * w + 2.0 * df
         cv, sv = np.cos(V), np.sin(V)
         zero = np.zeros_like(U)
         return {
-            "X": np.stack([U * cv, U * sv, poly(w)], axis=-1),
+            "X": np.stack([U * cv, U * sv, _polyval(coeffs, w)], axis=-1),
             "Xu": np.stack([cv, sv, fp], axis=-1),
             "Xv": np.stack([-U * sv, U * cv, zero], axis=-1),
             "Xuu": np.stack([zero, zero, fpp], axis=-1),
@@ -446,8 +477,11 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
 
     (u, v) are the polar and azimuthal angles of the initial velocity at the
     center; all geodesics for a jet evaluation are integrated in one batch.
+    ``center_height`` and ``radius`` of shape (K,) make a batch of K
+    spheres, evaluated on (K, n_u, n_v) grids.
     """
-    p0 = np.array([0.0, 0.0, float(center_height)])
+    height, radius = _batch_param(center_height), _batch_param(radius)
+    p0 = np.stack(np.broadcast_arrays(0.0, 0.0, height), axis=-1)
     u_range = (polar_margin, np.pi - polar_margin)
     v_range = (0.0, 2.0 * np.pi)
 
@@ -455,7 +489,7 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
         su = np.sin(U)
         dirs = np.stack([su * np.cos(V), su * np.sin(V), np.cos(U)], axis=-1)
-        return _rk4_flow(space, p0, radius * dirs, n_steps)
+        return _rk4_flow(space, p0, radius[..., None] * dirs, n_steps)
 
     return patch_from_chart(space, name or "geodesic-sphere", chart,
                             u_range, v_range)
@@ -483,26 +517,171 @@ _SPHERE_REPORT_STEPS = 96
 
 def trial_patch(space: ModelGeometry, family: str, params,
                 high_fidelity=False) -> SurfacePatch:
+    """The trial surface of ``family`` with parameters ``params``.
+
+    ``params`` is one parameter vector, or a (K, n) batch of them for a
+    batched patch.  Both families are surfaces of rotation about the z axis
+    (a graph over the rho axis, a geodesic sphere centered on the axis).
+    Rotations about that axis are isometries of every M^3(kappa, tau), so
+    the umbilicity defect of a trial surface is constant along its parallels.
+    """
+    params = np.asarray(params, dtype=float)
     if family == "graph":
         return rotational_graph_patch(space, params)
     if family == "sphere":
         steps = _SPHERE_REPORT_STEPS if high_fidelity else _SPHERE_SEARCH_STEPS
-        return geodesic_sphere_patch(space, center_height=params[0],
-                                     radius=params[1], n_steps=steps)
+        return geodesic_sphere_patch(space, center_height=params[..., 0],
+                                     radius=params[..., 1], n_steps=steps)
     raise ValueError(f"unknown trial family {family!r}")
+
+
+def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24),
+                  high_fidelity=False) -> np.ndarray:
+    """Max normalized umbilicity defect of each trial surface in a batch.
+
+    ``P`` holds one parameter row per trial, shape (K, n).  The K patches go
+    through one :func:`surface_fields` call on a (K, n_u, n_v) grid, and each
+    row takes its max over its admissible points.  A row with no admissible
+    point, or with a non-finite max, scores the penalty 1e3.
+    """
+    P = np.asarray(P, dtype=float)
+    patch = trial_patch(space, family, P, high_fidelity=high_fidelity)
+    U, V = patch.grid(*grid)
+    shape = (len(P),) + U.shape
+    with np.errstate(all="ignore"):
+        rep = surface_fields(patch, np.broadcast_to(U, shape),
+                             np.broadcast_to(V, shape))
+        worst = np.max(np.where(rep.included, rep.defect, -np.inf), axis=(1, 2))
+    return np.where(np.isfinite(worst), worst, 1e3)
 
 
 def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24),
                  high_fidelity=False) -> float:
-    """Max normalized umbilicity defect of one trial surface (search objective)."""
-    try:
-        patch = trial_patch(space, family, params, high_fidelity=high_fidelity)
-        with np.errstate(all="ignore"):
-            rep = curvature_report(patch, n_u=grid[0], n_v=grid[1])
-        val = rep.defect_max
-    except (ImmersionError, FloatingPointError, np.linalg.LinAlgError):
-        return 1e3
-    return float(val) if np.isfinite(val) else 1e3
+    """Max normalized umbilicity defect of one trial surface.
+
+    The one-row case of :func:`trial_defects`.
+    """
+    P = np.asarray(params, dtype=float)[None]
+    return float(trial_defects(space, family, P, grid=grid,
+                               high_fidelity=high_fidelity)[0])
+
+
+def _nelder_mead(x0, bounds, maxfev, xatol, fatol):
+    """Bounded Nelder-Mead as a coroutine, step for step as scipy runs it.
+
+    This is scipy's Nelder-Mead with ``bounds`` and the options ``maxfev``,
+    ``xatol`` and ``fatol``, with every objective call turned into a yield:
+    the generator yields each (m, n) array of points it needs (m = 1 per
+    step, the n + 1 initial vertices, or the n vertices of a shrink) and is
+    sent their m values.  As in scipy, a request at the evaluation cap ends
+    the run, and the pending vertex of that iteration is dropped.  Returns
+    ``(x, fun, nfev, success)``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    lb = np.array([float(lo) for lo, _ in bounds])
+    ub = np.array([float(hi) for _, hi in bounds])
+    x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    N = len(x0)
+    # step each coordinate by 5% (from zero by 0.00025), reflect vertices
+    # beyond the upper bound into the interior, then clip
+    sim = np.tile(x0, (N + 1, 1))
+    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    nfev = 0
+
+    def evaluate(points):
+        # the values of the leading points that fit under the cap
+        nonlocal nfev
+        m = min(len(points), maxfev - nfev)
+        nfev += m
+        if m == 0:
+            return np.empty(0)
+        return (yield points[:m])
+
+    def iterate():
+        # one Nelder-Mead iteration on the sorted simplex, in place
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lb, ub)
+        fxr = (yield from evaluate(xr[None]))[0]
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lb, ub)
+            fxe = yield from evaluate(xe[None])
+            if len(fxe):
+                if fxe[0] < fxr:
+                    sim[-1], fsim[-1] = xe, fxe[0]
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            return
+        if fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+            return
+        if fxr < fsim[-1]:
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lb, ub)
+            fxc = yield from evaluate(xc[None])
+            if not len(fxc):
+                return
+            if fxc[0] <= fxr:
+                sim[-1], fsim[-1] = xc, fxc[0]
+                return
+        else:
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lb, ub)
+            fxcc = yield from evaluate(xcc[None])
+            if not len(fxcc):
+                return
+            if fxcc[0] < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc[0]
+                return
+        # shrink toward the best vertex; scipy moves each vertex before its
+        # call, so the vertex whose call hits the cap moves but keeps its value
+        shrunk = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lb, ub)
+        f = yield from evaluate(shrunk)
+        m = len(f)
+        sim[1:m + 2] = shrunk[:m + 1]
+        fsim[1:m + 1] = f
+
+    fsim = np.full(N + 1, np.inf)
+    f = yield from evaluate(sim)
+    fsim[:len(f)] = f
+    # scipy sorts the initial simplex twice
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        yield from iterate()
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0].copy(), float(np.min(fsim)), nfev, nfev < maxfev
+
+
+def _lockstep(objective, runs):
+    """Drive coroutine runs together, one objective call per round.
+
+    Each round concatenates every pending request, evaluates them in one
+    ``objective`` call on the stacked points and sends each run its values.
+    Returns the runs' return values in order.
+    """
+    results = [None] * len(runs)
+    pending = {}
+
+    def advance(i, values=None):
+        try:
+            pending[i] = runs[i].send(values)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i)
+    while pending:
+        order = list(pending)
+        values = objective(np.concatenate([pending[i] for i in order]))
+        cuts = np.cumsum([len(pending[i]) for i in order])[:-1]
+        for i, vals in zip(order, np.split(values, cuts)):
+            advance(i, vals)
+    return results
 
 
 _MIN_EVALS_PER_RESTART = 8
@@ -516,6 +695,15 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     ``n_starts`` seeds per family and merges results by minimum.  The floor
     found is numerical evidence only: a large floor supports nonexistence, a
     tiny one demonstrates an umbilic surface the search can exhibit.
+
+    The restarts of a family run in lockstep: each round evaluates every
+    pending Nelder-Mead point in one batched :func:`trial_defects` call.
+    Rotations about the z axis are isometries of M^3(kappa, tau) that map
+    each trial surface to itself, so the defect is constant along parallels
+    and graph trials are evaluated on one meridian of ``grid[0]`` points.
+    Sphere trials keep full grids (``_SPHERE_SEARCH_GRID`` while searching,
+    ``grid`` when rescoring), because their finite-difference jets carry
+    noise that varies along parallels.
 
     The sphere radius is bounded below (0.5) because small geodesic spheres
     are asymptotically umbilic in any space, so letting the radius shrink
@@ -539,13 +727,14 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
         raise ValueError(f"budget must be at least {min_budget} "
                          f"({_MIN_EVALS_PER_RESTART} evaluations per restart)")
 
-    jobs = []
+    results = []
     for fam, starts in plans:
         fam_spec = _TRIAL_FAMILIES[fam]
         bounds = fam_spec["bounds"]
         maxfev = budget // starts
         if fam == "sphere":
             maxfev = min(maxfev, _SPHERE_MAXFEV)
+        runs = []
         for k in range(starts):
             if k == 0:
                 x0 = fam_spec["first_start"].copy()
@@ -554,18 +743,11 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
                 rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(fam_id, k)))
                 x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-            jobs.append((fam, k, x0, bounds, maxfev))
-
-    def run(job):
-        fam, _, x0, bounds, maxfev = job
-        fam_grid = _SPHERE_SEARCH_GRID if fam == "sphere" else grid
-        res = minimize(
-            lambda x: trial_defect(space, fam, x, grid=fam_grid),
-            x0, method="Nelder-Mead", bounds=bounds,
-            options={"maxfev": maxfev, **_TRIAL_FAMILIES[fam]["options"]})
-        return fam, float(res.fun), np.asarray(res.x), int(res.nfev), bool(res.success)
-
-    results = [run(job) for job in jobs]
+            runs.append(_nelder_mead(x0, bounds, maxfev, **fam_spec["options"]))
+        fam_grid = _SPHERE_SEARCH_GRID if fam == "sphere" else (grid[0], 1)
+        objective = partial(trial_defects, space, fam, grid=fam_grid)
+        for x, fun, nfev, success in _lockstep(objective, runs):
+            results.append((fam, fun, x, nfev, success))
 
     by_family = {}
     n_evals = 0

@@ -164,6 +164,21 @@ def test_conformal_sol_flattening_needs_two_samples(capsys, samples):
     assert err == "error: --samples must be at least 2\n"
 
 
+@pytest.mark.parametrize("samples", ["2", "128"])
+def test_conformal_sol_flattening_needs_odd_samples(capsys, samples):
+    rc, out, err = _run(capsys, [
+        "conformal", "--map", "sol-flat", "--samples", samples])
+    assert rc == 2 and out == ""
+    assert err == "error: --samples must be odd for sol-flat\n"
+
+
+def test_conformal_sol_flattening_reports_the_requested_samples(capsys):
+    rc, out, _ = _run(capsys, ["conformal", "--map", "sol-flat", "--samples", "7"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["config"]["samples"] == doc["result"]["samples"] == 7
+
+
 # --- verify ---------------------------------------------------------------------
 
 

@@ -219,3 +219,9 @@ def test_sol_flattening_measures_the_metric_exponent():
 def test_sol_flattening_rejects_fewer_than_two_samples(n):
     with pytest.raises(ValueError, match="at least 2 samples"):
         sol_flattening(sol_profile(1.0), n=n)
+
+
+@pytest.mark.parametrize("n", [2, 128])
+def test_sol_flattening_rejects_even_sample_counts(n):
+    with pytest.raises(ValueError, match="odd sample count"):
+        sol_flattening(sol_profile(1.0), n=n)

@@ -1,14 +1,19 @@
 """Identity checks, their FD convergence, and the umbilic falsification search."""
 
 import copy
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from umbilic.families import build_family
 from umbilic.geometry import h2xr, m3, s2xr, sol
-from umbilic.surfaces import patch_from_chart
+from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart
 from umbilic.verify import (
+    _TRIAL_FAMILIES,
+    _lockstep,
+    _nelder_mead,
     IdentityCheck,
     NonUmbilicPatchError,
     SUITE_NAMES,
@@ -23,6 +28,8 @@ from umbilic.verify import (
     rotational_graph_patch,
     run_suite,
     trial_defect,
+    trial_defects,
+    trial_patch,
 )
 
 
@@ -301,6 +308,171 @@ def test_geodesic_sphere_has_the_right_radius_in_flat_chart():
     X = patch.chart(U, V)
     r = np.linalg.norm(X - np.array([0.0, 0.0, 0.3]), axis=-1)
     assert np.max(np.abs(r - 1.2)) < 1e-10
+
+
+def _polynomial_graph_jet(coeffs, U, V):
+    # the rotational graph jet through np.polynomial
+    poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+    dpoly, ddpoly = poly.deriv(), poly.deriv(2)
+    w = U * U
+    fp = dpoly(w) * 2.0 * U
+    fpp = ddpoly(w) * 4.0 * w + 2.0 * dpoly(w)
+    cv, sv = np.cos(V), np.sin(V)
+    zero = np.zeros_like(U)
+    return {
+        "X": np.stack([U * cv, U * sv, poly(w)], axis=-1),
+        "Xu": np.stack([cv, sv, fp], axis=-1),
+        "Xv": np.stack([-U * sv, U * cv, zero], axis=-1),
+        "Xuu": np.stack([zero, zero, fpp], axis=-1),
+        "Xuv": np.stack([-sv, cv, zero], axis=-1),
+        "Xvv": np.stack([-U * cv, -U * sv, zero], axis=-1),
+    }
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_graph_jet_matches_np_polynomial_bitwise(k):
+    rng = np.random.default_rng(k)
+    sp = m3(0.0, 0.5)
+    rows = np.vstack([np.zeros(k), rng.uniform(-2.0, 2.0, (3, k))])
+    U, V = rotational_graph_patch(sp, rows[0]).grid(24, 24)
+    batched = rotational_graph_patch(sp, rows).jet(
+        np.broadcast_to(U, (4,) + U.shape), np.broadcast_to(V, (4,) + V.shape))
+    for r, coeffs in enumerate(rows):
+        want = _polynomial_graph_jet(coeffs, U, V)
+        got = rotational_graph_patch(sp, coeffs).jet(U, V)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), (k, r, key)
+            assert batched[key][r].tobytes() == want[key].tobytes(), (k, r, key)
+
+
+def _one_trial_defect(space, family, params, grid):
+    # the objective of one trial surface, a scalar-parameter patch through
+    # curvature_report
+    patch = trial_patch(space, family, params)
+    try:
+        with np.errstate(all="ignore"):
+            val = curvature_report(patch, *grid).defect_max
+    except ImmersionError:
+        return 1e3
+    return val if np.isfinite(val) else 1e3
+
+
+@pytest.mark.parametrize("family,rows,grid", [
+    ("graph", [[0.0] * 6, [0.1, 0.3, -0.2, 0.0, 0.5, -1.0], [0.4, -0.1, 0.2, 0.3, 0.0, 0.1]],
+     (24, 1)),
+    ("graph", [[0.0] * 6, [0.1, 0.3, -0.2, 0.0, 0.5, -1.0]], (24, 24)),
+    ("sphere", [[0.0, 1.0], [0.0, 1e-12], [0.3, 0.7]], (12, 12)),
+])
+def test_trial_defects_rows_match_one_at_a_time(family, rows, grid):
+    sp = m3(0.0, 0.5)
+    got = trial_defects(sp, family, rows, grid=grid)
+    want = [_one_trial_defect(sp, family, row, grid) for row in rows]
+    assert got.tolist() == want
+    assert [trial_defect(sp, family, row, grid=grid) for row in rows] == want
+    if family == "sphere":
+        assert want[1] == 1e3
+
+
+@pytest.mark.parametrize("kappa,tau", [
+    (0.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (-1.0, 0.0)])
+def test_graph_meridian_max_matches_the_full_grid(kappa, tau):
+    # rotations about the z axis are isometries that fix each graph, so one
+    # meridian sees the same defect as every parallel
+    sp = m3(kappa, tau)
+    rng = np.random.default_rng(3)
+    P = np.vstack([np.zeros(6), rng.uniform(-0.5, 0.5, (4, 6))])
+    meridian = trial_defects(sp, "graph", P, grid=(24, 1))
+    full = trial_defects(sp, "graph", P, grid=(24, 24))
+    assert np.all(full < 1e3)
+    # the flat graph is umbilic in the space form (1, 1/2) and totally
+    # geodesic in H2xR, where both maxima are round-off near 1e-16
+    assert np.all(np.abs(meridian - full) <= 1e-12 * full + 1e-14)
+
+
+# --- lockstep Nelder-Mead ----------------------------------------------------------
+
+
+def _scipy_restart(objective, x0, bounds, maxfev, options):
+    # scipy's Nelder-Mead, with every value and the count at each iteration end
+    values, ends = [], []
+
+    def f(x):
+        values.append(objective(x))
+        return values[-1]
+
+    res = minimize(f, x0, method="Nelder-Mead", bounds=bounds,
+                   callback=lambda xk: ends.append(len(values)),
+                   options={"maxfev": maxfev, **options})
+    return res, values, ends
+
+
+def _capped_step(values, ends, n, budget):
+    # the step whose request evaluation number budget + 1 answered
+    if budget < n + 1:
+        return "initial"
+    pos = budget - max(e for e in [n + 1] + ends if e <= budget)
+    if pos == 0:
+        return "reflection"
+    if pos == 1:
+        best = min(values[:budget - 1])
+        return "expansion" if values[budget - 1] < best else "contraction"
+    return "shrink"
+
+
+@pytest.mark.parametrize("family,kappa_tau,grid,budgets,starts", [
+    ("graph", (0.0, 0.5), (24, 1), range(8, 61, 3), 2),
+    ("sphere", (1.0, 0.5), (6, 6), (8, 13, 21, 34, 55), 1),
+])
+def test_lockstep_matches_scipy_nelder_mead(family, kappa_tau, grid, budgets,
+                                           starts):
+    sp = m3(*kappa_tau)
+    spec = _TRIAL_FAMILIES[family]
+    bounds, options = spec["bounds"], spec["options"]
+
+    def one(x):
+        return trial_defect(sp, family, x, grid=grid)
+
+    stops = set()
+    for budget in budgets:
+        x0s = [np.array([rng.uniform(lo, hi) for lo, hi in bounds])
+               for rng in (np.random.default_rng((budget, k)) for k in range(starts))]
+        runs = [_nelder_mead(x0, bounds, budget, **options) for x0 in x0s]
+        got = _lockstep(partial(trial_defects, sp, family, grid=grid), runs)
+        for x0, (x, fun, nfev, success) in zip(x0s, got):
+            res, _, _ = _scipy_restart(one, x0, bounds, budget, options)
+            assert np.array_equal(x, res.x) and fun == res.fun
+            assert (nfev, success) == (res.nfev, res.success)
+            if success:
+                stops.add("converged")
+            else:
+                _, values, ends = _scipy_restart(one, x0, bounds, budget + 1,
+                                                 options)
+                stops.add(_capped_step(values, ends, len(x0), budget))
+    expected = {"graph": {"reflection", "expansion", "contraction"},
+                "sphere": {"reflection", "expansion", "contraction", "shrink",
+                           "converged"}}
+    assert stops >= expected[family]
+
+
+def test_falsifier_makes_one_surface_fields_call_per_round(monkeypatch):
+    import umbilic.surfaces
+    import umbilic.verify
+
+    calls = []
+    original = umbilic.surfaces.surface_fields
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (umbilic.surfaces, umbilic.verify):
+        monkeypatch.setattr(module, "surface_fields", counted)
+    r = nonexistence_falsifier(0.0, 0.5, family="graph", n_starts=10,
+                               budget=400, seed=0)
+    assert r["n_evals"] == 400
+    # every round advances every pending restart, so there are at most as
+    # many rounds as evaluations per restart
+    assert len(calls) <= 400 // 10
 
 
 # --- falsification search ----------------------------------------------------------
