@@ -284,9 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "exhausting it flags the result partial and exits 1")
     fal.add_argument("--seed", type=int, default=0)
     fal.add_argument("--grid", default="24x24",
-                     help="n_u x n_v evaluation grid: graph trials use n_u "
-                          "points on one meridian; the n_u x n_v grid "
-                          "rescores the best sphere")
+                     help="n_u x n_v evaluation grid: every trial is "
+                          "scored on n_u points of one meridian, so n_v "
+                          "does not change the search")
     fal.add_argument("--out", default=None)
     fal.set_defaults(func=cmd_falsify)
 

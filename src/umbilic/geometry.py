@@ -141,9 +141,8 @@ def chart_contains(space: ModelGeometry, p) -> np.ndarray:
 
 
 def _check_domain(space, p):
-    if np.iscomplexobj(p):
-        return
-    if not np.all(chart_contains(space, p)):
+    # a complex-step point is checked by its real part
+    if not np.all(chart_contains(space, np.real(p))):
         raise ChartDomainError(f"point outside the {space.kind} chart")
 
 

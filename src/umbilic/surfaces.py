@@ -68,7 +68,10 @@ class SurfacePatch:
     """Immersed patch with derivative evaluators.
 
     ``jet(U, V)`` returns a dict of arrays keyed by ``JET_KEYS`` with a
-    trailing axis of chart components.  ``chart(U, V)`` returns positions
+    trailing axis of chart components.  In place of the second derivatives
+    a jet may carry a nonvanishing normal field ``normal`` with its chart
+    partials ``normal_u`` and ``normal_v``; the second fundamental form then
+    comes from the Weingarten equation.  ``chart(U, V)`` returns positions
     only; it always exists so curvature can be recomputed by finite
     differences at a chosen step.  ``orient`` is the overall sign applied to
     the cross-product normal.
@@ -518,14 +521,15 @@ def _forms_from_jet(space, j, orient):
     gXu = _matvec(g, Xu)
     E = _dot(Xu, gXu)
     F = _dot(Xv, gXu)
-    G = _dot(Xv, _matvec(g, Xv))
+    gXv = _matvec(g, Xv)
+    G = _dot(Xv, gXv)
     I = np.stack(
         [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
     )
     det_I = E * G - F * F
 
-    factor = orient * np.asarray(j.get("orient_sign", 1.0))
-    n_raw = cross(space, X, Xu, Xv) * np.expand_dims(factor, -1)
+    factor = np.expand_dims(orient * np.asarray(j.get("orient_sign", 1.0)), -1)
+    n_raw = cross(space, X, Xu, Xv) * factor
     gn = _matvec(g, n_raw)
     n_len = np.sqrt(_dot(n_raw, gn))
     safe = np.where(n_len > 0, n_len, 1.0)[..., None]
@@ -533,13 +537,32 @@ def _forms_from_jet(space, j, orient):
     gN = gn / safe
 
     Gamma = christoffels(space, X)
+    if "normal" in j:
+        # Weingarten: II_ab = -<nabla_{X_a} n, X_b> with n the jet's normal
+        # field, made unit and oriented like N.  A normal field from a
+        # discrete flow is normal up to its truncation error, so the mixed
+        # term is symmetrized.
+        n = j["normal"] * factor
+        gn = _matvec(g, n)
+        scale = np.sqrt(_dot(n, gn))[..., None]
+        n, gn = n / scale, gn / scale
 
-    def second(Xa, Xb, Xab):
-        return _dot(Xab + christoffel_contract(Gamma, Xa, Xb), gN)
+        def dn(n_a, Xa):
+            # nabla_{X_a} of the unit field, from the partials of j["normal"]
+            d = n_a * factor / scale + christoffel_contract(Gamma, Xa, n)
+            return d - _dot(d, gn)[..., None] * n
 
-    L = second(Xu, Xu, j["Xuu"])
-    M = second(Xu, Xv, j["Xuv"])
-    Nn = second(Xv, Xv, j["Xvv"])
+        dn_u, dn_v = dn(j["normal_u"], Xu), dn(j["normal_v"], Xv)
+        L = -_dot(dn_u, gXu)
+        M = -0.5 * (_dot(dn_u, gXv) + _dot(dn_v, gXu))
+        Nn = -_dot(dn_v, gXv)
+    else:
+        def second(Xa, Xb, Xab):
+            return _dot(Xab + christoffel_contract(Gamma, Xa, Xb), gN)
+
+        L = second(Xu, Xu, j["Xuu"])
+        M = second(Xu, Xv, j["Xuv"])
+        Nn = second(Xv, Xv, j["Xvv"])
     II = np.stack(
         [np.stack([L, M], axis=-1), np.stack([M, Nn], axis=-1)], axis=-2
     )
@@ -567,19 +590,28 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
 
 
 def _shape_invariants(I, II):
+    """lambda1 <= lambda2, the mean curvature H and the gap lambda2 - lambda1.
+
+    The gap comes from the shape matrix [[a, b], [b, c]] in the orthonormal
+    frame e1 = X_u / sqrt(E), e2 perpendicular, as sqrt((a - c)^2 + 4 b^2):
+    it has no cancellation at umbilic points, where sqrt(H^2 - K) returns
+    rounding noise of order sqrt(eps).
+    """
     E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
     L, M, Nn = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
     det_I = E * G - F * F
     H = (E * Nn - 2.0 * F * M + G * L) / (2.0 * det_I)
-    K = (L * Nn - M * M) / det_I
-    disc = np.sqrt(np.maximum(H * H - K, 0.0))
-    return H - disc, H + disc, H
+    a_c = L / E - (E * E * Nn - 2.0 * E * F * M + F * F * L) / (E * det_I)
+    # excluded points may have det I slightly below 0
+    b = (E * M - F * L) / (E * np.sqrt(np.abs(det_I)))
+    gap = np.sqrt(a_c * a_c + 4.0 * b * b)
+    return H - 0.5 * gap, H + 0.5 * gap, H, gap
 
 
 def principal_curvatures(patch: SurfacePatch, u, v, h=None):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
     I, II, _ = fundamental_forms(patch, u, v, h=h)
-    lam1, lam2, _ = _shape_invariants(I, II)
+    lam1, lam2, _, _ = _shape_invariants(I, II)
     return lam1, lam2
 
 
@@ -660,8 +692,8 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     orbit_speed = np.sqrt(I[..., 1, 1])
     included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
 
-    lam1, lam2, H = _shape_invariants(I, II)
-    defect = np.abs(lam1 - lam2) / (1.0 + np.abs(lam1) + np.abs(lam2))
+    lam1, lam2, H, gap = _shape_invariants(I, II)
+    defect = gap / (1.0 + np.abs(lam1) + np.abs(lam2))
 
     nu = T = JT = None
     if space.has_vertical_field or space.kind == "sol":

@@ -36,7 +36,6 @@ from .surfaces import (
     CurvatureReport,
     ImmersionError,
     SurfacePatch,
-    patch_from_chart,
     surface_fields,
 )
 
@@ -384,8 +383,8 @@ def _batch_param(a):
     """A trial parameter: a scalar, or a (K,) batch shaped (K, 1, 1).
 
     The batch shape broadcasts against the (K, n_u, n_v) grids on which a
-    batched trial patch is evaluated, and against the finite-difference
-    stencil axis stacked in front of them.
+    batched trial patch is evaluated, and against the axis of a sphere's
+    two Jacobi fields stacked in front of them.
     """
     a = np.asarray(a, dtype=float)
     return a[..., None, None] if a.ndim else a
@@ -453,10 +452,11 @@ def default_rho_window(space: ModelGeometry):
 
 
 def _rk4_flow(space, p0, v0, n_steps):
-    """Endpoint of the geodesic with initial velocity v0, by fixed-step RK4.
+    """End state (position, velocity) of the geodesics with initial velocity v0.
 
-    A fixed step count keeps the map smooth in the initial data, so chart
-    differencing on top of it stays clean.
+    Fixed-step RK4 over the unit parameter interval.  The fixed step count
+    makes the end state an analytic map of (p0, v0), so a complex step in v0
+    carries its exact first variation for this discrete flow.
     """
     y = np.concatenate([np.broadcast_to(p0, v0.shape), v0], axis=-1)
     shape = y.shape
@@ -468,7 +468,12 @@ def _rk4_flow(space, p0, v0, n_steps):
         k3 = _geodesic_rhs(space, y + 0.5 * h * k2)
         k4 = _geodesic_rhs(space, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y.reshape(shape)[..., :3]
+    return y.reshape(shape)
+
+
+# complex step of the Jacobi-field jets: its O(step^2) error is far below
+# rounding, and products of a few steps stay clear of subnormal numbers
+_JACOBI_STEP = 1e-30
 
 
 def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
@@ -476,23 +481,44 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
     """Geodesic sphere about an axis point, parametrized by shooting direction.
 
     (u, v) are the polar and azimuthal angles of the initial velocity at the
-    center; all geodesics for a jet evaluation are integrated in one batch.
-    ``center_height`` and ``radius`` of shape (K,) make a batch of K
-    spheres, evaluated on (K, n_u, n_v) grids.
+    center.  The jet integrates each geodesic together with its two Jacobi
+    fields, the u and v variations of the initial velocity, as one complex-
+    step batch of fixed-step RK4.  X, X_u and X_v are exact for the discrete
+    flow.  By the Gauss lemma the end velocity gamma'(1) is normal to the
+    sphere; the jet carries it and its u and v variations, from which the
+    second fundamental form follows by the Weingarten equation.  ``chart``
+    is the real flow, for forced finite differencing.  ``center_height``
+    and ``radius`` of shape (K,) make a batch of K spheres, evaluated on
+    (K, n_u, n_v) grids.
     """
     height, radius = _batch_param(center_height), _batch_param(radius)
     p0 = np.stack(np.broadcast_arrays(0.0, 0.0, height), axis=-1)
     u_range = (polar_margin, np.pi - polar_margin)
     v_range = (0.0, 2.0 * np.pi)
 
-    def chart(U, V):
+    def directions(U, V):
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-        su = np.sin(U)
-        dirs = np.stack([su * np.cos(V), su * np.sin(V), np.cos(U)], axis=-1)
-        return _rk4_flow(space, p0, radius[..., None] * dirs, n_steps)
+        su, cu, sv, cv = np.sin(U), np.cos(U), np.sin(V), np.cos(V)
+        zero = np.zeros_like(U)
+        return (np.stack([su * cv, su * sv, cu], axis=-1),
+                np.stack([cu * cv, cu * sv, -su], axis=-1),
+                np.stack([-su * sv, su * cv, zero], axis=-1))
 
-    return patch_from_chart(space, name or "geodesic-sphere", chart,
-                            u_range, v_range)
+    def chart(U, V):
+        d, _, _ = directions(U, V)
+        return _rk4_flow(space, p0, radius[..., None] * d, n_steps)[..., :3]
+
+    def jet(U, V):
+        d, d_u, d_v = directions(U, V)
+        v0 = radius[..., None] * (d + 1j * _JACOBI_STEP * np.stack([d_u, d_v]))
+        y = _rk4_flow(space, p0, v0, n_steps)
+        dy = y.imag / _JACOBI_STEP
+        return {"X": y[0, ..., :3].real, "Xu": dy[0, ..., :3], "Xv": dy[1, ..., :3],
+                "normal": y[0, ..., 3:].real, "normal_u": dy[0, ..., 3:],
+                "normal_v": dy[1, ..., 3:]}
+
+    return SurfacePatch(space, name or "geodesic-sphere", u_range, v_range,
+                        jet, chart=chart)
 
 
 _TRIAL_FAMILIES = {
@@ -504,13 +530,13 @@ _TRIAL_FAMILIES = {
     "sphere": {
         "bounds": [(-0.5, 0.5), (0.5, 2.2)],
         "first_start": np.array([0.0, 1.0]),
-        # the sphere objective carries ~1e-6 integrator noise at search
-        # fidelity, so tighter tolerances would never trigger
+        # at search fidelity the sphere objective carries the truncation
+        # error of 12 RK4 steps (4e-7 on the unit sphere of the umbilic
+        # control m3(1, 1/2)), which tighter tolerances would only chase
         "options": {"xatol": 1e-4, "fatol": 1e-9},
     },
 }
 _SPHERE_SEARCH_STEPS = 12
-_SPHERE_SEARCH_GRID = (12, 12)
 _SPHERE_MAXFEV = 100
 _SPHERE_REPORT_STEPS = 96
 
@@ -700,10 +726,9 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     pending Nelder-Mead point in one batched :func:`trial_defects` call.
     Rotations about the z axis are isometries of M^3(kappa, tau) that map
     each trial surface to itself, so the defect is constant along parallels
-    and graph trials are evaluated on one meridian of ``grid[0]`` points.
-    Sphere trials keep full grids (``_SPHERE_SEARCH_GRID`` while searching,
-    ``grid`` when rescoring), because their finite-difference jets carry
-    noise that varies along parallels.
+    and every trial, searched or rescored, is evaluated on one meridian of
+    ``grid[0]`` points.  Sphere jets come from exact Jacobi fields of the
+    discrete flow, with no differencing noise to vary along parallels.
 
     The sphere radius is bounded below (0.5) because small geodesic spheres
     are asymptotically umbilic in any space, so letting the radius shrink
@@ -727,6 +752,7 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
         raise ValueError(f"budget must be at least {min_budget} "
                          f"({_MIN_EVALS_PER_RESTART} evaluations per restart)")
 
+    meridian = (grid[0], 1)
     results = []
     for fam, starts in plans:
         fam_spec = _TRIAL_FAMILIES[fam]
@@ -744,8 +770,7 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
                     np.random.SeedSequence(entropy=seed, spawn_key=(fam_id, k)))
                 x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
             runs.append(_nelder_mead(x0, bounds, maxfev, **fam_spec["options"]))
-        fam_grid = _SPHERE_SEARCH_GRID if fam == "sphere" else (grid[0], 1)
-        objective = partial(trial_defects, space, fam, grid=fam_grid)
+        objective = partial(trial_defects, space, fam, grid=meridian)
         for x, fun, nfev, success in _lockstep(objective, runs):
             results.append((fam, fun, x, nfev, success))
 
@@ -758,12 +783,12 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
         if fam not in by_family or fun < by_family[fam][0]:
             by_family[fam] = (fun, x)
 
-    # the sphere search objective carries integrator noise; re-score its best
-    # candidate at high step count before comparing families
+    # the sphere search objective carries 12-step RK4 truncation error;
+    # re-score its best candidate at high step count before comparing families
     floors = {}
     for fam, (raw, x) in by_family.items():
         if fam == "sphere":
-            floors[fam] = trial_defect(space, fam, x, grid=grid,
+            floors[fam] = trial_defect(space, fam, x, grid=meridian,
                                        high_fidelity=True)
         else:
             floors[fam] = raw

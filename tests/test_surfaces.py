@@ -18,6 +18,7 @@ from umbilic.geometry import (
     h3,
     hyperbolic_translation,
     inner,
+    m3,
     norm,
     parabolic,
     r3,
@@ -51,11 +52,13 @@ from umbilic.surfaces import (
     orbit_surface,
     patch_from_chart,
     principal_curvatures,
+    surface_fields,
     synthetic_profile,
     transform_patch,
     umbilicity_defect,
     _forms_from_jet,
 )
+from umbilic.verify import rotational_graph_patch
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,50 @@ def test_family_defect_below_tolerance(family, key):
     _, patches = family
     d = umbilicity_defect(patches[key], n_u=64, n_v=64)
     assert d["max"] < 1e-6
+
+
+@pytest.mark.parametrize("key", ["a_eq", "p", "sol"])
+def test_closed_form_families_have_no_defect_floor(family, key):
+    # closed-form jets leave only rounding in the defect; the discriminant
+    # sqrt(H^2 - K) put a floor of 1.2e-8 to 1.4e-8 under these three
+    _, patches = family
+    assert umbilicity_defect(patches[key], n_u=64, n_v=64)["max"] <= 1e-13
+
+
+def _discriminant_curvatures(I, II):
+    # the principal curvatures as H -+ sqrt(H^2 - K), the formula the defect
+    # was computed from before the orthonormal-frame gap
+    E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
+    L, M, Nn = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
+    det_I = E * G - F * F
+    H = (E * Nn - 2.0 * F * M + G * L) / (2.0 * det_I)
+    K = (L * Nn - M * M) / det_I
+    disc = np.sqrt(np.maximum(H * H - K, 0.0))
+    return H - disc, H + disc, H
+
+
+@pytest.mark.parametrize("kappa,tau", [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0)])
+def test_defect_matches_the_discriminant_oracle(kappa, tau):
+    # away from umbilic points both formulas are well conditioned
+    space = m3(kappa, tau)
+    rng = np.random.default_rng(11)
+    coeffs = np.vstack([[0.1, 0.3, -0.2], rng.uniform(-1.0, 1.0, (19, 3))])
+    patch = rotational_graph_patch(space, coeffs)
+    U, V = patch.grid(24, 4)
+    shape = (len(coeffs),) + U.shape
+    rep = surface_fields(patch, np.broadcast_to(U, shape), np.broadcast_to(V, shape))
+    lam1, lam2, H = _discriminant_curvatures(rep.I, rep.II)
+    defect = np.abs(lam1 - lam2) / (1.0 + np.abs(lam1) + np.abs(lam2))
+    far = rep.included & (defect > 1e-6)
+    assert np.mean(far) > 0.9
+    assert np.max(np.abs(rep.defect - defect)[far] / defect[far]) <= 1e-11
+    scale = (1.0 + np.abs(lam1) + np.abs(lam2))[far]
+    for got, want in ((rep.lambda1, lam1), (rep.lambda2, lam2)):
+        assert np.max(np.abs(got - want)[far] / scale) <= 1e-11
+    # H keeps its expression; (lambda1 + lambda2) / 2 moves by rounding only
+    assert rep.mean_curvature.tobytes() == H.tobytes()
+    uf = 0.5 * (lam1 + lam2)
+    assert np.max(np.abs(rep.umbilicity_factor - uf)[far] / scale) <= 1e-15
 
 
 @pytest.mark.parametrize("key,kind,param", [

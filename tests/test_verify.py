@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from umbilic.families import build_family
-from umbilic.geometry import h2xr, m3, s2xr, sol
+from umbilic.geometry import ChartDomainError, h2xr, m3, metric_at, s2xr, sol
 from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart
 from umbilic.verify import (
     _TRIAL_FAMILIES,
@@ -310,6 +310,57 @@ def test_geodesic_sphere_has_the_right_radius_in_flat_chart():
     assert np.max(np.abs(r - 1.2)) < 1e-10
 
 
+def _stencil_sphere(space, center_height, radius, n_steps):
+    # the geodesic sphere with the 9-point finite-difference jet of its real
+    # RK4 chart, as the patch was built before its Jacobi-field jet
+    p = geodesic_sphere_patch(space, center_height, radius, n_steps=n_steps)
+    return patch_from_chart(space, "stencil-sphere", p.chart, p.u_range,
+                            p.v_range)
+
+
+@pytest.mark.parametrize("n_steps", [12, 96])
+def test_sphere_jacobi_jet_matches_the_stencil(n_steps):
+    sp = m3(0.0, 0.5)
+    p = geodesic_sphere_patch(sp, 0.2, 1.3, n_steps=n_steps)
+    U, V = p.grid(12, 12)
+    got = p.jet(U, V)
+    want = _stencil_sphere(sp, 0.2, 1.3, n_steps).jet(U, V)
+    # the real part of the complex flow is the real flow, up to the rounding
+    # of complex products
+    assert np.max(np.abs(got["X"] - p.chart(U, V))) <= 1e-14
+    for key in ("Xu", "Xv"):
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-7
+    # Gauss lemma: the end velocity is normal to the sphere, up to the
+    # flow's truncation error (1e-6 at 12 steps, 2e-10 at 96)
+    g_normal = np.einsum("...ij,...j->...i", metric_at(sp, got["X"]), got["normal"])
+    for key in ("Xu", "Xv"):
+        assert np.max(np.abs(np.sum(g_normal * got[key], axis=-1))) <= 1e-5
+
+
+@pytest.mark.parametrize("kappa,tau", [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0),
+                                       (-1.0, 0.0)])
+def test_sphere_curvatures_match_the_stencil(kappa, tau):
+    sp = m3(kappa, tau)
+    p = geodesic_sphere_patch(sp, 0.1, 0.9, n_steps=96)
+    got = curvature_report(p, 12, 12)
+    want = curvature_report(_stencil_sphere(sp, 0.1, 0.9, 96), 12, 12)
+    assert np.array_equal(got.included, want.included)
+    for name in ("lambda1", "lambda2", "mean_curvature"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-5, name
+
+
+def test_sphere_flow_checks_every_stage_in_the_chart():
+    # the complex-step flow must reject a sphere that leaves the disk chart
+    # of m3(-1, 1/2), as the real flow does
+    sp = m3(-1.0, 0.5)
+    patch = trial_patch(sp, "sphere", [0.0, 100.0])
+    with pytest.raises(ChartDomainError):
+        patch.jet(*patch.grid(4, 1))
+    with pytest.raises(ChartDomainError):
+        trial_defect(sp, "sphere", [0.0, 100.0])
+
+
 def _polynomial_graph_jet(coeffs, U, V):
     # the rotational graph jet through np.polynomial
     poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
@@ -389,6 +440,24 @@ def test_graph_meridian_max_matches_the_full_grid(kappa, tau):
     assert np.all(np.abs(meridian - full) <= 1e-12 * full + 1e-14)
 
 
+@pytest.mark.parametrize("kappa,tau", [
+    (0.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (-1.0, 0.0)])
+def test_sphere_meridian_max_matches_the_full_grid(kappa, tau):
+    # with Jacobi-field jets the sphere defect carries no differencing noise,
+    # so like a graph's it is constant along parallels up to rounding
+    sp = m3(kappa, tau)
+    rng = np.random.default_rng(5)
+    bounds = _TRIAL_FAMILIES["sphere"]["bounds"]
+    P = np.vstack([[0.0, 1.0]] + [[rng.uniform(lo, hi) for lo, hi in bounds]
+                                  for _ in range(4)])
+    meridian = trial_defects(sp, "sphere", P, grid=(24, 1))
+    full = trial_defects(sp, "sphere", P, grid=(24, 24))
+    assert np.all(full < 1e3)
+    # the spheres of the space form (1, 1/2) are umbilic up to the flow's
+    # truncation error, about 1e-8 here
+    assert np.all(np.abs(meridian - full) <= 1e-11 * full + 1e-14)
+
+
 # --- lockstep Nelder-Mead ----------------------------------------------------------
 
 
@@ -421,7 +490,7 @@ def _capped_step(values, ends, n, budget):
 
 @pytest.mark.parametrize("family,kappa_tau,grid,budgets,starts", [
     ("graph", (0.0, 0.5), (24, 1), range(8, 61, 3), 2),
-    ("sphere", (1.0, 0.5), (6, 6), (8, 13, 21, 34, 55), 1),
+    ("sphere", (1.0, 0.5), (6, 6), (8, 9, 13, 16, 21, 34, 55), 1),
 ])
 def test_lockstep_matches_scipy_nelder_mead(family, kappa_tau, grid, budgets,
                                            starts):
