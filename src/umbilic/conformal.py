@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (
     ModelGeometry,
@@ -172,6 +171,8 @@ def sol_flattening(curve, n=129, margin=0.95) -> dict:
     also measures which power of e^{-z} the raw g_yy actually follows.
     ``n`` is the odd number of profile samples; the middle one is y = 0.
     """
+    from scipy.integrate import quad
+
     if curve.kind != "sol":
         raise ValueError("flattening applies to Sol graph profiles")
     if n < 2:

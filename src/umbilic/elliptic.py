@@ -24,7 +24,6 @@ sn' = cn dn, cn' = -sn dn, dn' = -m sn cn, am' = dn.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # two ulps: the AGM stagnates at machine epsilon, so demand no more
 AGM_TOL = 4.5e-16
@@ -83,6 +82,8 @@ def _reduce(u, K):
 
 def _jacobi_ode(u, m):
     """Direct integration of the defining system; valid for any m."""
+    from scipy.integrate import solve_ivp
+
     u = np.atleast_1d(np.asarray(u, dtype=float))
     order = np.argsort(u)
     out = np.empty((u.size, 4))

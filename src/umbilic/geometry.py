@@ -34,25 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 KINDS = ("r3", "h3", "s2xr", "h2xr", "sol", "m3")
 
-GEODESIC_RTOL = 1e-12
 # complex-step size for derivatives of the Christoffel symbols
 _CS = 1e-100
 
 
 class ChartDomainError(ValueError):
     """A point lies outside the model chart."""
-
-
-class GeodesicEscapeError(RuntimeError):
-    """A geodesic left the chart before the requested parameter."""
-
-    def __init__(self, message, s_exit):
-        super().__init__(message)
-        self.s_exit = s_exit
 
 
 class IllFormedIsometryError(ValueError):
@@ -144,20 +134,6 @@ def _check_domain(space, p):
     # a complex-step point is checked by its real part
     if not np.all(chart_contains(space, np.real(p))):
         raise ChartDomainError(f"point outside the {space.kind} chart")
-
-
-def _chart_clearance(space, q):
-    """Positive inside the chart, crossing zero at the boundary / blow-up."""
-    x, y, z = q[0], q[1], q[2]
-    if space.kind == "h3":
-        return z
-    if space.kind == "h2xr":
-        return 1.0 - (x**2 + y**2)
-    if space.kind == "m3" and space.kappa < 0:
-        return 4.0 / (-space.kappa) - (x**2 + y**2)
-    # charts covering the whole space, or (s2xr) missing a single fiber:
-    # treat coordinate blow-up as the escape condition.
-    return 1.0e16 - (x**2 + y**2 + z**2)
 
 
 # ---------------------------------------------------------------------------
@@ -423,44 +399,6 @@ def _geodesic_rhs(space, state):
     v = state[..., 3:]
     acc = -christoffel_contract(christoffels(space, q), v, v)
     return np.concatenate([v, acc], axis=-1)
-
-
-def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarray:
-    """Riemannian exponential: endpoint of the geodesic with gamma'(0) = v.
-
-    Raises :class:`GeodesicEscapeError` (carrying the exit parameter) if the
-    geodesic leaves the chart before parameter 1.
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_domain(space, p)
-    if np.allclose(v, 0.0):
-        return p.copy()
-
-    def rhs(_, y):
-        return _geodesic_rhs(space, y)
-
-    def escape(_, y):
-        return _chart_clearance(space, y[:3])
-
-    escape.terminal = True
-    escape.direction = -1
-    sol_ = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.concatenate([p, v]),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=escape,
-    )
-    if sol_.status == 1:
-        raise GeodesicEscapeError(
-            f"geodesic left the {space.kind} chart", s_exit=float(sol_.t_events[0][0])
-        )
-    if not sol_.success:
-        raise RuntimeError(f"geodesic integration failed: {sol_.message}")
-    return sol_.y[:3, -1]
 
 
 # ---------------------------------------------------------------------------

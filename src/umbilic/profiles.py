@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 PROFILE_RTOL = 1e-10
 PROFILE_ATOL = 1e-12
@@ -183,6 +181,8 @@ def _integrate_plane(kind, param, theta0, want_event, span, rtol, atol):
 
 
 def _solve_leg(rhs, y0, s_end, rtol, atol):
+    from scipy.integrate import solve_ivp
+
     res = solve_ivp(
         rhs,
         (0.0, s_end),
@@ -198,6 +198,8 @@ def _solve_leg(rhs, y0, s_end, rtol, atol):
 
 
 def _first_event(leg, fn):
+    from scipy.optimize import brentq
+
     ts = np.linspace(0.0, leg.t[-1], 2001)
     vals = fn(leg.sol(ts))
     sgn = np.sign(vals)
@@ -377,6 +379,8 @@ def sol_profile(a, z_clip=Z_CLIP, n_samples=2001,
     ``jet`` evaluator spans the y-parametrized part only, while ``samples``
     and blow-down events cover the full clipped window.
     """
+    from scipy.integrate import quad, solve_ivp
+
     a = float(a)
     if not a > 0:
         raise ValueError("a must be positive")
@@ -486,6 +490,8 @@ def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> floa
 
     Raises :class:`EventNotFoundError` when no sign change is bracketed.
     """
+    from scipy.optimize import brentq
+
     if kind not in _EVENTS:
         raise ValueError(f"unknown event kind {kind!r}")
     if kind == "rho_hits" and value is None:

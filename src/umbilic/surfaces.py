@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .geometry import (
     ModelGeometry,
@@ -748,6 +747,8 @@ def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
 
 def _find_roots(f, lo, hi, args):
     """Elementwise roots of f on the brackets [lo, hi] (Chandrupatla)."""
+    from scipy.optimize.elementwise import find_root
+
     res = find_root(f, (lo, hi), args=args, tolerances={"xatol": 1e-14})
     if not np.all(res.success):
         bad = int(np.count_nonzero(~res.success))

@@ -727,7 +727,8 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     Rotations about the z axis are isometries of M^3(kappa, tau) that map
     each trial surface to itself, so the defect is constant along parallels
     and every trial, searched or rescored, is evaluated on one meridian of
-    ``grid[0]`` points.  Sphere jets come from exact Jacobi fields of the
+    ``grid[0]`` points; ``grid`` in the result is that meridian,
+    ``[grid[0], 1]``.  Sphere jets come from exact Jacobi fields of the
     discrete flow, with no differencing noise to vary along parallels.
 
     The sphere radius is bounded below (0.5) because small geodesic spheres
@@ -804,6 +805,7 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
         "n_evals": n_evals,
         "partial": not all_converged,
         "seed": int(seed),
+        "grid": [int(n) for n in meridian],
     }
 
 

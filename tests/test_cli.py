@@ -247,6 +247,16 @@ def test_falsify_reports_are_byte_identical(capsys):
     assert doc["config"]["seed"] == 5
 
 
+def test_falsify_reports_the_meridian_it_evaluated(capsys):
+    argv = ["falsify", "--kappa", "0", "--tau", "0.5", "--family", "graph",
+            "--starts", "2", "--budget", "200", "--seed", "5"]
+    docs = [json.loads(_run(capsys, argv + ["--grid", grid])[1])
+            for grid in ("24x2", "24x24")]
+    assert docs[0]["result"] == docs[1]["result"]
+    assert docs[0]["result"]["grid"] == [24, 1]
+    assert [d["config"]["grid"] for d in docs] == [[24, 2], [24, 24]]
+
+
 # --- conformal ------------------------------------------------------------------
 
 

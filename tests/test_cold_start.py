@@ -1,0 +1,70 @@
+"""Commands that need no integrator or root solver start without scipy.
+
+Each case runs in a fresh interpreter, because this test session has
+imported scipy already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs the CLI with the given argv (none: import only) and prints the exit
+# code and every loaded scipy module as the last stdout line
+_PROBE = """
+import contextlib, io, json, sys
+import umbilic, umbilic.cli
+rc = 0
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = umbilic.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "scipy": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def _probe(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# (argv, exit code): the small falsify budgets end partial, so exit 1
+SCIPY_FREE = {
+    "import": ([], 0),
+    "falsify-graph": (["falsify", "--kappa", "0", "--tau", "0.5", "--family",
+                       "graph", "--starts", "2", "--budget", "40"], 1),
+    "falsify-sphere": (["falsify", "--kappa", "0", "--tau", "0.5", "--family",
+                        "sphere", "--starts", "2", "--budget", "40"], 1),
+    "killing-grid": (["verify", "--suite", "killing-grid", "--grid", "16x16"], 0),
+    "daniel-grid": (["verify", "--suite", "daniel-grid", "--grid", "16x16"], 0),
+    "gen-a-eq-1": (["gen", "--space", "s2xr", "--family", "a-eq-1",
+                    "--grid", "16x16"], 0),
+    "gen-slice": (["gen", "--space", "s2xr", "--family", "slice",
+                   "--grid", "16x16"], 0),
+    "conformal-s2xr-r3": (["conformal", "--map", "s2xr-r3"], 0),
+}
+
+
+@pytest.mark.parametrize("case", SCIPY_FREE)
+def test_command_loads_no_scipy(case):
+    argv, rc = SCIPY_FREE[case]
+    run = _probe(argv)
+    assert run["rc"] == rc
+    assert run["scipy"] == []
+
+
+def test_profile_ode_loads_scipy_integrate():
+    run = _probe(["gen", "--space", "s2xr", "--family", "a-lt-1",
+                  "--param", "0.5", "--grid", "16x16"])
+    assert run["rc"] == 0
+    assert "scipy.integrate" in run["scipy"]

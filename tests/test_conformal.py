@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import exp_map
 from umbilic.conformal import (
     ConformalMap,
     conformality_check,
@@ -16,7 +17,6 @@ from umbilic.conformal import (
 )
 from umbilic.geometry import (
     ModelGeometry,
-    exp_map,
     h3,
     parabolic,
     r3,
