@@ -109,13 +109,14 @@ def cmd_gen(args) -> int:
     if fmt in ("obj", "ply", "csv") and args.out is None:
         raise ValueError("--out is required for obj, ply, or csv output")
 
-    # one report feeds both the summary and the PLY quality property
+    # one report feeds the summary, the mesh vertices and the PLY quality
     rep = curvature_report(patch, n_u, n_v)
     defect = rep.defect_summary()
     if fmt == "obj":
-        write_obj(args.out, patch, n_u, n_v)
+        write_obj(args.out, patch, n_u, n_v, vertices=rep.X)
     elif fmt == "ply":
-        write_ply(args.out, patch, n_u, n_v, quality=rep.defect_quality())
+        write_ply(args.out, patch, n_u, n_v, quality=rep.defect_quality(),
+                  vertices=rep.X)
     elif fmt == "csv":
         if curve is None:
             raise ValueError(

@@ -21,7 +21,9 @@ Conventions fixed here and relied on throughout the package:
   chart coordinates).
 
 Each kind gives its metric, inverse metric, volume factor sqrt(det g) and
-Christoffel symbols in closed form, analytic in the point; the curvature
+Christoffel symbols in closed form, analytic in the point, as tables of
+their nonzero components; vectors are contracted against the tables
+(:func:`lowering`, :func:`cross`, :func:`connection`).  The curvature
 tensor follows from the symbols and their complex-step derivatives.
 
 All tensor-valued functions broadcast over leading point axes: points have
@@ -32,6 +34,7 @@ shape (..., 3), metrics (..., 3, 3), Christoffel symbols (..., 3, 3, 3) with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,55 +134,26 @@ def chart_contains(space: ModelGeometry, p) -> np.ndarray:
 
 
 def _check_domain(space, p):
-    # a complex-step point is checked by its real part
-    if not np.all(chart_contains(space, np.real(p))):
+    # a complex-step point is checked by its real part; the r3, sol, s2xr and
+    # m3 (kappa >= 0) charts contain every point
+    bounded = space.kind in ("h3", "h2xr") or (space.kind == "m3" and space.kappa < 0)
+    if bounded and not np.all(chart_contains(space, np.real(p))):
         raise ChartDomainError(f"point outside the {space.kind} chart")
 
 
 # ---------------------------------------------------------------------------
-# metric, inverse metric and volume factor (closed form, complex-safe)
-
-
-def _zeros(p, tail):
-    return np.zeros(p.shape[:-1] + tail, dtype=p.dtype if np.iscomplexobj(p) else float)
+# closed-form components
+#
+# Each kind lists the nonzero components of its metric, inverse metric and
+# Christoffel symbols, keyed by index with the last two indices sorted (all
+# three are symmetric in them).  The dense tensors are filled from these
+# tables; vectors are contracted against them directly, as row sums in index
+# order with the zero terms dropped, so a contraction rounds exactly like the
+# dense product it replaces.
 
 
 def _m3_lambda(space, x, y):
     return 1.0 / (1.0 + space.kappa * (x**2 + y**2) / 4.0)
-
-
-def metric_at(space: ModelGeometry, p) -> np.ndarray:
-    """Metric matrix g_ij at p; broadcasts, symmetric positive definite."""
-    p = np.asarray(p)
-    _check_domain(space, p)
-    x, y = p[..., 0], p[..., 1]
-    z = p[..., 2]
-    g = _zeros(p, (3, 3))
-    if space.kind == "r3":
-        g[..., 0, 0] = g[..., 1, 1] = g[..., 2, 2] = 1.0
-    elif space.kind == "h3":
-        iz2 = 1.0 / z**2
-        g[..., 0, 0] = g[..., 1, 1] = g[..., 2, 2] = iz2
-    elif space.kind == "sol":
-        g[..., 0, 0] = np.exp(2.0 * z)
-        g[..., 1, 1] = np.exp(-2.0 * z)
-        g[..., 2, 2] = 1.0
-    elif space.kind in ("s2xr", "h2xr"):
-        F = _conformal_factor(space, x, y)
-        g[..., 0, 0] = g[..., 1, 1] = F**2
-        g[..., 2, 2] = 1.0
-    else:  # m3
-        tau = space.tau
-        lam = _m3_lambda(space, x, y)
-        wx = tau * lam * y
-        wy = -tau * lam * x
-        g[..., 0, 0] = lam**2 + wx**2
-        g[..., 1, 1] = lam**2 + wy**2
-        g[..., 2, 2] = 1.0
-        g[..., 0, 1] = g[..., 1, 0] = wx * wy
-        g[..., 0, 2] = g[..., 2, 0] = wx
-        g[..., 1, 2] = g[..., 2, 1] = wy
-    return g
 
 
 def _conformal_factor(space, x, y):
@@ -195,37 +169,176 @@ def _log_conformal_grad(space, x, y):
     return w * x, w * y
 
 
-def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
-    """Inverse metric g^ij at p in closed form; broadcasts like :func:`metric_at`.
+def _metric_table(space, p) -> dict:
+    """Nonzero g_kj, k <= j."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if space.kind == "r3":
+        return {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}
+    if space.kind == "h3":
+        iz2 = 1.0 / z**2
+        return {(0, 0): iz2, (1, 1): iz2, (2, 2): iz2}
+    if space.kind == "sol":
+        return {(0, 0): np.exp(2.0 * z), (1, 1): np.exp(-2.0 * z), (2, 2): 1.0}
+    if space.kind in ("s2xr", "h2xr"):
+        F2 = _conformal_factor(space, x, y) ** 2
+        return {(0, 0): F2, (1, 1): F2, (2, 2): 1.0}
+    tau = space.tau
+    lam = _m3_lambda(space, x, y)
+    wx = tau * lam * y
+    wy = -tau * lam * x
+    return {(0, 0): lam**2 + wx**2, (0, 1): wx * wy, (0, 2): wx,
+            (1, 1): lam**2 + wy**2, (1, 2): wy, (2, 2): 1.0}
+
+
+def _inverse_table(space, p) -> dict:
+    """Nonzero g^kj, k <= j.
 
     For ``m3`` it is E1 E1 + E2 E2 + E3 E3 in the orthonormal frame
     E1 = d_x/lam - tau y d_z, E2 = d_y/lam + tau x d_z, E3 = d_z dual to the
     coframe (lam dx, lam dy, dz + tau lam (y dx - x dy)).
     """
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if space.kind == "r3":
+        return {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}
+    if space.kind == "h3":
+        z2 = z**2
+        return {(0, 0): z2, (1, 1): z2, (2, 2): z2}
+    if space.kind == "sol":
+        return {(0, 0): np.exp(-2.0 * z), (1, 1): np.exp(2.0 * z), (2, 2): 1.0}
+    if space.kind in ("s2xr", "h2xr"):
+        iF2 = _conformal_factor(space, x, y) ** -2
+        return {(0, 0): iF2, (1, 1): iF2, (2, 2): 1.0}
+    tau = space.tau
+    ilam = 1.0 / _m3_lambda(space, x, y)
+    ilam2 = ilam**2
+    return {(0, 0): ilam2, (0, 2): -tau * y * ilam, (1, 1): ilam2,
+            (1, 2): tau * x * ilam, (2, 2): 1.0 + tau**2 * (x**2 + y**2)}
+
+
+@lru_cache(maxsize=None)
+def _m3_coefficients(k, tau, ndim):
+    """Coefficients of the eight m3 symbols (coefficient * x or y) * d, with
+    c = kappa - 4 tau^2 and e = kappa - 2 tau^2, shaped to broadcast."""
+    c, e = k - 4.0 * tau**2, k - 2.0 * tau**2
+    coef = np.array([-2.0 * k, -2.0 * e, 2.0 * c, 2.0 * c, -2.0 * e, -2.0 * k,
+                     -4.0 * tau**2, -4.0 * tau**2]).reshape((8,) + (1,) * ndim)
+    coef.flags.writeable = False
+    return coef
+
+
+def _symbol_table(space, p) -> dict:
+    """Nonzero Christoffel symbols gamma^l_ij, i <= j."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    if space.kind == "r3":
+        return {}
+    if space.kind == "h3":
+        # conformally flat with log factor -log z
+        iz = 1.0 / z
+        m = -iz
+        return {(0, 0, 2): m, (1, 1, 2): m, (2, 0, 0): iz, (2, 1, 1): iz, (2, 2, 2): m}
+    if space.kind == "sol":
+        return {(0, 0, 2): 1.0, (1, 1, 2): -1.0,
+                (2, 0, 0): -np.exp(2.0 * z), (2, 1, 1): np.exp(-2.0 * z)}
+    if space.kind in ("s2xr", "h2xr"):
+        # conformal base F^2 (dx^2 + dy^2) with phi = log F; the fiber is flat
+        px, py = _log_conformal_grad(space, x, y)
+        return {(0, 0, 0): px, (0, 0, 1): py, (0, 1, 1): -px,
+                (1, 0, 0): -py, (1, 0, 1): px, (1, 1, 1): py}
+    # m3 with d = 1/(4 + kappa r^2); eight symbols are (coefficient * x or y)
+    # * d, taken as one batch
+    k, tau = space.kappa, space.tau
+    P = _components(p)
+    x, y = P[0], P[1]
+    x2, y2 = x**2, y**2
+    d = 1.0 / (4.0 + k * (x2 + y2))
+    tcd2 = 4.0 * tau * (k - 4.0 * tau**2) * d**2
+    xy = np.take(P, [0, 1, 0, 1, 0, 1, 0, 1], axis=0)
+    linear = _m3_coefficients(k, tau, x.ndim) * xy * d
+    txy = 2.0 * tcd2 * x * y
+    table = dict(zip([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1),
+                      (2, 0, 2), (2, 1, 2)], linear))
+    table.update({(0, 1, 2): tau, (1, 0, 2): -tau, (2, 0, 0): txy,
+                  (2, 0, 1): -tcd2 * (x2 - y2), (2, 1, 1): -txy})
+    return table
+
+
+def _dense(p, table, tail):
+    """The dense tensor of a table (symmetric in its last two indices)."""
+    A = np.zeros(p.shape[:-1] + tail, dtype=p.dtype if np.iscomplexobj(p) else float)
+    for key, value in table.items():
+        A[(Ellipsis,) + key] = A[(Ellipsis,) + key[:-2] + (key[-1], key[-2])] = value
+    return A
+
+
+@lru_cache(maxsize=None)
+def _plan(keys, rank):
+    """Summation plan for a table with these keys (last two indices sorted).
+
+    Rank 2, a symmetric matrix A: for each row k the terms (n, j) of
+    sum_j A_kj v^j, n the position of A_kj among the keys.  Rank 3, the
+    symbols: for each l the rows (i, terms) of sum_i a^i (sum_j gamma^l_ij b^j).
+    Indices run in increasing order, and a zero entry has no key, so it gives
+    no term and an all-zero row no row.
+    """
+    def row(*lead):
+        *lead, k = lead
+        return tuple((keys.index(key), j) for j in range(3)
+                     if (key := (*lead, min(k, j), max(k, j))) in keys)
+
+    if rank == 2:
+        return tuple(row(k) for k in range(3))
+    return tuple(tuple((i, r) for i in range(3) if (r := row(l, i))) for l in range(3))
+
+
+def _components(v):
+    """The components of v along its last axis, each one contiguous."""
+    v = np.asarray(v)
+    return v.reshape(-1, 3).T.copy().reshape((3,) + v.shape[:-1])
+
+
+def _join(comps, p, *vectors):
+    """Stack three components on a last axis; a None component is zero.
+
+    The points p and the vectors' components give the shape and dtype of
+    that zero, and components of differing shapes (constant entries) are
+    broadcast.
+    """
+    c0, c1, c2 = comps
+    if c0 is None or c1 is None or c2 is None or not c0.shape == c1.shape == c2.shape:
+        shape = np.broadcast_shapes(p.shape[:-1], *(np.shape(v[0]) for v in vectors))
+        zero = np.zeros(shape, np.result_type(p, *(v[0] for v in vectors)))
+        comps = np.broadcast_arrays(*(zero if c is None else c for c in comps))
+    out = np.empty(comps[0].shape + (3,), np.result_type(*comps))
+    out[..., 0], out[..., 1], out[..., 2] = comps
+    return out
+
+
+def _row_sums(table, plan, c, p):
+    """(A v)^k = A_k0 v^0 + A_k1 v^1 + A_k2 v^2 from the components c of v,
+    over the nonzero entries of a rank-2 table at the points p."""
+    values, c = tuple(table.values()), tuple(c)
+    out = []
+    for row in plan:
+        acc = None
+        for n, j in row:
+            term = values[n] * c[j]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return _join(out, p, c)
+
+
+def metric_at(space: ModelGeometry, p) -> np.ndarray:
+    """Metric matrix g_ij at p; broadcasts, symmetric positive definite."""
     p = np.asarray(p)
     _check_domain(space, p)
-    x, y = p[..., 0], p[..., 1]
-    z = p[..., 2]
-    h = _zeros(p, (3, 3))
-    if space.kind == "r3":
-        h[..., 0, 0] = h[..., 1, 1] = h[..., 2, 2] = 1.0
-    elif space.kind == "h3":
-        h[..., 0, 0] = h[..., 1, 1] = h[..., 2, 2] = z**2
-    elif space.kind == "sol":
-        h[..., 0, 0] = np.exp(-2.0 * z)
-        h[..., 1, 1] = np.exp(2.0 * z)
-        h[..., 2, 2] = 1.0
-    elif space.kind in ("s2xr", "h2xr"):
-        h[..., 0, 0] = h[..., 1, 1] = _conformal_factor(space, x, y) ** -2
-        h[..., 2, 2] = 1.0
-    else:  # m3
-        tau = space.tau
-        ilam = 1.0 / _m3_lambda(space, x, y)
-        h[..., 0, 0] = h[..., 1, 1] = ilam**2
-        h[..., 0, 2] = h[..., 2, 0] = -tau * y * ilam
-        h[..., 1, 2] = h[..., 2, 1] = tau * x * ilam
-        h[..., 2, 2] = 1.0 + tau**2 * (x**2 + y**2)
-    return h
+    return _dense(p, _metric_table(space, p), (3, 3))
+
+
+def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
+    """Inverse metric g^ij at p in closed form; broadcasts like :func:`metric_at`."""
+    p = np.asarray(p)
+    _check_domain(space, p)
+    return _dense(p, _inverse_table(space, p), (3, 3))
 
 
 def volume_factor(space: ModelGeometry, p) -> np.ndarray:
@@ -243,13 +356,22 @@ def volume_factor(space: ModelGeometry, p) -> np.ndarray:
     return _m3_lambda(space, x, y) ** 2
 
 
+def lowering(space: ModelGeometry, p):
+    """The map v -> g v at p, for vectors v at the points of p.
+
+    Each component is the row sum g_k0 v^0 + g_k1 v^1 + g_k2 v^2 over the
+    nonzero closed-form g_kj, evaluated once for every vector lowered.
+    """
+    p = np.asarray(p)
+    _check_domain(space, p)
+    table = _metric_table(space, p)
+    plan = _plan(tuple(table), 2)
+
+    return lambda v: _row_sums(table, plan, _components(v), p)
+
+
 # ---------------------------------------------------------------------------
 # connection and curvature
-
-
-def _set_symmetric(G, l, i, j, value):
-    G[..., l, i, j] = value
-    G[..., l, j, i] = value
 
 
 def christoffels(space: ModelGeometry, p) -> np.ndarray:
@@ -261,72 +383,40 @@ def christoffels(space: ModelGeometry, p) -> np.ndarray:
     """
     p = np.asarray(p)
     _check_domain(space, p)
-    x, y = p[..., 0], p[..., 1]
-    z = p[..., 2]
-    G = _zeros(p, (3, 3, 3))
-    if space.kind == "r3":
-        return G
-    if space.kind == "h3":
-        # conformally flat with log factor -log z
-        iz = 1.0 / z
-        _set_symmetric(G, 0, 0, 2, -iz)
-        _set_symmetric(G, 1, 1, 2, -iz)
-        G[..., 2, 2, 2] = -iz
-        G[..., 2, 0, 0] = G[..., 2, 1, 1] = iz
-        return G
-    if space.kind == "sol":
-        _set_symmetric(G, 0, 0, 2, 1.0)
-        _set_symmetric(G, 1, 1, 2, -1.0)
-        G[..., 2, 0, 0] = -np.exp(2.0 * z)
-        G[..., 2, 1, 1] = np.exp(-2.0 * z)
-        return G
-    if space.kind in ("s2xr", "h2xr"):
-        # conformal base F^2 (dx^2 + dy^2) with phi = log F; the fiber is flat
-        px, py = _log_conformal_grad(space, x, y)
-        G[..., 0, 0, 0] = px
-        G[..., 1, 1, 1] = py
-        _set_symmetric(G, 0, 0, 1, py)
-        _set_symmetric(G, 1, 0, 1, px)
-        G[..., 0, 1, 1] = -px
-        G[..., 1, 0, 0] = -py
-        return G
-    # m3 with d = 1/(4 + kappa r^2), c = kappa - 4 tau^2, e = kappa - 2 tau^2
-    k, tau = space.kappa, space.tau
-    d = 1.0 / (4.0 + k * (x**2 + y**2))
-    c = k - 4.0 * tau**2
-    e = k - 2.0 * tau**2
-    G[..., 0, 0, 0] = -2.0 * k * x * d
-    _set_symmetric(G, 0, 0, 1, -2.0 * e * y * d)
-    G[..., 0, 1, 1] = 2.0 * c * x * d
-    _set_symmetric(G, 0, 1, 2, tau)
-    G[..., 1, 0, 0] = 2.0 * c * y * d
-    _set_symmetric(G, 1, 0, 1, -2.0 * e * x * d)
-    _set_symmetric(G, 1, 0, 2, -tau)
-    G[..., 1, 1, 1] = -2.0 * k * y * d
-    tcd2 = 4.0 * tau * c * d**2
-    G[..., 2, 0, 0] = 2.0 * tcd2 * x * y
-    _set_symmetric(G, 2, 0, 1, -tcd2 * (x**2 - y**2))
-    _set_symmetric(G, 2, 0, 2, -4.0 * tau**2 * x * d)
-    G[..., 2, 1, 1] = -2.0 * tcd2 * x * y
-    _set_symmetric(G, 2, 1, 2, -4.0 * tau**2 * y * d)
-    return G
+    return _dense(p, _symbol_table(space, p), (3, 3, 3))
 
 
-def _matvec(A, v):
-    """A[..., k, j] v[..., j] for (k x 3) blocks, by explicit components."""
-    v = np.asarray(v)
-    return (A[..., 0] * v[..., None, 0] + A[..., 1] * v[..., None, 1]
-            + A[..., 2] * v[..., None, 2])
+def connection(space: ModelGeometry, p):
+    """The bilinear map (a, b) -> Gamma(a, b), Gamma(a, b)^l = gamma^l_ij a^i b^j.
 
-
-def christoffel_contract(G, a, b) -> np.ndarray:
-    """Gamma(a, b)^l = Gamma^l_ij a^i b^j for Christoffel symbols G at the points of a, b.
-
-    The j sum runs as one matmul over the nine (l, i) rows of each point.
+    The symbols are evaluated once at p; each call sums
+    sum_i a^i (sum_j gamma^l_ij b^j) in index order over the nonzero
+    symbols only, for vectors a, b at the points of p.
     """
-    b = np.asarray(b)
-    Gb = (G.reshape(G.shape[:-3] + (9, 3)) @ b[..., None])[..., 0]
-    return _matvec(Gb.reshape(Gb.shape[:-1] + (3, 3)), a)
+    p = np.asarray(p)
+    _check_domain(space, p)
+    table = _symbol_table(space, p)
+    plan = _plan(tuple(table), 3)
+    values = tuple(table.values())
+
+    def gamma(a, b):
+        same = b is a
+        a = tuple(_components(a))
+        b = a if same else tuple(_components(b))
+        out = []
+        for rows in plan:
+            acc = None
+            for i, row in rows:
+                gb = None
+                for n, j in row:
+                    term = values[n] * b[j]
+                    gb = term if gb is None else gb + term
+                term = gb * a[i]
+                acc = term if acc is None else acc + term
+            out.append(acc)
+        return _join(out, p, a, b)
+
+    return gamma
 
 
 def christoffel_deriv(space: ModelGeometry, p) -> np.ndarray:
@@ -362,7 +452,7 @@ def curvature_tensor(space: ModelGeometry, p, X, Y, Z) -> np.ndarray:
 
 
 def inner(space: ModelGeometry, p, X, Y) -> np.ndarray:
-    return np.sum(np.asarray(X) * _matvec(metric_at(space, p), Y), axis=-1)
+    return np.sum(np.asarray(X) * lowering(space, p)(Y), axis=-1)
 
 
 def norm(space: ModelGeometry, p, X) -> np.ndarray:
@@ -370,12 +460,18 @@ def norm(space: ModelGeometry, p, X) -> np.ndarray:
 
 
 def cross(space: ModelGeometry, p, X, Y) -> np.ndarray:
-    """Riemannian cross product, <X ^ Y, Z> = sqrt(det g) det[X, Y, Z]."""
-    X, Y = np.asarray(X), np.asarray(Y)
+    """Riemannian cross product, <X ^ Y, Z> = sqrt(det g) det[X, Y, Z].
+
+    The covector sqrt(det g) (X x Y) is raised by row sums over the nonzero
+    g^kj, like :func:`lowering`.
+    """
+    X, Y, p = np.asarray(X), np.asarray(Y), np.asarray(p)
     x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
     y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
-    euclid = np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=-1)
-    return _matvec(inverse_metric(space, p), volume_factor(space, p)[..., None] * euclid)
+    vol = volume_factor(space, p)
+    low = (vol * (x1 * y2 - x2 * y1), vol * (x2 * y0 - x0 * y2), vol * (x0 * y1 - x1 * y0))
+    table = _inverse_table(space, p)
+    return _row_sums(table, _plan(tuple(table), 2), low, p)
 
 
 def vertical_field(space: ModelGeometry, p=None) -> np.ndarray:
@@ -397,7 +493,7 @@ def _geodesic_rhs(space, state):
     """state (..., 6) -> derivative; velocity transport by the connection."""
     q = state[..., :3]
     v = state[..., 3:]
-    acc = -christoffel_contract(christoffels(space, q), v, v)
+    acc = -connection(space, q)(v, v)
     return np.concatenate([v, acc], axis=-1)
 
 

@@ -26,16 +26,22 @@ end_header
 """
 
 
-def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN):
+def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
+              vertices=None):
     """Vertices and 0-based quad indices of the structured parameter grid.
 
     Vertex (i, j) of the grid sits at flat index ``i * n_v + j``; quads wind
-    counterclockwise in the (u, v) parameter square.
+    counterclockwise in the (u, v) parameter square.  ``vertices`` may hold
+    the chart points of that grid already (a curvature report's ``X``), so
+    the chart is not evaluated again.
     """
     if n_u < 2 or n_v < 2:
         raise ValueError("a quad mesh needs at least a 2 x 2 grid")
-    U, V = patch.grid(n_u, n_v, margin=margin)
-    vertices = np.asarray(patch.chart(U, V), dtype=float).reshape(-1, 3)
+    if vertices is None:
+        vertices = patch.chart(*patch.grid(n_u, n_v, margin=margin))
+    vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
+    if len(vertices) != n_u * n_v:
+        raise ValueError("vertex array does not match the grid")
     i, j = np.meshgrid(np.arange(n_u - 1), np.arange(n_v - 1), indexing="ij")
     base = (i * n_v + j).ravel()
     quads = np.stack([base, base + n_v, base + n_v + 1, base + 1], axis=-1)
@@ -53,9 +59,13 @@ def defect_quality(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
                             h=h).defect_quality()
 
 
-def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN):
-    """Write the patch grid as a Wavefront OBJ with quad faces (1-based)."""
-    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin)
+def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
+              vertices=None):
+    """Write the patch grid as a Wavefront OBJ with quad faces (1-based).
+
+    ``vertices`` is passed on to :func:`grid_mesh`.
+    """
+    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin, vertices=vertices)
     # one %-format per block: per-line formatting dominated export time
     with open(path, "w") as fh:
         fh.write("# %s: %d x %d grid\n" % (patch.name, n_u, n_v))
@@ -67,13 +77,14 @@ def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN):
 
 
 def write_ply(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-              quality=None):
+              quality=None, vertices=None):
     """Write a binary little-endian PLY with float64 positions.
 
     ``quality`` may be None, an array of per-vertex scalars, or the string
     ``"defect"`` to compute the umbilicity defect on the export grid.
+    ``vertices`` is passed on to :func:`grid_mesh`.
     """
-    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin)
+    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin, vertices=vertices)
     if isinstance(quality, str):
         if quality != "defect":
             raise ValueError(f"unknown quality field {quality!r}")

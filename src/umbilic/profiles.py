@@ -525,14 +525,23 @@ def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> floa
     lo, hi = curve.span
     grid = grid[(grid >= lo) & (grid <= hi)]
     vals = np.asarray(fn(grid))
-    roots = []
-    exact = np.nonzero(vals == 0.0)[0]
-    roots.extend(float(grid[i]) for i in exact)
     sgn = np.sign(vals)
     flips = np.nonzero((sgn[1:] * sgn[:-1] < 0))[0]
-    for i in flips:
-        roots.append(brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=tol))
-    if not roots:
+    exact = grid[vals == 0.0]
+    if not (flips.size or exact.size):
         raise EventNotFoundError(f"event {kind!r} not bracketed on span {curve.span}")
-    roots.sort(key=lambda r: (abs(r), -np.sign(r)))
-    return float(roots[0])
+
+    def key(r):
+        return (abs(r), -np.sign(r))
+
+    # a bracket holds no root nearer 0 than the bracket itself, so brackets
+    # are solved nearest first until the next one cannot hold the winner
+    best = min((float(r) for r in exact), key=key, default=None)
+    a, b = grid[flips], grid[flips + 1]
+    near = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(np.abs(a), np.abs(b)))
+    for n in np.argsort(near, kind="stable"):
+        if best is not None and near[n] > abs(best):
+            break
+        root = brentq(lambda s: float(fn(s)), a[n], b[n], xtol=tol)
+        best = root if best is None else min(best, root, key=key)
+    return float(best)

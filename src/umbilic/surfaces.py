@@ -24,13 +24,12 @@ import numpy as np
 
 from .geometry import (
     ModelGeometry,
-    _matvec,
-    christoffel_contract,
-    christoffels,
+    connection,
     cross,
     h2xr,
     inner,
     isometry_jet,
+    lowering,
     metric_at,
     norm,
     s2xr,
@@ -515,12 +514,13 @@ def _dot(a, b):
 
 
 def _forms_from_jet(space, j, orient):
+    """I, II, the unit normal N, its lowered form gN and det I of a jet."""
     X, Xu, Xv = j["X"], j["Xu"], j["Xv"]
-    g = metric_at(space, X)
-    gXu = _matvec(g, Xu)
+    lower = lowering(space, X)
+    gXu = lower(Xu)
     E = _dot(Xu, gXu)
     F = _dot(Xv, gXu)
-    gXv = _matvec(g, Xv)
+    gXv = lower(Xv)
     G = _dot(Xv, gXv)
     I = np.stack(
         [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
@@ -529,26 +529,26 @@ def _forms_from_jet(space, j, orient):
 
     factor = np.expand_dims(orient * np.asarray(j.get("orient_sign", 1.0)), -1)
     n_raw = cross(space, X, Xu, Xv) * factor
-    gn = _matvec(g, n_raw)
+    gn = lower(n_raw)
     n_len = np.sqrt(_dot(n_raw, gn))
     safe = np.where(n_len > 0, n_len, 1.0)[..., None]
     N = n_raw / safe
     gN = gn / safe
 
-    Gamma = christoffels(space, X)
+    gamma = connection(space, X)
     if "normal" in j:
         # Weingarten: II_ab = -<nabla_{X_a} n, X_b> with n the jet's normal
         # field, made unit and oriented like N.  A normal field from a
         # discrete flow is normal up to its truncation error, so the mixed
         # term is symmetrized.
         n = j["normal"] * factor
-        gn = _matvec(g, n)
+        gn = lower(n)
         scale = np.sqrt(_dot(n, gn))[..., None]
         n, gn = n / scale, gn / scale
 
         def dn(n_a, Xa):
             # nabla_{X_a} of the unit field, from the partials of j["normal"]
-            d = n_a * factor / scale + christoffel_contract(Gamma, Xa, n)
+            d = n_a * factor / scale + gamma(Xa, n)
             return d - _dot(d, gn)[..., None] * n
 
         dn_u, dn_v = dn(j["normal_u"], Xu), dn(j["normal_v"], Xv)
@@ -557,7 +557,7 @@ def _forms_from_jet(space, j, orient):
         Nn = -_dot(dn_v, gXv)
     else:
         def second(Xa, Xb, Xab):
-            return _dot(Xab + christoffel_contract(Gamma, Xa, Xb), gN)
+            return _dot(Xab + gamma(Xa, Xb), gN)
 
         L = second(Xu, Xu, j["Xuu"])
         M = second(Xu, Xv, j["Xuv"])
@@ -565,7 +565,7 @@ def _forms_from_jet(space, j, orient):
     II = np.stack(
         [np.stack([L, M], axis=-1), np.stack([M, Nn], axis=-1)], axis=-2
     )
-    return I, II, N, det_I
+    return I, II, N, gN, det_I
 
 
 def fundamental_forms(patch: SurfacePatch, u, v, h=None):
@@ -578,7 +578,7 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
     U = np.asarray(u, dtype=float)
     V = np.asarray(v, dtype=float)
     j = _jet_arrays(patch, U, V, h=h)
-    I, II, N, det_I = _forms_from_jet(patch.space, j, patch.orient)
+    I, II, N, _, det_I = _forms_from_jet(patch.space, j, patch.orient)
     if np.any(det_I <= IMMERSION_FLOOR):
         bad = np.argwhere(np.atleast_1d(det_I) <= IMMERSION_FLOOR).ravel()
         raise ImmersionError(
@@ -686,7 +686,7 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     """
     space = patch.space
     j = _jet_arrays(patch, U, V, h=h)
-    I, II, N, det_I = _forms_from_jet(space, j, patch.orient)
+    I, II, N, gN, det_I = _forms_from_jet(space, j, patch.orient)
     X = j["X"]
     orbit_speed = np.sqrt(I[..., 1, 1])
     included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
@@ -696,10 +696,11 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
 
     nu = T = JT = None
     if space.has_vertical_field or space.kind == "sol":
-        # d_z: the vertical Killing field, or Sol's unit frame field E3
+        # d_z: the vertical Killing field, or Sol's unit frame field E3;
+        # nu = <N, d_z> is the z-component of the lowered normal
         xi = np.zeros_like(X)
         xi[..., 2] = 1.0
-        nu = inner(space, X, N, xi)
+        nu = gN[..., 2]
         T = xi - nu[..., None] * N
         JT = cross(space, X, N, T)
 
@@ -805,13 +806,13 @@ def _slice_geodesic_curvature(space, chart2d, vs, dv):
     half = dv / 2.0
     P = chart2d(np.concatenate([vs, vs + dv, vs - dv, vs + half, vs - half]))
     c0, cp, cm, hp, hm = np.split(P, 5)
-    Gamma = christoffels(space, c0)
+    gamma = connection(space, c0)
     xi = vertical_field(space, c0)
 
     def kg(cp, cm, step):
         vel = (cp - cm) / (2.0 * step)
         acc2 = (cp - 2.0 * c0 + cm) / step**2
-        acc = acc2 + christoffel_contract(Gamma, vel, vel)
+        acc = acc2 + gamma(vel, vel)
         speed2 = inner(space, c0, vel, vel)
         n_in = cross(space, c0, xi, vel)
         n_len = norm(space, c0, n_in)

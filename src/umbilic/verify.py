@@ -20,8 +20,7 @@ import numpy as np
 from .geometry import (
     ModelGeometry,
     _geodesic_rhs,
-    christoffel_contract,
-    christoffels,
+    connection,
     cross,
     curvature_tensor,
     h2xr,
@@ -129,7 +128,7 @@ def check_killing(space: ModelGeometry, grid=(32, 16), seed=0) -> IdentityCheck:
     rng = np.random.default_rng(seed + 1)
     X = rng.normal(size=(n, 3))
     X /= norm(space, p, X)[:, None]
-    nabla = christoffel_contract(christoffels(space, p), X, xi)
+    nabla = connection(space, p)(X, xi)
     resid = norm(space, p, nabla - space.tau * cross(space, p, X, xi))
     return IdentityCheck("killing", (n_u, n_v), _stats(resid))
 
@@ -159,13 +158,13 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
     dE[0, ..., 0] = -np.exp(-z)
     dE[1, ..., 1] = np.exp(z)
     table = {(0, 0): -E[2], (0, 2): E[0], (1, 1): E[2], (1, 2): -E[1]}
-    G = christoffels(space, X)
+    gamma = connection(space, X)
     frame_resid = []
     for i in range(3):
         for j in range(3):
             # nabla_{E_i} E_j; frame fields depend on z only
             flow = E[i][..., 2:3] * dE[j]
-            conn = christoffel_contract(G, E[i], E[j])
+            conn = gamma(E[i], E[j])
             want = table.get((i, j), 0.0)
             frame_resid.append(norm(space, X, flow + conn - want))
     frame = IdentityCheck("sol_frame_table", (n_u, n_v),
@@ -257,8 +256,7 @@ def _covariant_along(space, st, W, name):
     w1, w2 = _tangent_components(space, f, W)
     Au, Av = st.partials(name)
     flow = w1[..., None] * Au + w2[..., None] * Av
-    G = christoffels(space, f.X)
-    return flow + christoffel_contract(G, W, getattr(f, name))
+    return flow + connection(space, f.X)(W, getattr(f, name))
 
 
 def _bracket(space, st):

@@ -3,14 +3,40 @@
 ``exp_map`` integrates one geodesic with scipy's DOP853 at a tight
 tolerance.  The closed-form slab map (``test_conformal``) and the geodesic
 fan (``test_geometry``) are checked against it.
+
+``christoffel_contract`` contracts two vectors against the dense
+Christoffel tensor, and ``_matvec`` multiplies by a dense matrix; the sparse
+kernels of ``umbilic.geometry`` are checked against them.
+
+``find_event_all_roots`` solves every bracketed sign change of a profile
+event and keeps the root nearest 0; ``umbilic.profiles.find_event``, which
+solves only the brackets that can hold that root, is checked against it.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from umbilic.geometry import ModelGeometry, _check_domain, _geodesic_rhs
 
 GEODESIC_RTOL = 1e-12
+
+
+def _matvec(A, v):
+    """A[..., k, j] v[..., j] for (k x 3) blocks, by explicit components."""
+    v = np.asarray(v)
+    return (A[..., 0] * v[..., None, 0] + A[..., 1] * v[..., None, 1]
+            + A[..., 2] * v[..., None, 2])
+
+
+def christoffel_contract(G, a, b) -> np.ndarray:
+    """Gamma(a, b)^l = Gamma^l_ij a^i b^j for Christoffel symbols G at the points of a, b.
+
+    The j sum runs as one matmul over the nine (l, i) rows of each point.
+    """
+    b = np.asarray(b)
+    Gb = (G.reshape(G.shape[:-3] + (9, 3)) @ b[..., None])[..., 0]
+    return _matvec(Gb.reshape(Gb.shape[:-1] + (3, 3)), a)
 
 
 class GeodesicEscapeError(RuntimeError):
@@ -71,3 +97,23 @@ def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarra
     if not sol_.success:
         raise RuntimeError(f"geodesic integration failed: {sol_.message}")
     return sol_.y[:3, -1]
+
+
+def find_event_all_roots(curve, kind, value=None, tol=1e-13) -> float:
+    """Root nearest 0 (ties to s >= 0) of a plane-profile or Sol-graph event,
+    from a solve of every sign change on the curve's sample grid."""
+    if kind == "rho_prime_zero":
+        field, target = ("z_y" if curve.kind == "sol" else "rho_s"), 0.0
+    else:
+        field, target = "rho", float(value)
+    fn = lambda s: curve.jet(s)[field] - target
+    grid = curve.s
+    lo, hi = curve.span
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    vals = np.asarray(fn(grid))
+    roots = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
+    sgn = np.sign(vals)
+    for i in np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]:
+        roots.append(brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=tol))
+    roots.sort(key=lambda r: (abs(r), -np.sign(r)))
+    return float(roots[0])

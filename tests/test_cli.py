@@ -97,6 +97,49 @@ def test_gen_ply_builds_one_curvature_report(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+GEN_PARAMS = {"a-lt-1": 0.6, "a-gt-1": 1.5, "elliptic": 1.0, "hyperbolic": 0.5,
+              "fa": 1.0}
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_gen_mesh_takes_its_vertices_from_the_report(capsys, tmp_path, monkeypatch, fmt):
+    # the mesh vertices are the report's X, so the patch chart is never
+    # called; the files match a mesh built through the chart byte for byte
+    from umbilic.families import FamilyDefinition, catalog_rows
+    from umbilic.meshes import write_obj, write_ply
+
+    built = []
+    original = FamilyDefinition.build
+
+    def build(self, param=None):
+        curve, patch = original(self, param)
+        built.append((patch, patch.chart))
+
+        def blocked(U, V):
+            raise AssertionError(f"{patch.name}: chart evaluated for the mesh")
+
+        patch.chart = blocked
+        return curve, patch
+
+    monkeypatch.setattr(FamilyDefinition, "build", build)
+    for row in catalog_rows():
+        key = row["cli_key"]
+        param = ["--param", str(GEN_PARAMS[key])] if key in GEN_PARAMS else []
+        out = tmp_path / f"{row['space']}-{key}.{fmt}"
+        rc, _, err = _run(capsys, ["gen", "--space", row["space"], "--family", key,
+                                   *param, "--grid", "16x12", "--out", str(out)])
+        assert rc == 0, err
+        patch, chart = built[-1]
+        patch.chart = chart
+        ref = tmp_path / f"ref.{fmt}"
+        if fmt == "obj":
+            write_obj(ref, patch, 16, 12)
+        else:
+            write_ply(ref, patch, 16, 12, quality="defect")
+        assert out.read_bytes() == ref.read_bytes(), row["family"]
+    assert len(built) == 12
+
+
 def test_gen_json_stdout(capsys):
     rc, out, _ = _run(capsys, [
         "gen", "--space", "s2xr", "--family", "a-eq-1", "--format", "json"])

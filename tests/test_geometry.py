@@ -12,7 +12,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from oracles import GEODESIC_RTOL, GeodesicEscapeError, exp_map
+from oracles import (
+    GEODESIC_RTOL,
+    GeodesicEscapeError,
+    _matvec,
+    christoffel_contract,
+    exp_map,
+)
 from umbilic.geometry import (
     ChartDomainError,
     IllFormedIsometryError,
@@ -23,6 +29,7 @@ from umbilic.geometry import (
     chart_contains,
     christoffel_deriv,
     christoffels,
+    connection,
     cross,
     curvature_tensor,
     h2xr,
@@ -31,6 +38,7 @@ from umbilic.geometry import (
     inner,
     inverse_metric,
     isometry_jet,
+    lowering,
     m3,
     metric_at,
     norm,
@@ -45,6 +53,7 @@ from umbilic.geometry import (
     slice_reflection,
     vertical_field,
     vertical_shift,
+    volume_factor,
 )
 from umbilic.verify import sample_points
 
@@ -92,6 +101,15 @@ def test_chart_domains():
     assert not chart_contains(h3(), [0.0, 0.0, -0.1])
     with pytest.raises(ChartDomainError):
         metric_at(h3(), np.array([0.0, 0.0, 0.0]))
+    # the sparse kernels check their points too
+    outside = [(h3(), [0.0, 0.0, -0.1]), (h2xr(-1.0), [1.1, 0.0, 0.0]),
+               (m3(-1.0, 1.0), [2.5, 0.0, 0.0])]
+    for space, p in outside:
+        p, e = np.array(p), np.array([1.0, 0.0, 0.0])
+        for kernel in (lambda: connection(space, p), lambda: lowering(space, p),
+                       lambda: cross(space, p, e, e)):
+            with pytest.raises(ChartDomainError):
+                kernel()
 
 
 def test_space_parameter_validation():
@@ -216,6 +234,21 @@ def test_closed_form_connection_matches_koszul_oracle(space):
     assert_allclose(inverse_metric(space, p) @ metric_at(space, p),
                     np.broadcast_to(np.eye(3), (64, 3, 3)), atol=1e-12)
     assert_relative(christoffel_deriv(space, p), koszul_christoffel_deriv(space, p))
+
+    # the sparse kernels: the connection against the Koszul contraction,
+    # and, bit for bit, against the dense products they replace
+    assert_relative(connection(space, p)(X, Y), np.einsum(
+        "...lij,...i,...j->...l", koszul_christoffels(space, p), X, Y))
+    pc, Xc, Yc = (w + 1e-3j * np.random.default_rng(13).standard_normal(w.shape)
+                  for w in (p, X, Y))
+    assert np.array_equal(connection(space, pc)(Xc, Yc),
+                          christoffel_contract(christoffels(space, pc), Xc, Yc))
+    assert np.array_equal(lowering(space, p)(X), _matvec(metric_at(space, p), X))
+    euclid = np.stack([X[:, 1] * Y[:, 2] - X[:, 2] * Y[:, 1],
+                       X[:, 2] * Y[:, 0] - X[:, 0] * Y[:, 2],
+                       X[:, 0] * Y[:, 1] - X[:, 1] * Y[:, 0]], axis=-1)
+    assert np.array_equal(cross(space, p, X, Y), _matvec(
+        inverse_metric(space, p), volume_factor(space, p)[..., None] * euclid))
 
 
 # --- connection and curvature ----------------------------------------------

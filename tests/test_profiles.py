@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from oracles import find_event_all_roots
 from umbilic.elliptic import elliptic_K, jacobi_am
 from umbilic.profiles import (
     EventNotFoundError,
@@ -207,6 +208,31 @@ def test_find_event_examples():
 
     # the parabolic profile turns at s = 0
     assert abs(find_event(h2xr_parabolic_profile(), "rho_prime_zero")) < 1e-12
+
+
+# the C03/C04 profiles and the C10 classifier parameters, each with the
+# events its period data or slice levels come from
+EVENT_CASES = (
+    [(f"s2xr({a})", lambda a=a: s2xr_profile(a), "rho_hits", np.pi)
+     for a in (0.3, 0.6, 0.9)]
+    + [(f"s2xr({a})", lambda a=a: s2xr_profile(a), kind, value)
+       for a in (1.5, 3.0) for kind, value in (("rho_prime_zero", None), ("rho_hits", 0.2))]
+    + [(f"elliptic({b})", lambda b=b: h2xr_elliptic_profile(b), kind, value)
+       for b in (0.5, 1.0, 2.0)
+       for kind, value in (("rho_prime_zero", None), ("rho_hits", 0.3))]
+    + [("parabolic", h2xr_parabolic_profile, "rho_prime_zero", None)]
+    + [(f"hyperbolic({c})", lambda c=c: h2xr_hyperbolic_profile(c), kind, value)
+       for c in (0.25, 0.5, 0.75)
+       for kind, value in (("rho_prime_zero", None), ("rho_hits", -0.2))]
+    + [("sol(1)", lambda: sol_profile(1.0), "rho_prime_zero", None)]
+)
+
+
+@pytest.mark.parametrize("name, build, kind, value", EVENT_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in EVENT_CASES])
+def test_find_event_matches_the_all_roots_oracle(name, build, kind, value):
+    curve = build()
+    assert find_event(curve, kind, value) == find_event_all_roots(curve, kind, value)
 
 
 def test_find_event_error_paths():

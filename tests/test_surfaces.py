@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import christoffel_contract
 from umbilic.families import build_family
 from umbilic.geometry import (
-    christoffel_contract,
     christoffels,
     cross,
     h2xr,
@@ -498,7 +498,7 @@ def _scalar_classify(patch, level, n_v=64):
 
     space = patch.space
     j = patch.jet(us, vs)
-    _, _, N, _ = _forms_from_jet(space, j, patch.orient)
+    _, _, N, _, _ = _forms_from_jet(space, j, patch.orient)
     nu = inner(space, j["X"], N, vertical_field(space, j["X"]))
 
     dv = 1e-3 * (v1 - v0)
@@ -605,3 +605,38 @@ def test_orbit_surface_rejects_mismatched_actions(family):
 def test_synthetic_profile_rejects_unknown_variant():
     with pytest.raises(ValueError):
         synthetic_profile("s2xr", "diagonal")
+
+
+def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
+    # the surface fields and the geodesic right-hand side contract vectors
+    # against the closed-form components; the dense tensors stay for the
+    # curvature tensor and for callers outside these paths
+    import sys
+
+    import umbilic.geometry as geometry
+    from umbilic.families import build_family
+    from umbilic.verify import geodesic_sphere_patch
+
+    patches = [build_family(name, param)[1] for name, param in (
+        ("H2xR_elliptic", 1.0), ("S2xR_a_lt_1", 0.6), ("Sol_Fa", 1.0))]
+    patches.append(rotational_graph_patch(m3(1.0, 0.5), [0.3, -0.2, 0.1]))
+    patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8, n_steps=12))
+    for name in ("christoffels", "metric_at"):
+        original = getattr(geometry, name)
+
+        def blocked(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("umbilic")
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, blocked)
+    with pytest.raises(AssertionError, match="christoffels called"):
+        geometry.riemann(h3(), np.array([0.0, 0.0, 1.0]))
+    for patch in patches:
+        rep = surface_fields(patch, *patch.grid(8, 6))
+        assert np.all(np.isfinite(rep.defect[rep.included]))
+    state = np.array([0.1, -0.2, 0.3, 0.5, 0.4, -0.3])
+    for space in (m3(1.0, 0.5), h2xr(-1.0), sol(), h3()):
+        assert np.all(np.isfinite(geometry._geodesic_rhs(space, state)))
+        assert np.all(np.isfinite(geometry._geodesic_rhs(space, state + 1e-20j)))
