@@ -111,73 +111,67 @@ def _jacobi_ode(u, m):
     return out  # columns sn, cn, dn, am
 
 
-def _snam(u, m):
-    """(sn, am) for any real u and m < 1 or m > 1, via reductions."""
-    u = np.asarray(u, dtype=float)
+def _jacobi(u, m):
+    """(sn, cn, dn, am) for real u and any real m, via reductions."""
     if abs(m) > ODE_FALLBACK_PARAMETER:
         vals = _jacobi_ode(u, m)
-        return vals[:, 0].reshape(u.shape), vals[:, 3].reshape(u.shape)
+        return tuple(vals[:, k].reshape(u.shape) for k in range(4))
     if m == 1.0:
-        return np.tanh(u), 2.0 * np.arctan(np.exp(u)) - np.pi / 2.0
+        sech = 1.0 / np.cosh(u)
+        return np.tanh(u), sech, sech, 2.0 * np.arctan(np.exp(u)) - np.pi / 2.0
     if m > 1.0:
-        # reciprocal modulus: the amplitude oscillates, |sn| <= 1/sqrt(m)
+        # reciprocal modulus: the amplitude oscillates, |sn| <= 1/sqrt(m),
+        # and cn, dn trade places
         rm = np.sqrt(m)
-        sn_r, _ = _snam(u * rm, 1.0 / m)
+        sn_r, cn_r, dn_r, _ = _jacobi(u * rm, 1.0 / m)
         sn = sn_r / rm
-        return sn, np.arcsin(sn)
+        return sn, dn_r, cn_r, np.arcsin(sn)
+    n, w = _reduce(u, elliptic_K(m))
+    sign = 1.0 - 2.0 * np.mod(n, 2.0)
     if m < 0.0:
-        mu = -m
-        mu1 = mu / (1.0 + mu)
-        v = u * np.sqrt(1.0 + mu)
-        sn_v, am_v = _snam(v, mu1)
-        dn_v = np.sqrt(1.0 - mu1 * sn_v**2)
-        sn = sn_v / (np.sqrt(1.0 + mu) * dn_v)
-        K = elliptic_K(m)
-        n, w = _reduce(u, K)
-        w_v = w * np.sqrt(1.0 + mu)
-        sn_w, _ = _snam(w_v, mu1)
-        dn_w = np.sqrt(1.0 - mu1 * sn_w**2)
-        am = n * np.pi + np.arcsin(
-            np.clip(sn_w / (np.sqrt(1.0 + mu) * dn_w), -1.0, 1.0)
-        )
-        return sn, am
-    # m in (0, 1)
-    K = elliptic_K(m)
-    n, w = _reduce(u, K)
+        # imaginary modulus: at v = w sqrt(1 - m) and parameter -m / (1 - m),
+        # sn = sd / sqrt(1 - m), cn = cd, dn = nd; the amplitude is read off
+        # (sn, cn) by atan2, which stays exact where |sn| -> 1
+        r = np.sqrt(1.0 - m)
+        sn_v, cn_v, dn_v, _ = _jacobi(w * r, -m / (1.0 - m))
+        return (sign * sn_v / (r * dn_v), sign * cn_v / dn_v, 1.0 / dn_v,
+                n * np.pi + np.arctan2(sn_v / r, cn_v))
+    # m in [0, 1): u = 2nK + w shifts the amplitude by n pi, and
+    # dn^2 = cn^2 + (1 - m) sn^2 does not cancel as m -> 1
     phi = _am_core(w, m)
-    am = n * np.pi + phi
-    return np.sin(am), am
+    sn_w, cn_w = np.sin(phi), np.cos(phi)
+    return (sign * sn_w, sign * cn_w, np.sqrt(cn_w**2 + (1.0 - m) * sn_w**2),
+            n * np.pi + phi)
+
+
+def ellipj(u, m: float):
+    """(sn, cn, dn, am) at real u, any real parameter m, from one pass.
+
+    The order is that of ``scipy.special.ellipj``.  For m > 1, dn changes
+    sign with cn(u sqrt(m) | 1/m) and the amplitude oscillates.
+    """
+    u = np.asarray(u, dtype=float)
+    out = _jacobi(u, float(m))
+    return out if u.ndim else tuple(float(v) for v in out)
 
 
 def jacobi_am(u, m: float):
     """Jacobi amplitude am(u, m), real u, any real parameter m.
 
-    Satisfies am' = sqrt(1 - m sin^2 am) with am(0) = 0; for m < 1 it winds
+    Satisfies am' = dn(u, m) with am(0) = 0; for m < 1 it winds
     (am(u + 2K) = am(u) + pi), for m > 1 it oscillates with amplitude
     arcsin(1/sqrt(m)).
     """
-    u = np.asarray(u, dtype=float)
-    _, am = _snam(u, float(m))
-    return am if u.ndim else float(am)
+    return ellipj(u, m)[3]
 
 
 def jacobi_sn(u, m: float):
-    u = np.asarray(u, dtype=float)
-    sn, _ = _snam(u, float(m))
-    return sn if u.ndim else float(sn)
+    return ellipj(u, m)[0]
 
 
 def jacobi_cn(u, m: float):
-    u = np.asarray(u, dtype=float)
-    sn, am = _snam(u, float(m))
-    cn = np.cos(am)
-    # cos(am) and the identity branch agree for every reduction used here;
-    # trust the amplitude, which carries the winding.
-    return cn if u.ndim else float(cn)
+    return ellipj(u, m)[1]
 
 
 def jacobi_dn(u, m: float):
-    u = np.asarray(u, dtype=float)
-    sn, _ = _snam(u, float(m))
-    dn = np.sqrt(np.maximum(1.0 - float(m) * sn**2, 0.0))
-    return dn if u.ndim else float(dn)
+    return ellipj(u, m)[2]

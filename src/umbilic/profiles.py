@@ -13,10 +13,22 @@ and the tangent angle driven by the family's shape equation:
     h2xr hyperbolic family (0 < c < 1):   theta' = c sinh(rho)
 
 Each system conserves a first integral (sin theta = a sin rho, b sinh rho,
-c cosh rho respectively), so the square-root form rho' = sqrt(1 - a^2 sin^2
-rho) is never evaluated and turning points need no branch switching.  Closed
-forms replace the integrator where they exist (a = 1 and the parabolic
-family).
+c cosh rho respectively), which makes every profile a closed form: a = 1 and
+the parabolic family in elementary functions, the other four in Jacobi
+elliptic functions of parameter m (sn, cn, dn, am from
+:func:`umbilic.elliptic.ellipj`, K = K(m)):
+
+    s2xr, a < 1 (m = a^2, u = s):       rho = am, theta = arcsin(a sn),
+        t = log((1 + a) / (dn + a cn));  s1 = 2K
+    s2xr, a > 1 (m = 1/a^2, u = a s):   theta = am, rho = arcsin(sn / a),
+        t = log((1 + 1/a) / (dn + cn / a));  delta = K / a
+    h2xr elliptic (m = -1/b^2, u = b s): theta = am, rho = arcsinh(sn / b),
+        t = arcsin(k) - arcsin(k cn), k = (1 + b^2)^{-1/2};  delta = K / b
+    h2xr hyperbolic (m = -(1 - c^2)/c^2, u = c s, beta = sqrt(1 - c^2)/c):
+        rho = arcsinh(beta sn), t = am, rho' = sqrt(1 - c^2) cn,
+        theta = atan2(c cosh rho, rho');  delta = K / c
+
+Turning points sit at u = K, so periods need no event search.
 
 The Sol family is a graph z(y) over the y-axis in the plane {x = 0},
 
@@ -36,12 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elliptic import ellipj, elliptic_K
+
 PROFILE_RTOL = 1e-10
 PROFILE_ATOL = 1e-12
 Z_CLIP = -30.0
-
-_CHUNK = 20.0
-_MAX_SPAN = 2000.0
 
 
 class EventNotFoundError(RuntimeError):
@@ -135,84 +146,11 @@ def principal_curvature_normal_part(kind, rho, theta, param):
     raise ValueError(kind)
 
 
-def _integrate_plane(kind, param, theta0, want_event, span, rtol, atol):
-    """Integrate the (rho, t, theta) system symmetrically around s = 0.
+def _plane_jet(kind, param, state):
+    """Jet of a plane profile from its (rho, t, theta) evaluator."""
 
-    ``want_event`` is None or a callable state -> scalar whose first positive
-    root sizes the default span (the span then covers ~5 of those units).
-    """
-
-    def rhs(_, y):
-        rho, t, theta = y
-        return [np.cos(theta), np.sin(theta), _SHAPE_RATE[kind](rho, theta, param)]
-
-    y0 = [0.0, 0.0, theta0]
-    if span is not None:
-        smax = 0.5 * (span[1] - span[0])
-        legs = [_solve_leg(rhs, y0, smax, rtol, atol), _solve_leg(rhs, y0, -smax, rtol, atol)]
-    else:
-        # grow in chunks until the sizing event appears, then cover 5.5x it
-        smax = _CHUNK
-        while True:
-            fwd = _solve_leg(rhs, y0, smax, rtol, atol)
-            s_evt = _first_event(fwd, want_event) if want_event else None
-            if want_event is None or s_evt is not None:
-                break
-            smax += _CHUNK
-            if smax > _MAX_SPAN:
-                raise RuntimeError(f"no sizing event within span {_MAX_SPAN}")
-        if want_event is not None:
-            smax = max(5.5 * s_evt, 10.0)
-            fwd = _solve_leg(rhs, y0, smax, rtol, atol)
-        legs = [fwd, _solve_leg(rhs, y0, -smax, rtol, atol)]
-    fwd, bwd = legs
-
-    def dense(s):
-        s = np.asarray(s, dtype=float)
-        out = np.empty((3,) + s.shape)
-        pos = s >= 0
-        if np.any(pos):
-            out[:, pos] = fwd.sol(s[pos])
-        if np.any(~pos):
-            out[:, ~pos] = bwd.sol(s[~pos])
-        return out
-
-    return dense, smax
-
-
-def _solve_leg(rhs, y0, s_end, rtol, atol):
-    from scipy.integrate import solve_ivp
-
-    res = solve_ivp(
-        rhs,
-        (0.0, s_end),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not res.success:
-        raise RuntimeError(f"profile integration failed: {res.message}")
-    return res
-
-
-def _first_event(leg, fn):
-    from scipy.optimize import brentq
-
-    ts = np.linspace(0.0, leg.t[-1], 2001)
-    vals = fn(leg.sol(ts))
-    sgn = np.sign(vals)
-    flips = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
-    if flips.size == 0:
-        return None
-    i = flips[0]
-    return brentq(lambda s: float(fn(leg.sol(s))), ts[i], ts[i + 1], xtol=1e-13)
-
-
-def _plane_jet(kind, param, dense):
     def jet(s):
-        rho, t, theta = dense(s)
+        rho, t, theta = state(s)
         rate = _SHAPE_RATE[kind](rho, theta, param)
         drate = _SHAPE_RATE_DRHO[kind](rho, theta, param)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -272,40 +210,27 @@ def _closed_jet_parabolic(s):
     }
 
 
-def _build_plane_curve(kind, param, theta0, want_event, s_span, method, n_samples, rtol, atol):
-    closed = None
-    if method != "ode":
-        if kind == "s2xr" and param == 1.0:
-            closed = _closed_jet_s2xr_a1
-        elif kind == "h2xr-parabolic":
-            closed = _closed_jet_parabolic
-    if method == "closed" and closed is None:
-        raise ValueError(f"no closed form for {kind} with parameter {param}")
-
-    if closed is not None:
-        smax = 0.5 * (s_span[1] - s_span[0]) if s_span is not None else 12.0
-        jet = closed
+def _build_plane_curve(kind, param, jet, event, s_span, n_samples, period_data):
+    """Sample ``jet`` on a symmetric span: ``s_span``, or by default 5.5
+    sizing events (at least 10; 12 when the profile has no event)."""
+    if s_span is not None:
+        smax = 0.5 * (s_span[1] - s_span[0])
     else:
-        dense, smax = _integrate_plane(kind, param, theta0, want_event, s_span, rtol, atol)
-        jet = _plane_jet(kind, param, dense)
-
+        smax = 12.0 if event is None else max(5.5 * event, 10.0)
     grid = np.linspace(-smax, smax, n_samples)
     j = jet(grid)
-    samples = np.column_stack([grid, j["rho"], j["t"], j["theta"]])
-    curve = GeneratingCurve(
+    return GeneratingCurve(
         kind=kind,
         param=param,
         span=(-smax, smax),
         columns=("s", "rho", "t", "theta"),
-        samples=samples,
-        period_data=None,
+        samples=np.column_stack([grid, j["rho"], j["t"], j["theta"]]),
+        period_data=period_data,
         _jet=jet,
     )
-    return curve
 
 
-def s2xr_profile(a, s_span=None, method="auto", n_samples=2001,
-                 rtol=PROFILE_RTOL, atol=PROFILE_ATOL) -> GeneratingCurve:
+def s2xr_profile(a, s_span=None, n_samples=2001) -> GeneratingCurve:
     """Profile of the rotational family in S^2 x R, parameter a > 0.
 
     a < 1 winds (rho increases by 2 pi per period 2 s1), a = 1 is the
@@ -315,53 +240,70 @@ def s2xr_profile(a, s_span=None, method="auto", n_samples=2001,
     a = float(a)
     if not a > 0:
         raise ValueError("a must be positive")
+    if a == 1.0:
+        return _build_plane_curve("s2xr", a, _closed_jet_s2xr_a1, None, s_span,
+                                  n_samples, None)
     if a < 1:
-        want = lambda y: y[0] - np.pi  # rho reaches pi
-    elif a > 1:
-        want = lambda y: y[2] - np.pi / 2.0  # turning point
-    else:
-        want = None
-    curve = _build_plane_curve("s2xr", a, 0.0, want, s_span, method, n_samples, rtol, atol)
-    if a < 1:
-        curve.period_data = PeriodData(s1=find_event(curve, "rho_hits", np.pi))
-    elif a > 1:
-        curve.period_data = PeriodData(delta=find_event(curve, "rho_prime_zero"))
-    return curve
+        m = a * a
+
+        def state(s):
+            sn, cn, dn, am = ellipj(s, m)
+            return am, np.log((1.0 + a) / (dn + a * cn)), np.arcsin(a * sn)
+
+        s1 = 2.0 * elliptic_K(m)
+        return _build_plane_curve("s2xr", a, _plane_jet("s2xr", a, state), s1,
+                                  s_span, n_samples, PeriodData(s1=s1))
+    m = 1.0 / (a * a)
+
+    def state(s):
+        sn, cn, dn, am = ellipj(a * s, m)
+        return np.arcsin(sn / a), np.log((1.0 + 1.0 / a) / (dn + cn / a)), am
+
+    delta = elliptic_K(m) / a
+    return _build_plane_curve("s2xr", a, _plane_jet("s2xr", a, state), delta,
+                              s_span, n_samples, PeriodData(delta=delta))
 
 
-def h2xr_elliptic_profile(b, s_span=None, method="auto", n_samples=2001,
-                          rtol=PROFILE_RTOL, atol=PROFILE_ATOL) -> GeneratingCurve:
+def h2xr_elliptic_profile(b, s_span=None, n_samples=2001) -> GeneratingCurve:
     """Rotational (elliptic) family in H^2 x R, any b > 0; sphere-like."""
     b = float(b)
     if not b > 0:
         raise ValueError("b must be positive")
-    want = lambda y: y[2] - np.pi / 2.0
-    curve = _build_plane_curve("h2xr-elliptic", b, 0.0, want, s_span, method,
-                               n_samples, rtol, atol)
-    curve.period_data = PeriodData(delta=find_event(curve, "rho_prime_zero"))
-    return curve
+    m = -1.0 / (b * b)
+    k = 1.0 / np.sqrt(1.0 + b * b)
+
+    def state(s):
+        sn, cn, _, am = ellipj(b * s, m)
+        return np.arcsinh(sn / b), np.arcsin(k) - np.arcsin(k * cn), am
+
+    delta = elliptic_K(m) / b
+    return _build_plane_curve("h2xr-elliptic", b, _plane_jet("h2xr-elliptic", b, state),
+                              delta, s_span, n_samples, PeriodData(delta=delta))
 
 
-def h2xr_parabolic_profile(s_span=None, method="auto", n_samples=2001,
-                           rtol=PROFILE_RTOL, atol=PROFILE_ATOL) -> GeneratingCurve:
+def h2xr_parabolic_profile(s_span=None, n_samples=2001) -> GeneratingCurve:
     """Parabolic-invariant family in H^2 x R (no parameter; horocycle levels)."""
-    curve = _build_plane_curve("h2xr-parabolic", None, np.pi / 2.0, None,
-                               s_span, method, n_samples, rtol, atol)
-    curve.period_data = PeriodData(delta=0.0)
-    return curve
+    return _build_plane_curve("h2xr-parabolic", None, _closed_jet_parabolic, None,
+                              s_span, n_samples, PeriodData(delta=0.0))
 
 
-def h2xr_hyperbolic_profile(c, s_span=None, method="auto", n_samples=2001,
-                            rtol=PROFILE_RTOL, atol=PROFILE_ATOL) -> GeneratingCurve:
+def h2xr_hyperbolic_profile(c, s_span=None, n_samples=2001) -> GeneratingCurve:
     """Equidistant-invariant family in H^2 x R, parameter 0 < c < 1."""
     c = float(c)
     if not 0 < c < 1:
         raise ValueError("c must lie in (0,1)")
-    want = lambda y: y[2] - np.pi / 2.0
-    curve = _build_plane_curve("h2xr-hyperbolic", c, float(np.arcsin(c)), want,
-                               s_span, method, n_samples, rtol, atol)
-    curve.period_data = PeriodData(delta=find_event(curve, "rho_prime_zero"))
-    return curve
+    m = -(1.0 - c * c) / (c * c)
+    beta = np.sqrt(1.0 - c * c) / c
+
+    def state(s):
+        sn, cn, _, am = ellipj(c * s, m)
+        rho = np.arcsinh(beta * sn)
+        return rho, am, np.arctan2(c * np.cosh(rho), np.sqrt(1.0 - c * c) * cn)
+
+    delta = elliptic_K(m) / c
+    return _build_plane_curve("h2xr-hyperbolic", c,
+                              _plane_jet("h2xr-hyperbolic", c, state), delta,
+                              s_span, n_samples, PeriodData(delta=delta))
 
 
 def sol_profile(a, z_clip=Z_CLIP, n_samples=2001,

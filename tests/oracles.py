@@ -11,6 +11,10 @@ kernels of ``umbilic.geometry`` are checked against them.
 ``find_event_all_roots`` solves every bracketed sign change of a profile
 event and keeps the root nearest 0; ``umbilic.profiles.find_event``, which
 solves only the brackets that can hold that root, is checked against it.
+
+``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
+with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
+profiles of ``umbilic.profiles`` are checked against it.
 """
 
 import numpy as np
@@ -18,8 +22,18 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from umbilic.geometry import ModelGeometry, _check_domain, _geodesic_rhs
+from umbilic.profiles import (
+    PROFILE_ATOL,
+    PROFILE_RTOL,
+    _SHAPE_RATE,
+    _build_plane_curve,
+    _plane_jet,
+)
 
 GEODESIC_RTOL = 1e-12
+
+_CHUNK = 20.0
+_MAX_SPAN = 2000.0
 
 
 def _matvec(A, v):
@@ -117,3 +131,96 @@ def find_event_all_roots(curve, kind, value=None, tol=1e-13) -> float:
         roots.append(brentq(lambda s: float(fn(s)), grid[i], grid[i + 1], xtol=tol))
     roots.sort(key=lambda r: (abs(r), -np.sign(r)))
     return float(roots[0])
+
+
+def _integrate_plane(kind, param, theta0, want_event, span, rtol, atol):
+    """Integrate the (rho, t, theta) system symmetrically around s = 0.
+
+    ``want_event`` is None or a callable state -> scalar whose first positive
+    root sizes the default span (the span then covers ~5 of those units).
+    """
+
+    def rhs(_, y):
+        rho, t, theta = y
+        return [np.cos(theta), np.sin(theta), _SHAPE_RATE[kind](rho, theta, param)]
+
+    y0 = [0.0, 0.0, theta0]
+    if span is not None:
+        smax = 0.5 * (span[1] - span[0])
+        legs = [_solve_leg(rhs, y0, smax, rtol, atol), _solve_leg(rhs, y0, -smax, rtol, atol)]
+    else:
+        # grow in chunks until the sizing event appears, then cover 5.5x it
+        smax = _CHUNK
+        while True:
+            fwd = _solve_leg(rhs, y0, smax, rtol, atol)
+            s_evt = _first_event(fwd, want_event) if want_event else None
+            if want_event is None or s_evt is not None:
+                break
+            smax += _CHUNK
+            if smax > _MAX_SPAN:
+                raise RuntimeError(f"no sizing event within span {_MAX_SPAN}")
+        if want_event is not None:
+            smax = max(5.5 * s_evt, 10.0)
+            fwd = _solve_leg(rhs, y0, smax, rtol, atol)
+        legs = [fwd, _solve_leg(rhs, y0, -smax, rtol, atol)]
+    fwd, bwd = legs
+
+    def dense(s):
+        s = np.asarray(s, dtype=float)
+        out = np.empty((3,) + s.shape)
+        pos = s >= 0
+        if np.any(pos):
+            out[:, pos] = fwd.sol(s[pos])
+        if np.any(~pos):
+            out[:, ~pos] = bwd.sol(s[~pos])
+        return out
+
+    return dense, smax
+
+
+def _solve_leg(rhs, y0, s_end, rtol, atol):
+    res = solve_ivp(
+        rhs,
+        (0.0, s_end),
+        y0,
+        method="DOP853",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+    )
+    if not res.success:
+        raise RuntimeError(f"profile integration failed: {res.message}")
+    return res
+
+
+def _first_event(leg, fn):
+    ts = np.linspace(0.0, leg.t[-1], 2001)
+    vals = fn(leg.sol(ts))
+    sgn = np.sign(vals)
+    flips = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
+    if flips.size == 0:
+        return None
+    i = flips[0]
+    return brentq(lambda s: float(fn(leg.sol(s))), ts[i], ts[i + 1], xtol=1e-13)
+
+
+def ode_plane_profile(kind, param, s_span=None, rtol=PROFILE_RTOL, atol=PROFILE_ATOL):
+    """A plane profile integrated from its start angle at s = 0.
+
+    The default span covers 5.5 sizing events, as for the closed forms:
+    the winding event rho = pi for S2xR a < 1, else the turning point
+    theta = pi/2; a = 1 and the parabolic family have none and need
+    ``s_span``.
+    """
+    theta0, want = 0.0, lambda y: y[2] - np.pi / 2.0  # turning point
+    if kind == "h2xr-parabolic":
+        theta0, want = np.pi / 2.0, None
+    elif kind == "h2xr-hyperbolic":
+        theta0 = float(np.arcsin(param))
+    elif kind == "s2xr" and param == 1.0:
+        want = None
+    elif kind == "s2xr" and param < 1.0:
+        want = lambda y: y[0] - np.pi  # rho reaches pi
+    dense, smax = _integrate_plane(kind, param, theta0, want, s_span, rtol, atol)
+    return _build_plane_curve(kind, param, _plane_jet(kind, param, dense), None,
+                              (-smax, smax), 2001, None)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import ode_plane_profile
 from umbilic.conformal import (
     conformality_check,
     h2xi_to_h3_map,
@@ -75,8 +76,8 @@ def test_c02_closed_forms_and_integrated_odes():
     assert np.max(np.abs(jp["t"] - (2 * np.arctan(np.exp(s)) - np.pi / 2))) < 1e-12
 
     for closed, ode in (
-        (border, s2xr_profile(1.0, s_span=(-10.0, 10.0), method="ode")),
-        (para, h2xr_parabolic_profile(s_span=(-10.0, 10.0), method="ode")),
+        (border, ode_plane_profile("s2xr", 1.0, s_span=(-10.0, 10.0))),
+        (para, ode_plane_profile("h2xr-parabolic", None, s_span=(-10.0, 10.0))),
     ):
         for key in ("rho", "t", "theta"):
             gap = np.max(np.abs(closed.jet(s)[key] - ode.jet(s)[key]))

@@ -51,6 +51,16 @@ SCIPY_FREE = {
                     "--grid", "16x16"], 0),
     "gen-slice": (["gen", "--space", "s2xr", "--family", "slice",
                    "--grid", "16x16"], 0),
+    "gen-a-lt-1": (["gen", "--space", "s2xr", "--family", "a-lt-1",
+                    "--param", "0.5", "--grid", "16x16"], 0),
+    "gen-a-gt-1": (["gen", "--space", "s2xr", "--family", "a-gt-1",
+                    "--param", "2", "--grid", "16x16"], 0),
+    "gen-elliptic": (["gen", "--space", "h2xr", "--family", "elliptic",
+                      "--param", "1", "--grid", "16x16"], 0),
+    "gen-hyperbolic": (["gen", "--space", "h2xr", "--family", "hyperbolic",
+                        "--param", "0.5", "--grid", "16x16"], 0),
+    "product-identities": (["verify", "--suite", "product-identities",
+                            "--grid", "16x16"], 0),
     "conformal-s2xr-r3": (["conformal", "--map", "s2xr-r3"], 0),
 }
 
@@ -64,7 +74,8 @@ def test_command_loads_no_scipy(case):
 
 
 def test_profile_ode_loads_scipy_integrate():
-    run = _probe(["gen", "--space", "s2xr", "--family", "a-lt-1",
-                  "--param", "0.5", "--grid", "16x16"])
+    # the Sol graph is the one profile still integrated
+    run = _probe(["gen", "--space", "sol", "--family", "fa",
+                  "--param", "1", "--grid", "16x16"])
     assert run["rc"] == 0
     assert "scipy.integrate" in run["scipy"]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ellipj
+from scipy.special import ellipj, ellipkinc
 
 from umbilic.elliptic import elliptic_K, jacobi_am, jacobi_cn, jacobi_dn, jacobi_sn
+from umbilic.elliptic import ellipj as umbilic_ellipj
 
 # quadrature oracle: int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt
 K_TABLE = {
@@ -75,6 +76,32 @@ def test_matches_scipy_on_standard_parameter_range():
         assert_allclose(jacobi_cn(u, m), cn, atol=5e-13)
         assert_allclose(jacobi_dn(u, m), dn, atol=5e-13)
         assert_allclose(jacobi_am(u, m), ph, atol=5e-13)
+
+
+@pytest.mark.parametrize("m", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6])
+def test_all_four_functions_match_scipy_across_the_unit_interval(m):
+    u = np.linspace(-8.0, 8.0, 2001)
+    for ours, ref in zip(umbilic_ellipj(u, m), ellipj(u, m)):
+        assert np.max(np.abs(ours - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [-1.0, -4.0, -15.0])
+def test_amplitude_inverts_at_odd_quarter_periods_for_negative_parameter(m):
+    # am = n pi + arcsin(x) lost ~2e-8 here, where x -> +-1
+    K = elliptic_K(m)
+    u = np.concatenate([[K, -K], 3.0 * K + np.array([0.0, 1e-9, -1e-9, 1e-8, -1e-8])])
+    assert np.max(np.abs(ellipkinc(jacobi_am(u, m), m) - u)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2.0, 9.0])
+def test_reciprocal_modulus_above_one(m):
+    # sn(u|m) = sn(v|1/m)/sqrt(m), cn(u|m) = dn(v|1/m), dn(u|m) = cn(v|1/m),
+    # v = u sqrt(m): dn changes sign, cn does not
+    u = np.linspace(-3.0, 3.0, 61)
+    sn, cn, dn, _ = ellipj(u * np.sqrt(m), 1.0 / m)
+    assert_allclose(jacobi_sn(u, m), sn / np.sqrt(m), atol=1e-14)
+    assert_allclose(jacobi_cn(u, m), dn, atol=1e-14)
+    assert_allclose(jacobi_dn(u, m), cn, atol=1e-14)
 
 
 def test_ode_fallback_agrees_with_landen_route():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from oracles import find_event_all_roots
+from oracles import find_event_all_roots, ode_plane_profile
 from umbilic.elliptic import elliptic_K, jacobi_am
 from umbilic.profiles import (
     EventNotFoundError,
@@ -157,10 +157,54 @@ def test_hyperbolic_amplitude_and_shift(c):
     assert np.max(np.abs(jb["t"] - ja["t"] - t_step)) < 1e-8
 
 
+JACOBI_CASES = (
+    [("s2xr", a, s2xr_profile) for a in (0.3, 0.6, 0.9, 1.5, 3.0)]
+    + [("h2xr-elliptic", b, h2xr_elliptic_profile) for b in (0.5, 0.8, 1.0, 2.0)]
+    + [("h2xr-hyperbolic", c, h2xr_hyperbolic_profile) for c in (0.25, 0.5, 0.75)]
+)
+
+
+@pytest.mark.parametrize("kind,param,build", JACOBI_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in JACOBI_CASES])
+def test_jacobi_profiles_match_the_ode_oracle(kind, param, build):
+    curve = build(param)
+    ode = ode_plane_profile(kind, param, rtol=1e-13, atol=1e-14)
+    assert ode.span == pytest.approx(curve.span, abs=1e-10)
+    s = np.linspace(curve.span[0], curve.span[1], 4097)
+    jc, jo = curve.jet(s), ode.jet(np.clip(s, ode.span[0], ode.span[1]))
+    assert set(jc) == set(jo)
+    for key in jc:
+        assert np.max(np.abs(jc[key] - jo[key])) <= 1e-10, key
+
+
+def test_periods_are_positive_and_closed_form():
+    for c in np.arange(1, 20) * 0.05:
+        curve = h2xr_hyperbolic_profile(c)
+        m = -(1.0 - c * c) / (c * c)
+        delta = curve.period_data.delta
+        assert delta > 0 and delta == pytest.approx(elliptic_K(m) / c, rel=1e-14)
+        assert abs(curve.jet(delta)["rho"] - np.arccosh(1.0 / c)) <= 1e-12
+    for b in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0):
+        curve = h2xr_elliptic_profile(b)
+        delta = curve.period_data.delta
+        assert delta > 0 and delta == pytest.approx(elliptic_K(-1.0 / b**2) / b, rel=1e-14)
+        assert abs(curve.jet(delta)["rho"] - np.arcsinh(1.0 / b)) <= 1e-12
+    for a in (0.3, 0.6, 0.9, 1.2, 1.5, 2.0, 3.0, 5.0):
+        curve = s2xr_profile(a)
+        if a < 1:
+            s1 = curve.period_data.s1
+            assert s1 > 0 and s1 == pytest.approx(2.0 * elliptic_K(a * a), rel=1e-14)
+            assert abs(curve.jet(s1)["rho"] - np.pi) <= 1e-12
+        else:
+            delta = curve.period_data.delta
+            assert delta > 0 and delta == pytest.approx(elliptic_K(1.0 / a**2) / a, rel=1e-14)
+            assert abs(curve.jet(delta)["rho"] - np.arcsin(1.0 / a)) <= 1e-12
+
+
 def test_borderline_closed_form_and_ode_agree():
     span = (-8.0, 8.0)
     cf = s2xr_profile(1.0, s_span=span)
-    ode = s2xr_profile(1.0, s_span=span, method="ode")
+    ode = ode_plane_profile("s2xr", 1.0, s_span=span)
     s = np.linspace(-8.0, 8.0, 321)
     for key in ("rho", "t", "theta", "rho_s", "t_s", "theta_s"):
         assert np.max(np.abs(cf.jet(s)[key] - ode.jet(s)[key])) < 1e-8
@@ -182,7 +226,7 @@ def test_parabolic_closed_form_values():
     assert np.max(np.abs(j["t"] - (2 * np.arctan(np.exp(s)) - np.pi / 2))) < 1e-12
     assert np.max(np.abs(j["rho"] + np.log(np.cosh(s)))) < 1e-12
     assert np.max(np.abs(j["rho_s"] + np.tanh(s))) < 1e-12
-    ode = h2xr_parabolic_profile(s_span=(-8.0, 8.0), method="ode")
+    ode = ode_plane_profile("h2xr-parabolic", None, s_span=(-8.0, 8.0))
     sg = np.linspace(-7.5, 7.5, 301)
     assert np.max(np.abs(curve_eval(ode, sg) - curve_eval(curve, sg))) < 1e-8
 

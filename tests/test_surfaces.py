@@ -107,12 +107,29 @@ def test_family_defect_below_tolerance(family, key):
     assert d["max"] < 1e-6
 
 
-@pytest.mark.parametrize("key", ["a_eq", "p", "sol"])
-def test_closed_form_families_have_no_defect_floor(family, key):
-    # closed-form jets leave only rounding in the defect; the discriminant
-    # sqrt(H^2 - K) put a floor of 1.2e-8 to 1.4e-8 under these three
-    _, patches = family
-    assert umbilicity_defect(patches[key], n_u=64, n_v=64)["max"] <= 1e-13
+# every registered family at the C01 parameters
+NO_FLOOR_CASES = (
+    [("a_eq", "S2xR_a_eq_1", None), ("p", "H2xR_parabolic", None),
+     ("sol", "Sol_Fa", 1.0)]
+    + [(f"{name}-{param}", name, param) for name, param in (
+        [("S2xR_slice", None), ("S2xR_cylinder", None)]
+        + [("S2xR_a_lt_1", a) for a in (0.3, 0.6, 0.9)]
+        + [("S2xR_a_gt_1", a) for a in (1.5, 3.0)]
+        + [("H2xR_slice", None), ("H2xR_vertical_plane", None)]
+        + [("H2xR_elliptic", b) for b in (0.5, 1.0, 2.0)]
+        + [("H2xR_hyperbolic", c) for c in (0.25, 0.5, 0.75)]
+        + [("Sol_geodesic_plane", None), ("Sol_Fa", float(np.exp(4.0)))])]
+)
+
+
+@pytest.mark.parametrize("key,name,param", NO_FLOOR_CASES,
+                         ids=[c[0] for c in NO_FLOOR_CASES])
+def test_closed_form_families_have_no_defect_floor(key, name, param):
+    # closed-form jets (elementary or Jacobi) leave only rounding in the
+    # defect; the discriminant sqrt(H^2 - K) put a floor of 1.2e-8 to
+    # 1.4e-8 under the curved families
+    _, patch = build_family(name, param)
+    assert umbilicity_defect(patch, n_u=64, n_v=64)["max"] <= 1e-13
 
 
 def _discriminant_curvatures(I, II):
@@ -197,7 +214,7 @@ def richardson_limit(f, h0, nodes=3, ratio=2.0, order=2):
 def test_axis_limit_of_orbit_curvature_recovers_theta_rate():
     # the orbit-direction curvature has a removable singularity at the axis;
     # its Richardson limit is the profile's angular rate at s = 0
-    curve = s2xr_profile(0.6, rtol=1e-12, atol=1e-14)
+    curve = s2xr_profile(0.6)
     s1 = curve.period_data.s1
     patch = orbit_surface(curve, rotation(1.0), s_range=(0.01, 0.9 * s1))
 
