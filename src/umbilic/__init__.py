@@ -28,7 +28,6 @@ from .meshes import grid_mesh, read_ply, write_curve_csv, write_obj, write_ply
 from .profiles import (
     GeneratingCurve,
     PeriodData,
-    find_event,
     h2xr_elliptic_profile,
     h2xr_hyperbolic_profile,
     h2xr_parabolic_profile,
@@ -95,7 +94,6 @@ __all__ = [
     "curvature_tensor",
     "elliptic_K",
     "family_names",
-    "find_event",
     "fundamental_forms",
     "geodesic_sphere_patch",
     "grid_mesh",

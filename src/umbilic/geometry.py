@@ -334,13 +334,6 @@ def metric_at(space: ModelGeometry, p) -> np.ndarray:
     return _dense(p, _metric_table(space, p), (3, 3))
 
 
-def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
-    """Inverse metric g^ij at p in closed form; broadcasts like :func:`metric_at`."""
-    p = np.asarray(p)
-    _check_domain(space, p)
-    return _dense(p, _inverse_table(space, p), (3, 3))
-
-
 def volume_factor(space: ModelGeometry, p) -> np.ndarray:
     """sqrt(det g) at p in closed form (the chart keeps every factor positive)."""
     p = np.asarray(p)

@@ -55,10 +55,6 @@ PROFILE_ATOL = 1e-12
 Z_CLIP = -30.0
 
 
-class EventNotFoundError(RuntimeError):
-    """The requested event is not bracketed by the curve's sample range."""
-
-
 @dataclass(frozen=True)
 class PeriodData:
     """Distinguished parameters of a profile: events and derived periods.
@@ -415,75 +411,3 @@ def sol_profile(a, z_clip=Z_CLIP, n_samples=2001,
         _aux={"y_of_z": y_of_z, "z_switch": z_switch, "z_clip": z_clip,
               "y_clip": y_clip},
     )
-
-
-# ---------------------------------------------------------------------------
-# event location
-
-_EVENTS = ("rho_prime_zero", "rho_hits", "blow_down")
-
-
-def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> float:
-    """Parameter of the event nearest 0 (ties resolved to s >= 0).
-
-    ``rho_prime_zero``: rho'(s) = 0 (Sol: z'(y) = 0).
-    ``rho_hits``: rho(s) = value.
-    ``blow_down``: z(y) = value (default Z_CLIP; Sol graphs only).
-
-    Raises :class:`EventNotFoundError` when no sign change is bracketed.
-    """
-    from scipy.optimize import brentq
-
-    if kind not in _EVENTS:
-        raise ValueError(f"unknown event kind {kind!r}")
-    if kind == "rho_hits" and value is None:
-        raise ValueError("rho_hits requires a value")
-
-    if curve.kind == "sol":
-        if kind == "rho_hits":
-            raise ValueError("rho_hits applies to plane profiles")
-        if kind == "blow_down":
-            aux = curve._aux
-            target = aux["z_clip"] if value is None else float(value)
-            if target < aux["z_clip"]:
-                raise EventNotFoundError(
-                    f"blow-down level {target} is below the clip {aux['z_clip']}"
-                )
-            if target < aux["z_switch"]:
-                # below the switch the graph is vertical to machine precision
-                # in y; the z-parametrized tail solve IS the refined root
-                return float(aux["y_of_z"](target))
-            fn = lambda s: curve.jet(s)["z"] - target
-        else:
-            fn = lambda s: curve.jet(s)["z_y"]
-    elif kind == "blow_down":
-        raise ValueError("blow_down applies to Sol graphs")
-    elif kind == "rho_prime_zero":
-        fn = lambda s: curve.jet(s)["rho_s"]
-    else:
-        fn = lambda s: curve.jet(s)["rho"] - float(value)
-
-    grid = curve.s
-    lo, hi = curve.span
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    vals = np.asarray(fn(grid))
-    sgn = np.sign(vals)
-    flips = np.nonzero((sgn[1:] * sgn[:-1] < 0))[0]
-    exact = grid[vals == 0.0]
-    if not (flips.size or exact.size):
-        raise EventNotFoundError(f"event {kind!r} not bracketed on span {curve.span}")
-
-    def key(r):
-        return (abs(r), -np.sign(r))
-
-    # a bracket holds no root nearer 0 than the bracket itself, so brackets
-    # are solved nearest first until the next one cannot hold the winner
-    best = min((float(r) for r in exact), key=key, default=None)
-    a, b = grid[flips], grid[flips + 1]
-    near = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(np.abs(a), np.abs(b)))
-    for n in np.argsort(near, kind="stable"):
-        if best is not None and near[n] > abs(best):
-            break
-        root = brentq(lambda s: float(fn(s)), a[n], b[n], xtol=tol)
-        best = root if best is None else min(best, root, key=key)
-    return float(best)

@@ -13,7 +13,7 @@ from zero exactly when no umbilic surface exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -28,11 +28,9 @@ from .geometry import (
     m3,
     norm,
     s2xr,
-    sol,
     vertical_field,
 )
 from .surfaces import (
-    CurvatureReport,
     ImmersionError,
     SurfacePatch,
     surface_fields,
@@ -138,10 +136,14 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
     """Frame table, curvature formula, and the [T,JT](lambda) law on Sol."""
     if patch.space.kind != "sol":
         raise ValueError("these identities live in the Sol group")
-    n_u, n_v = _require_grid(grid)
-    f = surface_fields(patch, *patch.grid(n_u, n_v))
-    _require_umbilic(patch, f)
-    space, X = patch.space, f.X
+    return _sol_identities(_Stencil(patch, grid, fd_step), seed)
+
+
+def _sol_identities(st, seed):
+    f = st.f
+    _require_umbilic(st.patch, f)
+    space, X = st.patch.space, f.X
+    n_u, n_v = st.grid
     z = X[..., 2]
     shape = z.shape
 
@@ -191,7 +193,6 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
 
     # [T, JT](lambda) = 8 alpha beta with (alpha, beta) the horizontal frame
     # components of T
-    st = _Stencil(patch, f, fd_step)
     lam_u, lam_v = st.partials("umbilicity_factor")
     b1, b2 = _tangent_components(space, f, _bracket(space, st))
     lie = b1 * lam_u + b2 * lam_v
@@ -219,28 +220,48 @@ def _steps(patch, fd_step):
 
 
 class _Stencil:
-    """Surface fields at a grid and at its four shifts U +- hu, V +- hv.
+    """Surface fields of a patch on a grid, and at its four shifts U +- hu, V +- hv.
 
-    Built once per check from the center report ``f``; every derivative a
-    check takes reads these five evaluations.
+    The center report ``f`` is evaluated here.  The four shifts are
+    evaluated on first use of :meth:`partials` or :attr:`ok`, in one
+    :func:`surface_fields` call on a stacked (4, n_u, n_v) grid, of which
+    only the fields the checks difference are kept.  The curvature term
+    R(X_u, X_v)N is likewise computed once, on first use.  ``run_suite``
+    builds one stencil per patch and hands it to every check on that patch.
     """
 
-    def __init__(self, patch: SurfacePatch, f: CurvatureReport, fd_step=None):
-        self.f = f
-        self.hu, self.hv = hu, hv = _steps(patch, fd_step)
-        U, V = f.U, f.V
-        self.up = surface_fields(patch, U + hu, V)
-        self.um = surface_fields(patch, U - hu, V)
-        self.vp = surface_fields(patch, U, V + hv)
-        self.vm = surface_fields(patch, U, V - hv)
-        # admissible at the center and at every shift
-        self.ok = (self.up.included & self.um.included & self.vp.included
-                   & self.vm.included & f.included)
+    SHIFTED_FIELDS = ("umbilicity_factor", "nu", "T", "JT", "included")
+
+    def __init__(self, patch: SurfacePatch, grid, fd_step=None):
+        self.patch = patch
+        self.grid = n_u, n_v = _require_grid(grid)
+        self.f = surface_fields(patch, *patch.grid(n_u, n_v))
+        self.hu, self.hv = _steps(patch, fd_step)
+
+    @cached_property
+    def _shifted(self):
+        # the fields at U + hu, U - hu, V + hv, V - hv, stacked on axis 0
+        U, V, hu, hv = self.f.U, self.f.V, self.hu, self.hv
+        rep = surface_fields(self.patch, np.stack([U + hu, U - hu, U, U]),
+                             np.stack([V, V, V + hv, V - hv]))
+        return {name: getattr(rep, name) for name in self.SHIFTED_FIELDS}
+
+    @cached_property
+    def ok(self):
+        """Admissible at the center and at every shift."""
+        inc = self._shifted["included"]
+        return inc[0] & inc[1] & inc[2] & inc[3] & self.f.included
+
+    @cached_property
+    def curvature(self):
+        """R(X_u, X_v)N at the center."""
+        f = self.f
+        return curvature_tensor(self.patch.space, f.X, f.Xu, f.Xv, f.N)
 
     def partials(self, name):
         """Centered differences of the field ``name`` along u and along v."""
-        return ((getattr(self.up, name) - getattr(self.um, name)) / (2.0 * self.hu),
-                (getattr(self.vp, name) - getattr(self.vm, name)) / (2.0 * self.hv))
+        s = self._shifted[name]
+        return (s[0] - s[1]) / (2.0 * self.hu), (s[2] - s[3]) / (2.0 * self.hv)
 
 
 def _tangent_components(space, f, W):
@@ -290,14 +311,16 @@ def check_curvature_commutator(space: ModelGeometry, patch: SurfacePatch,
     flip, so the residual is orientation-independent.
     """
     _check_space(space, patch)
-    n_u, n_v = _require_grid(grid)
-    f = surface_fields(patch, *patch.grid(n_u, n_v))
-    _require_umbilic(patch, f)
-    lam_u, lam_v = _Stencil(patch, f, fd_step).partials("umbilicity_factor")
-    lhs = curvature_tensor(space, f.X, f.Xu, f.Xv, f.N)
+    return _curvature_commutator(_Stencil(patch, grid, fd_step))
+
+
+def _curvature_commutator(st):
+    f = st.f
+    _require_umbilic(st.patch, f)
+    lam_u, lam_v = st.partials("umbilicity_factor")
     rhs = lam_u[..., None] * f.Xv - lam_v[..., None] * f.Xu
-    resid = norm(space, f.X, lhs - rhs)
-    return IdentityCheck("curvature_commutator", (n_u, n_v),
+    resid = norm(st.patch.space, f.X, st.curvature - rhs)
+    return IdentityCheck("curvature_commutator", st.grid,
                          _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
 
@@ -308,18 +331,20 @@ def check_daniel_formula(space: ModelGeometry, patch: SurfacePatch,
     _check_space(space, patch)
     if not space.has_vertical_field:
         raise ValueError("the formula needs a fibration or product space")
-    n_u, n_v = _require_grid(grid)
-    f = surface_fields(patch, *patch.grid(n_u, n_v))
+    return _daniel_formula(_Stencil(patch, grid))
+
+
+def _daniel_formula(st):
+    f, space = st.f, st.patch.space
     if not np.any(f.included):
-        raise ImmersionError(f"patch {patch.name!r} is degenerate on the grid")
+        raise ImmersionError(f"patch {st.patch.name!r} is degenerate on the grid")
     X = f.X
-    lhs = curvature_tensor(space, X, f.Xu, f.Xv, f.N)
     c = space.bundle_discriminant
     rhs = c * f.nu[..., None] * (
         inner(space, X, f.Xv, f.T)[..., None] * f.Xu
         - inner(space, X, f.Xu, f.T)[..., None] * f.Xv)
-    resid = norm(space, X, lhs - rhs)
-    return IdentityCheck("daniel_formula", (n_u, n_v),
+    resid = norm(space, X, st.curvature - rhs)
+    return IdentityCheck("daniel_formula", st.grid,
                          _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
 
@@ -334,16 +359,19 @@ def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
     surface gradient is taken in the dual basis of (X_u, X_v) under I.
     """
     _check_space(space, patch)
-    n_u, n_v = _require_grid(grid)
-    f = surface_fields(patch, *patch.grid(n_u, n_v))
-    _require_umbilic(patch, f)
-    lam_u, lam_v = _Stencil(patch, f, fd_step).partials("umbilicity_factor")
+    return _gradient_identity(_Stencil(patch, grid, fd_step))
+
+
+def _gradient_identity(st):
+    f, space = st.f, st.patch.space
+    _require_umbilic(st.patch, f)
+    lam_u, lam_v = st.partials("umbilicity_factor")
     ab = np.linalg.solve(f.I, np.stack([lam_u, lam_v], axis=-1)[..., None])[..., 0]
     grad = ab[..., 0:1] * f.Xu + ab[..., 1:2] * f.Xv
     c = 2.0 if space.kind == "sol" else space.bundle_discriminant
     resid = norm(space, f.X, grad + c * f.nu[..., None] * f.T)
     name = "gradient_sol" if space.kind == "sol" else "gradient_product"
-    return IdentityCheck(name, (n_u, n_v), _stats(resid, f.included),
+    return IdentityCheck(name, st.grid, _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
 
 
@@ -353,22 +381,24 @@ def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
     _check_space(space, patch)
     if space.kind not in ("s2xr", "h2xr"):
         raise ValueError("the bracket law is checked on product spaces")
-    n_u, n_v = _require_grid(grid)
-    f = surface_fields(patch, *patch.grid(n_u, n_v))
-    _require_umbilic(patch, f)
-    st = _Stencil(patch, f, fd_step)
+    return _bracket_and_jtnu(_Stencil(patch, grid, fd_step))
+
+
+def _bracket_and_jtnu(st):
+    f, space = st.f, st.patch.space
+    _require_umbilic(st.patch, f)
     T_norm2 = inner(space, f.X, f.T, f.T)
     active = st.ok & (np.sqrt(np.maximum(T_norm2, 0.0)) >= T_FLOOR)
     skipped = int(np.sum(~active))
     bracket_check = IdentityCheck(
-        "bracket_TJT", (n_u, n_v),
+        "bracket_TJT", st.grid,
         _stats(norm(space, f.X, _bracket(space, st)), active), skipped_points=skipped)
 
     nu_u, nu_v = st.partials("nu")
     jt1, jt2 = _tangent_components(space, f, f.JT)
     jt_nu = jt1 * nu_u + jt2 * nu_v
     resid = np.abs(jt_nu + space.tau * T_norm2)
-    jtnu_check = IdentityCheck("jt_nu", (n_u, n_v), _stats(resid, active),
+    jtnu_check = IdentityCheck("jt_nu", st.grid, _stats(resid, active),
                                skipped_points=skipped)
     return bracket_check, jtnu_check
 
@@ -820,6 +850,21 @@ _PRODUCT_SUITE_CASES = [
 ]
 
 
+def _patch_checks(st, seed):
+    """(space, check) pairs of every suite check on the stencil's patch.
+
+    One stencil serves them all, so the patch's grid and its shifts are
+    evaluated once, and it is freed on return, before the next patch.
+    """
+    sp = st.patch.space
+    if sp.kind == "sol":
+        checks = [*_sol_identities(st, seed), _gradient_identity(st)]
+    else:
+        checks = [_daniel_formula(st), _curvature_commutator(st),
+                  _gradient_identity(st), *_bracket_and_jtnu(st)]
+    return [(sp, c) for c in checks]
+
+
 def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
     """Run a named batch of identity checks and return a JSON-able report."""
     from .families import build_family
@@ -828,11 +873,7 @@ def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
     if name == "product-identities":
         for fam, param in _PRODUCT_SUITE_CASES:
             _, patch = build_family(fam, param)
-            sp = patch.space
-            checks.append((sp, check_daniel_formula(sp, patch, grid)))
-            checks.append((sp, check_curvature_commutator(sp, patch, grid)))
-            checks.append((sp, check_gradient_identity(sp, patch, grid)))
-            checks.extend((sp, c) for c in check_bracket_and_jtnu(sp, patch, grid))
+            checks.extend(_patch_checks(_Stencil(patch, grid), seed))
         for sp in (s2xr(), h2xr()):
             checks.append((sp, check_killing(sp, grid, seed=seed)))
     elif name == "killing-grid":
@@ -849,12 +890,10 @@ def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
                 patch = geodesic_sphere_patch(sp, 0.1, 0.9, n_steps=40)
                 checks.append((sp, check_daniel_formula(sp, patch, grid)))
     elif name == "sol-identities":
-        sp = sol()
         _, fa = build_family("Sol_Fa", 1.0)
         _, plane = build_family("Sol_geodesic_plane")
         for patch in (fa, plane):
-            checks.extend((sp, c) for c in check_sol_identities(patch, grid, seed=seed))
-            checks.append((sp, check_gradient_identity(sp, patch, grid)))
+            checks.extend(_patch_checks(_Stencil(patch, grid), seed))
     else:
         raise ValueError(f"unknown suite {name!r}; known: {list(SUITE_NAMES)}")
 

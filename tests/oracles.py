@@ -8,9 +8,18 @@ fan (``test_geometry``) are checked against it.
 Christoffel tensor, and ``_matvec`` multiplies by a dense matrix; the sparse
 kernels of ``umbilic.geometry`` are checked against them.
 
-``find_event_all_roots`` solves every bracketed sign change of a profile
-event and keeps the root nearest 0; ``umbilic.profiles.find_event``, which
-solves only the brackets that can hold that root, is checked against it.
+``inverse_metric`` assembles the dense inverse metric from the closed-form
+table the sparse kernels use; it checks ``metric_at`` and ``cross``.
+
+``find_event`` locates a profile event (turning point, rho level, Sol
+blow-down) nearest 0, solving only the brackets that can hold that root;
+``find_event_all_roots`` solves every bracketed sign change and checks it.
+The turning points and periods of ``umbilic.profiles`` are checked against
+``find_event``.
+
+``sol_flattening_xi`` integrates e^{-4z} over a Sol graph by adaptive
+quadrature; the exact antiderivative of ``umbilic.conformal.sol_flattening``
+is checked against it.
 
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
@@ -18,11 +27,18 @@ profiles of ``umbilic.profiles`` are checked against it.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from umbilic.geometry import ModelGeometry, _check_domain, _geodesic_rhs
+from umbilic.geometry import (
+    ModelGeometry,
+    _check_domain,
+    _dense,
+    _geodesic_rhs,
+    _inverse_table,
+)
 from umbilic.profiles import (
+    GeneratingCurve,
     PROFILE_ATOL,
     PROFILE_RTOL,
     _SHAPE_RATE,
@@ -111,6 +127,84 @@ def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarra
     if not sol_.success:
         raise RuntimeError(f"geodesic integration failed: {sol_.message}")
     return sol_.y[:3, -1]
+
+
+def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
+    """Inverse metric g^ij at p in closed form; broadcasts like ``metric_at``."""
+    p = np.asarray(p)
+    _check_domain(space, p)
+    return _dense(p, _inverse_table(space, p), (3, 3))
+
+
+class EventNotFoundError(RuntimeError):
+    """The requested event is not bracketed by the curve's sample range."""
+
+
+_EVENTS = ("rho_prime_zero", "rho_hits", "blow_down")
+
+
+def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> float:
+    """Parameter of the event nearest 0 (ties resolved to s >= 0).
+
+    ``rho_prime_zero``: rho'(s) = 0 (Sol: z'(y) = 0).
+    ``rho_hits``: rho(s) = value.
+    ``blow_down``: z(y) = value (default Z_CLIP; Sol graphs only).
+
+    Raises :class:`EventNotFoundError` when no sign change is bracketed.
+    """
+    if kind not in _EVENTS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    if kind == "rho_hits" and value is None:
+        raise ValueError("rho_hits requires a value")
+
+    if curve.kind == "sol":
+        if kind == "rho_hits":
+            raise ValueError("rho_hits applies to plane profiles")
+        if kind == "blow_down":
+            aux = curve._aux
+            target = aux["z_clip"] if value is None else float(value)
+            if target < aux["z_clip"]:
+                raise EventNotFoundError(
+                    f"blow-down level {target} is below the clip {aux['z_clip']}"
+                )
+            if target < aux["z_switch"]:
+                # below the switch the graph is vertical to machine precision
+                # in y; the z-parametrized tail solve IS the refined root
+                return float(aux["y_of_z"](target))
+            fn = lambda s: curve.jet(s)["z"] - target
+        else:
+            fn = lambda s: curve.jet(s)["z_y"]
+    elif kind == "blow_down":
+        raise ValueError("blow_down applies to Sol graphs")
+    elif kind == "rho_prime_zero":
+        fn = lambda s: curve.jet(s)["rho_s"]
+    else:
+        fn = lambda s: curve.jet(s)["rho"] - float(value)
+
+    grid = curve.s
+    lo, hi = curve.span
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    vals = np.asarray(fn(grid))
+    sgn = np.sign(vals)
+    flips = np.nonzero((sgn[1:] * sgn[:-1] < 0))[0]
+    exact = grid[vals == 0.0]
+    if not (flips.size or exact.size):
+        raise EventNotFoundError(f"event {kind!r} not bracketed on span {curve.span}")
+
+    def key(r):
+        return (abs(r), -np.sign(r))
+
+    # a bracket holds no root nearer 0 than the bracket itself, so brackets
+    # are solved nearest first until the next one cannot hold the winner
+    best = min((float(r) for r in exact), key=key, default=None)
+    a, b = grid[flips], grid[flips + 1]
+    near = np.where((a <= 0.0) & (b >= 0.0), 0.0, np.minimum(np.abs(a), np.abs(b)))
+    for n in np.argsort(near, kind="stable"):
+        if best is not None and near[n] > abs(best):
+            break
+        root = brentq(lambda s: float(fn(s)), a[n], b[n], xtol=tol)
+        best = root if best is None else min(best, root, key=key)
+    return float(best)
 
 
 def find_event_all_roots(curve, kind, value=None, tol=1e-13) -> float:
@@ -224,3 +318,17 @@ def ode_plane_profile(kind, param, s_span=None, rtol=PROFILE_RTOL, atol=PROFILE_
     dense, smax = _integrate_plane(kind, param, theta0, want, s_span, rtol, atol)
     return _build_plane_curve(kind, param, _plane_jet(kind, param, dense), None,
                               (-smax, smax), 2001, None)
+
+
+def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:
+    """The flattening abscissa xi(y) = int_0^y e^{-4z} on the samples of
+    ``sol_flattening``, by one tight quadrature per sample interval."""
+    y = np.linspace(margin * curve.span[0], margin * curve.span[1], n)
+
+    def rate(yy):
+        return np.exp(-4.0 * float(curve.jet(yy)["z"]))
+
+    seg = np.array([quad(rate, y[k], y[k + 1], epsabs=1e-13, epsrel=1e-13)[0]
+                    for k in range(n - 1)])
+    xi = np.concatenate([[0.0], np.cumsum(seg)])
+    return xi - xi[n // 2]

@@ -57,6 +57,9 @@ SCIPY_FREE = {
                     "--param", "2", "--grid", "16x16"], 0),
     "gen-elliptic": (["gen", "--space", "h2xr", "--family", "elliptic",
                       "--param", "1", "--grid", "16x16"], 0),
+    # b = 0.01 is the Jacobi parameter m = -1e4
+    "gen-elliptic-b-0.01": (["gen", "--space", "h2xr", "--family", "elliptic",
+                             "--param", "0.01", "--grid", "16x16"], 0),
     "gen-hyperbolic": (["gen", "--space", "h2xr", "--family", "hyperbolic",
                         "--param", "0.5", "--grid", "16x16"], 0),
     "product-identities": (["verify", "--suite", "product-identities",

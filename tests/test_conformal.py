@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import exp_map
+from oracles import exp_map, sol_flattening_xi
 from umbilic.conformal import (
     ConformalMap,
     conformality_check,
@@ -198,6 +198,16 @@ def test_sol_flattening_is_conformal(a):
     assert fl["conformal_residual"] < 1e-8
     assert abs(fl["conformal_scale"] - a) < 1e-8
     assert abs(fl["z_sup"] - 0.25 * np.log(a)) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+def test_sol_flattening_matches_the_quadrature_oracle(a):
+    # the exact antiderivative xi = -(y + e^{2z} z') / a against adaptive
+    # quadrature of e^{-4z}, relative to the span of xi
+    curve = sol_profile(a)
+    xi = sol_flattening(curve)["xi"]
+    want = sol_flattening_xi(curve)
+    assert np.max(np.abs(xi - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_sol_flattening_measures_the_metric_exponent():

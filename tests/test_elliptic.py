@@ -5,6 +5,7 @@ quadrature of the defining integral for K, and high-accuracy integration of
 the coupled sn/cn/dn/am system for the amplitude values.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,18 +105,18 @@ def test_reciprocal_modulus_above_one(m):
     assert_allclose(jacobi_dn(u, m), cn, atol=1e-14)
 
 
-def test_ode_fallback_agrees_with_landen_route():
-    # above the fallback threshold sn comes from direct integration; the
-    # reciprocal-modulus identity sn(u|m) = sn(u sqrt(m) | 1/m)/sqrt(m)
-    # routes the same values through the Landen branch
-    u = np.linspace(-0.5, 0.5, 11)
-    m = 2500.0
-    direct = jacobi_sn(u, m)
-    landen = jacobi_sn(u * np.sqrt(m), 1.0 / m) / np.sqrt(m)
-    assert_allclose(direct, landen, atol=1e-10)
-    s, c, d = jacobi_sn(u, m), jacobi_cn(u, m), jacobi_dn(u, m)
-    assert_allclose(s**2 + c**2, 1.0, atol=1e-10)
-    assert_allclose(d**2 + m * s**2, 1.0, atol=1e-7)
+def test_large_parameters_match_mpmath():
+    # |m| > 1e3 takes the same reductions as every other m; H2xR b = 0.01
+    # is m = -1e4
+    for m, u_max in ((2500.0, 0.5), (-2500.0, 3.0), (-1e4, 3.0), (1e6, 0.05)):
+        u = np.linspace(-u_max, u_max, 13)
+        s, c, d, am = umbilic_ellipj(u, m)
+        for name, got in (("sn", s), ("cn", c), ("dn", d)):
+            want = [float(mpmath.re(mpmath.ellipfun(name, x, m=m))) for x in u]
+            assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+        assert_allclose(np.sin(am), s, atol=1e-12)
+        assert_allclose(s**2 + c**2, 1.0, atol=1e-12)
+        assert_allclose(d**2 + m * s**2, 1.0, atol=1e-12 * abs(m))
 
 
 @given(

@@ -18,6 +18,7 @@ from oracles import (
     _matvec,
     christoffel_contract,
     exp_map,
+    inverse_metric,
 )
 from umbilic.geometry import (
     ChartDomainError,
@@ -36,7 +37,6 @@ from umbilic.geometry import (
     h3,
     hyperbolic_translation,
     inner,
-    inverse_metric,
     isometry_jet,
     lowering,
     m3,

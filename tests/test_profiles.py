@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from oracles import find_event_all_roots, ode_plane_profile
+from oracles import EventNotFoundError, find_event, find_event_all_roots, ode_plane_profile
 from umbilic.elliptic import elliptic_K, jacobi_am
 from umbilic.profiles import (
-    EventNotFoundError,
-    find_event,
     h2xr_elliptic_profile,
     h2xr_hyperbolic_profile,
     h2xr_parabolic_profile,

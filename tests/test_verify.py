@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import umbilic.families
+import umbilic.verify
 from umbilic.families import build_family
 from umbilic.geometry import ChartDomainError, h2xr, m3, metric_at, s2xr, sol
 from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart
 from umbilic.verify import (
+    _PRODUCT_SUITE_CASES,
     _TRIAL_FAMILIES,
     _lockstep,
     _nelder_mead,
@@ -224,17 +227,82 @@ def test_sol_identities_reject_other_spaces(patches):
     ("fa", check_sol_identities),
 ])
 def test_stencil_checks_evaluate_five_jets(patches, key, check):
-    # the center and its four shifts, each evaluated once per check
+    # the center grid and its four shifts: the jet sees 5 n_u n_v points,
+    # each once, in one call for the center and one for the stacked shifts
     patch = copy.copy(patches[key])
     calls = []
 
     def counted(U, V):
-        calls.append(np.shape(U))
+        calls.append(np.stack(np.broadcast_arrays(U, V), axis=-1).reshape(-1, 2))
         return patches[key].jet(U, V)
 
     patch.jet = counted
     check(patch)
-    assert len(calls) == 5
+    points = np.concatenate(calls)
+    assert len(calls) == 2
+    assert len(points) == 5 * 16 * 16
+    assert len(np.unique(points, axis=0)) == len(points)
+
+
+def test_product_suite_evaluates_five_grids_per_family(monkeypatch):
+    # each family's jet sees its grid and the four shifts, 5 n points, where
+    # separate checks would evaluate 16 n
+    real = umbilic.families.build_family
+    points = {}
+
+    def build(name, param=None):
+        curve, patch = real(name, param)
+        patch, jet = copy.copy(patch), patch.jet
+        points[name] = 0
+
+        def counted(U, V):
+            points[name] += np.broadcast(U, V).size
+            return jet(U, V)
+
+        patch.jet = counted
+        return curve, patch
+
+    monkeypatch.setattr(umbilic.families, "build_family", build)
+    run_suite("product-identities", grid=(16, 16))
+    assert points == {fam: 5 * 16 * 16 for fam, _ in _PRODUCT_SUITE_CASES}
+
+
+def test_product_suite_computes_each_curvature_tensor_once(monkeypatch):
+    calls = []
+    real = umbilic.verify.curvature_tensor
+
+    def counted(space, *args):
+        calls.append(space.kind)
+        return real(space, *args)
+
+    monkeypatch.setattr(umbilic.verify, "curvature_tensor", counted)
+    run_suite("product-identities", grid=(16, 16))
+    assert sorted(calls) == ["h2xr"] * 3 + ["s2xr"] * 3
+
+
+@pytest.mark.parametrize("suite", ["product-identities", "sol-identities"])
+def test_public_checks_match_the_suite(suite):
+    # each public check_* builds its own stencil; the suite shares one per
+    # patch, and both give the same report
+    grid = (16, 16)
+    alone = []
+    if suite == "product-identities":
+        for fam, param in _PRODUCT_SUITE_CASES:
+            patch = build_family(fam, param)[1]
+            sp = patch.space
+            alone += [(sp, c) for c in (
+                check_daniel_formula(sp, patch, grid),
+                check_curvature_commutator(sp, patch, grid),
+                check_gradient_identity(sp, patch, grid),
+                *check_bracket_and_jtnu(sp, patch, grid))]
+        alone += [(sp, check_killing(sp, grid)) for sp in (s2xr(), h2xr())]
+    else:
+        for fam, param in (("Sol_Fa", 1.0), ("Sol_geodesic_plane", None)):
+            patch = build_family(fam, param)[1]
+            alone += [(sol(), c) for c in check_sol_identities(patch, grid)]
+            alone.append((sol(), check_gradient_identity(sol(), patch, grid)))
+    rep = run_suite(suite, grid=grid)
+    assert rep["checks"] == [c.as_report(sp) for sp, c in alone]
 
 
 
