@@ -28,6 +28,7 @@ from .geometry import (
     m3,
     norm,
     s2xr,
+    sol,
     vertical_field,
 )
 from .surfaces import (
@@ -850,30 +851,23 @@ _PRODUCT_SUITE_CASES = [
 ]
 
 
-def _patch_checks(st, seed):
-    """(space, check) pairs of every suite check on the stencil's patch.
-
-    One stencil serves them all, so the patch's grid and its shifts are
-    evaluated once, and it is freed on return, before the next patch.
-    """
-    sp = st.patch.space
-    if sp.kind == "sol":
-        checks = [*_sol_identities(st, seed), _gradient_identity(st)]
-    else:
-        checks = [_daniel_formula(st), _curvature_commutator(st),
-                  _gradient_identity(st), *_bracket_and_jtnu(st)]
-    return [(sp, c) for c in checks]
-
-
 def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
-    """Run a named batch of identity checks and return a JSON-able report."""
+    """Run a named batch of identity checks and return a JSON-able report.
+
+    Every check on a patch reads one :class:`_Stencil`, so the patch's grid
+    and its shifts are evaluated once per suite run.
+    """
     from .families import build_family
 
     checks = []
     if name == "product-identities":
         for fam, param in _PRODUCT_SUITE_CASES:
             _, patch = build_family(fam, param)
-            checks.extend(_patch_checks(_Stencil(patch, grid), seed))
+            sp, st = patch.space, _Stencil(patch, grid)
+            checks.extend((sp, c) for c in (
+                _daniel_formula(st), _curvature_commutator(st),
+                _gradient_identity(st), *_bracket_and_jtnu(st)))
+            del st  # freed before the next patch is built
         for sp in (s2xr(), h2xr()):
             checks.append((sp, check_killing(sp, grid, seed=seed)))
     elif name == "killing-grid":
@@ -890,10 +884,14 @@ def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
                 patch = geodesic_sphere_patch(sp, 0.1, 0.9, n_steps=40)
                 checks.append((sp, check_daniel_formula(sp, patch, grid)))
     elif name == "sol-identities":
+        sp = sol()
         _, fa = build_family("Sol_Fa", 1.0)
         _, plane = build_family("Sol_geodesic_plane")
         for patch in (fa, plane):
-            checks.extend(_patch_checks(_Stencil(patch, grid), seed))
+            st = _Stencil(patch, grid)
+            checks.extend((sp, c) for c in (*_sol_identities(st, seed),
+                                            _gradient_identity(st)))
+            del st  # freed before the next patch is built
     else:
         raise ValueError(f"unknown suite {name!r}; known: {list(SUITE_NAMES)}")
 

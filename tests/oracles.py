@@ -14,7 +14,7 @@ table the sparse kernels use; it checks ``metric_at`` and ``cross``.
 ``find_event`` locates a profile event (turning point, rho level, Sol
 blow-down) nearest 0, solving only the brackets that can hold that root;
 ``find_event_all_roots`` solves every bracketed sign change and checks it.
-The turning points and periods of ``umbilic.profiles`` are checked against
+The Sol blow-down abscissa ``period_data.y_a`` is checked against
 ``find_event``.
 
 ``sol_flattening_xi`` integrates e^{-4z} over a Sol graph by adaptive
