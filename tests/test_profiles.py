@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from oracles import EventNotFoundError, find_event, find_event_all_roots, ode_plane_profile
+from oracles import (
+    EventNotFoundError,
+    find_event,
+    find_event_all_roots,
+    ode_plane_profile,
+)
 from umbilic.elliptic import elliptic_K, jacobi_am
 from umbilic.profiles import (
     h2xr_elliptic_profile,
