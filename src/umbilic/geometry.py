@@ -482,12 +482,61 @@ def vertical_field(space: ModelGeometry, p=None) -> np.ndarray:
 # geodesics
 
 
-def _geodesic_rhs(space, state):
-    """state (..., 6) -> derivative; velocity transport by the connection."""
-    q = state[..., :3]
-    v = state[..., 3:]
-    acc = -connection(space, q)(v, v)
-    return np.concatenate([v, acc], axis=-1)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [0, 1], by Newton's method on P_n."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return 0.5 - 0.5 * x, 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
+
+
+def _sinc_cos(q):
+    """sin(sqrt q)/sqrt q and cos(sqrt q), entire in real or complex q."""
+    small = np.abs(q) < 0.25  # a Taylor series there, in place of 0/0
+    s = np.sqrt(np.where(small, 1.0, q) + 0j)  # either root: both are even in it
+    sinc, cos, qs, ss, sc = np.sin(s) / s, np.cos(s), q[small], 1.0, 1.0
+    for k in range(8, 0, -1):
+        ss, sc = 1.0 - qs * ss / (2 * k * (2 * k + 1)), 1.0 - qs * sc / (2 * k * (2 * k - 1))
+    sinc[small], cos[small] = ss, sc
+    return (sinc, cos) if np.iscomplexobj(q) else (sinc.real, cos.real)
+
+
+def _m3_axis_geodesic(space, height, v):
+    """End state (..., 6) at t = 1 of the m3 geodesics from (0, 0, height), velocity v.
+
+    With v = (v0, v1, c), a^2 = v0^2 + v1^2, D = kappa a^2 + 4 tau^2 c^2,
+    S = sin(sqrt(D) t)/sqrt(D) and V = (1 - cos(sqrt(D) t))/D, the base curve
+    is the circle x + iy = 2 (v0 + i v1)(S + 2i tau c V)/(2 - kappa a^2 V), in
+    real components so that a complex step in v carries the Jacobi fields.
+    The angular momentum about the axis is zero, so z' = c (1 + tau^2 r^2),
+    r^2 = x^2 + y^2, integrated by 20-point Gauss-Legendre.
+    """
+    k, tau = space.kappa, space.tau
+    v0, v1, c = v[..., 0], v[..., 1], v[..., 2]
+    a2 = v0 * v0 + v1 * v1
+    ka2, D = k * a2, k * a2 + 4.0 * tau * tau * c * c
+    # (sin(sqrt(D) t/2)/sqrt(D))^2 = V/2 at t = 1 and at the nodes
+    t = np.concatenate([[1.0], _GL_NODES])
+    sinc, cos = _sinc_cos(D[..., None] * (0.25 * t * t))
+    half2 = (0.5 * t * sinc) ** 2
+    r2 = 4.0 * a2[..., None] * half2 / (1.0 - ka2[..., None] * half2)
+    S, V = sinc[..., 0] * cos[..., 0], 2.0 * half2[..., 0]
+    C, Q, B, dB = 1.0 - D * V, 2.0 - ka2 * V, 2.0 * tau * c * V, 2.0 * tau * c * S
+    x, y = 2.0 * (v0 * S - v1 * B) / Q, 2.0 * (v0 * B + v1 * S) / Q
+    z = height + c * (1.0 + tau * tau * (r2[..., 1:] @ _GL_WEIGHTS))
+    # d/dt: S' = C, V' = S, Q' = -kappa a^2 S
+    state = np.stack([x, y, z, (2.0 * (v0 * C - v1 * dB) + x * ka2 * S) / Q,
+                      (2.0 * (v0 * dB + v1 * C) + y * ka2 * S) / Q,
+                      c * (1.0 + tau * tau * r2[..., 0])], axis=-1)
+    _check_domain(space, state[..., :3])
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +577,6 @@ class IsometrySpec:
     level: float = 0.0
     abc: tuple = (0.0, 0.0, 0.0)
     signs: tuple = (1, 1)
-
-
-def identity_isometry() -> IsometrySpec:
-    return IsometrySpec("identity")
 
 
 def rotation(angle, center=(0.0, 0.0)) -> IsometrySpec:

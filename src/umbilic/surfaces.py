@@ -539,8 +539,8 @@ def _forms_from_jet(space, j, orient):
     if "normal" in j:
         # Weingarten: II_ab = -<nabla_{X_a} n, X_b> with n the jet's normal
         # field, made unit and oriented like N.  A normal field from a
-        # discrete flow is normal up to its truncation error, so the mixed
-        # term is symmetrized.
+        # geodesic flow is normal only up to rounding, so the mixed term is
+        # symmetrized.
         n = j["normal"] * factor
         gn = lower(n)
         scale = np.sqrt(_dot(n, gn))[..., None]

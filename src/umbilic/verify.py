@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (
     ModelGeometry,
-    _geodesic_rhs,
+    _m3_axis_geodesic,
     connection,
     cross,
     curvature_tensor,
@@ -480,50 +480,29 @@ def default_rho_window(space: ModelGeometry):
     return (0.15, hi)
 
 
-def _rk4_flow(space, p0, v0, n_steps):
-    """End state (position, velocity) of the geodesics with initial velocity v0.
-
-    Fixed-step RK4 over the unit parameter interval.  The fixed step count
-    makes the end state an analytic map of (p0, v0), so a complex step in v0
-    carries its exact first variation for this discrete flow.
-    """
-    y = np.concatenate([np.broadcast_to(p0, v0.shape), v0], axis=-1)
-    shape = y.shape
-    y = y.reshape(-1, 6)
-    h = 1.0 / n_steps
-    for _ in range(n_steps):
-        k1 = _geodesic_rhs(space, y)
-        k2 = _geodesic_rhs(space, y + 0.5 * h * k1)
-        k3 = _geodesic_rhs(space, y + 0.5 * h * k2)
-        k4 = _geodesic_rhs(space, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y.reshape(shape)
-
-
 # complex step of the Jacobi-field jets: its O(step^2) error is far below
 # rounding, and products of a few steps stay clear of subnormal numbers
 _JACOBI_STEP = 1e-30
 
 
 def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
-                          n_steps=192, polar_margin=0.35, name=None) -> SurfacePatch:
-    """Geodesic sphere about an axis point, parametrized by shooting direction.
+                          polar_margin=0.35, name=None) -> SurfacePatch:
+    """Geodesic sphere of M^3(kappa, tau) about the axis point (0, 0, center_height).
 
-    (u, v) are the polar and azimuthal angles of the initial velocity at the
-    center.  The jet integrates each geodesic together with its two Jacobi
-    fields, the u and v variations of the initial velocity, as one complex-
-    step batch of fixed-step RK4.  X, X_u and X_v are exact for the discrete
-    flow.  By the Gauss lemma the end velocity gamma'(1) is normal to the
-    sphere; the jet carries it and its u and v variations, from which the
-    second fundamental form follows by the Weingarten equation.  ``chart``
-    is the real flow, for forced finite differencing.  ``center_height``
-    and ``radius`` of shape (K,) make a batch of K spheres, evaluated on
-    (K, n_u, n_v) grids.
+    (u, v) are the polar and azimuthal angles of the initial velocity.  The
+    jet evaluates the closed-form m3 geodesics and their two Jacobi fields,
+    the u and v variations of the initial velocity, as one complex-step
+    batch, so X, X_u and X_v are exact.  By the Gauss lemma the end velocity
+    gamma'(1) is normal to the sphere; with its u and v variations it gives
+    the second fundamental form by the Weingarten equation.  ``chart`` is
+    the real end point, for forced finite differencing.  ``center_height``
+    and ``radius`` of shape (K,) make a batch of K spheres on (K, n_u, n_v)
+    grids.  A space of another kind than m3 raises ValueError.
     """
+    if space.kind != "m3":
+        raise ValueError(f"geodesic spheres are built in the m3 chart, not {space.kind!r}")
     height, radius = _batch_param(center_height), _batch_param(radius)
-    p0 = np.stack(np.broadcast_arrays(0.0, 0.0, height), axis=-1)
-    u_range = (polar_margin, np.pi - polar_margin)
-    v_range = (0.0, 2.0 * np.pi)
+    u_range, v_range = (polar_margin, np.pi - polar_margin), (0.0, 2.0 * np.pi)
 
     def directions(U, V):
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
@@ -535,12 +514,12 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
 
     def chart(U, V):
         d, _, _ = directions(U, V)
-        return _rk4_flow(space, p0, radius[..., None] * d, n_steps)[..., :3]
+        return _m3_axis_geodesic(space, height, radius[..., None] * d)[..., :3]
 
     def jet(U, V):
         d, d_u, d_v = directions(U, V)
         v0 = radius[..., None] * (d + 1j * _JACOBI_STEP * np.stack([d_u, d_v]))
-        y = _rk4_flow(space, p0, v0, n_steps)
+        y = _m3_axis_geodesic(space, height, v0)
         dy = y.imag / _JACOBI_STEP
         return {"X": y[0, ..., :3].real, "Xu": dy[0, ..., :3], "Xv": dy[1, ..., :3],
                 "normal": y[0, ..., 3:].real, "normal_u": dy[0, ..., 3:],
@@ -559,19 +538,15 @@ _TRIAL_FAMILIES = {
     "sphere": {
         "bounds": [(-0.5, 0.5), (0.5, 2.2)],
         "first_start": np.array([0.0, 1.0]),
-        # at search fidelity the sphere objective carries the truncation
-        # error of 12 RK4 steps (4e-7 on the unit sphere of the umbilic
-        # control m3(1, 1/2)), which tighter tolerances would only chase
+        # the sphere objective is exact to rounding (about 1e-16 on the
+        # umbilic spheres of m3(1, 1/2)), far below these stopping tolerances
         "options": {"xatol": 1e-4, "fatol": 1e-9},
     },
 }
-_SPHERE_SEARCH_STEPS = 12
 _SPHERE_MAXFEV = 100
-_SPHERE_REPORT_STEPS = 96
 
 
-def trial_patch(space: ModelGeometry, family: str, params,
-                high_fidelity=False) -> SurfacePatch:
+def trial_patch(space: ModelGeometry, family: str, params) -> SurfacePatch:
     """The trial surface of ``family`` with parameters ``params``.
 
     ``params`` is one parameter vector, or a (K, n) batch of them for a
@@ -584,14 +559,11 @@ def trial_patch(space: ModelGeometry, family: str, params,
     if family == "graph":
         return rotational_graph_patch(space, params)
     if family == "sphere":
-        steps = _SPHERE_REPORT_STEPS if high_fidelity else _SPHERE_SEARCH_STEPS
-        return geodesic_sphere_patch(space, center_height=params[..., 0],
-                                     radius=params[..., 1], n_steps=steps)
+        return geodesic_sphere_patch(space, params[..., 0], params[..., 1])
     raise ValueError(f"unknown trial family {family!r}")
 
 
-def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24),
-                  high_fidelity=False) -> np.ndarray:
+def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24)) -> np.ndarray:
     """Max normalized umbilicity defect of each trial surface in a batch.
 
     ``P`` holds one parameter row per trial, shape (K, n).  The K patches go
@@ -600,7 +572,7 @@ def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24),
     point, or with a non-finite max, scores the penalty 1e3.
     """
     P = np.asarray(P, dtype=float)
-    patch = trial_patch(space, family, P, high_fidelity=high_fidelity)
+    patch = trial_patch(space, family, P)
     U, V = patch.grid(*grid)
     shape = (len(P),) + U.shape
     with np.errstate(all="ignore"):
@@ -610,15 +582,13 @@ def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24),
     return np.where(np.isfinite(worst), worst, 1e3)
 
 
-def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24),
-                 high_fidelity=False) -> float:
+def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24)) -> float:
     """Max normalized umbilicity defect of one trial surface.
 
     The one-row case of :func:`trial_defects`.
     """
     P = np.asarray(params, dtype=float)[None]
-    return float(trial_defects(space, family, P, grid=grid,
-                               high_fidelity=high_fidelity)[0])
+    return float(trial_defects(space, family, P, grid=grid)[0])
 
 
 def _nelder_mead(x0, bounds, maxfev, xatol, fatol):
@@ -755,10 +725,10 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     pending Nelder-Mead point in one batched :func:`trial_defects` call.
     Rotations about the z axis are isometries of M^3(kappa, tau) that map
     each trial surface to itself, so the defect is constant along parallels
-    and every trial, searched or rescored, is evaluated on one meridian of
-    ``grid[0]`` points; ``grid`` in the result is that meridian,
-    ``[grid[0], 1]``.  Sphere jets come from exact Jacobi fields of the
-    discrete flow, with no differencing noise to vary along parallels.
+    and every trial is evaluated on one meridian of ``grid[0]`` points;
+    ``grid`` in the result is that meridian, ``[grid[0], 1]``.  Sphere jets
+    come from the closed-form geodesics and their exact Jacobi fields, so
+    each family's floor is the value its search minimized.
 
     The sphere radius is bounded below (0.5) because small geodesic spheres
     are asymptotically umbilic in any space, so letting the radius shrink
@@ -783,7 +753,7 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
                          f"({_MIN_EVALS_PER_RESTART} evaluations per restart)")
 
     meridian = (grid[0], 1)
-    results = []
+    floors, best_x, n_evals, all_converged = {}, {}, 0, True
     for fam, starts in plans:
         fam_spec = _TRIAL_FAMILIES[fam]
         bounds = fam_spec["bounds"]
@@ -802,33 +772,18 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
             runs.append(_nelder_mead(x0, bounds, maxfev, **fam_spec["options"]))
         objective = partial(trial_defects, space, fam, grid=meridian)
         for x, fun, nfev, success in _lockstep(objective, runs):
-            results.append((fam, fun, x, nfev, success))
+            n_evals += nfev
+            all_converged &= success
+            if fam not in floors or fun < floors[fam]:
+                floors[fam], best_x[fam] = fun, x
 
-    by_family = {}
-    n_evals = 0
-    all_converged = True
-    for fam, fun, x, nfev, success in results:
-        n_evals += nfev
-        all_converged &= success
-        if fam not in by_family or fun < by_family[fam][0]:
-            by_family[fam] = (fun, x)
-
-    # the sphere search objective carries 12-step RK4 truncation error;
-    # re-score its best candidate at high step count before comparing families
-    floors = {}
-    for fam, (raw, x) in by_family.items():
-        if fam == "sphere":
-            floors[fam] = trial_defect(space, fam, x, grid=meridian,
-                                       high_fidelity=True)
-        else:
-            floors[fam] = raw
     best_family = min(floors, key=floors.get)
-    best_x = by_family[best_family][1]
     return {
         "kappa": float(kappa),
         "tau": float(tau),
         "min_defect_found": float(floors[best_family]),
-        "best_params": {"family": best_family, "values": [float(v) for v in best_x]},
+        "best_params": {"family": best_family,
+                        "values": [float(v) for v in best_x[best_family]]},
         "floors_by_family": {f: float(v) for f, v in floors.items()},
         "n_starts": {f: s for f, s in plans},
         "n_evals": n_evals,
@@ -881,7 +836,7 @@ def run_suite(name: str, grid=(16, 16), seed=0) -> dict:
                 if abs(kappa - 4.0 * tau * tau) < 1e-12:
                     continue
                 sp = m3(kappa, tau)
-                patch = geodesic_sphere_patch(sp, 0.1, 0.9, n_steps=40)
+                patch = geodesic_sphere_patch(sp, 0.1, 0.9)
                 checks.append((sp, check_daniel_formula(sp, patch, grid)))
     elif name == "sol-identities":
         sp = sol()

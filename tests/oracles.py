@@ -1,8 +1,12 @@
 """Test oracles shared by several test files.
 
 ``exp_map`` integrates one geodesic with scipy's DOP853 at a tight
-tolerance.  The closed-form slab map (``test_conformal``) and the geodesic
-fan (``test_geometry``) are checked against it.
+tolerance.  The closed-form slab map (``test_conformal``), the geodesic
+fan (``test_geometry``) and the closed-form m3 geodesics of the geodesic
+spheres (``test_verify``) are checked against it.  ``_rk4_flow`` is
+fixed-step complex RK4 on the geodesic equation (``_geodesic_rhs``), whose
+complex step carries the Jacobi fields of the discrete flow; the sphere
+jets' Jacobi fields are checked against it.
 
 ``christoffel_contract`` contracts two vectors against the dense
 Christoffel tensor, and ``_matvec`` multiplies by a dense matrix; the sparse
@@ -34,8 +38,8 @@ from umbilic.geometry import (
     ModelGeometry,
     _check_domain,
     _dense,
-    _geodesic_rhs,
     _inverse_table,
+    connection,
 )
 from umbilic.profiles import (
     GeneratingCurve,
@@ -67,6 +71,34 @@ def christoffel_contract(G, a, b) -> np.ndarray:
     b = np.asarray(b)
     Gb = (G.reshape(G.shape[:-3] + (9, 3)) @ b[..., None])[..., 0]
     return _matvec(Gb.reshape(Gb.shape[:-1] + (3, 3)), a)
+
+
+def _geodesic_rhs(space, state):
+    """state (..., 6) -> derivative; velocity transport by the connection."""
+    q = state[..., :3]
+    v = state[..., 3:]
+    acc = -connection(space, q)(v, v)
+    return np.concatenate([v, acc], axis=-1)
+
+
+def _rk4_flow(space, p0, v0, n_steps):
+    """End state (position, velocity) of the geodesics with initial velocity v0.
+
+    Fixed-step RK4 over the unit parameter interval.  The fixed step count
+    makes the end state an analytic map of (p0, v0), so a complex step in v0
+    carries its exact first variation for this discrete flow.
+    """
+    y = np.concatenate([np.broadcast_to(p0, v0.shape), v0], axis=-1)
+    shape = y.shape
+    y = y.reshape(-1, 6)
+    h = 1.0 / n_steps
+    for _ in range(n_steps):
+        k1 = _geodesic_rhs(space, y)
+        k2 = _geodesic_rhs(space, y + 0.5 * h * k1)
+        k3 = _geodesic_rhs(space, y + 0.5 * h * k2)
+        k4 = _geodesic_rhs(space, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y.reshape(shape)
 
 
 class GeodesicEscapeError(RuntimeError):

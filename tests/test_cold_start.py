@@ -1,7 +1,8 @@
 """Commands that need no integrator or root solver start without scipy.
 
 Each case runs in a fresh interpreter, because this test session has
-imported scipy already.
+imported scipy already.  The sphere commands also load no
+``numpy.polynomial``, which would add about 1 MB to their peak memory.
 """
 
 import json
@@ -15,7 +16,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs the CLI with the given argv (none: import only) and prints the exit
-# code and every loaded scipy module as the last stdout line
+# code, every loaded scipy module and every loaded numpy.polynomial module
+# as the last stdout line
 _PROBE = """
 import contextlib, io, json, sys
 import umbilic, umbilic.cli
@@ -24,7 +26,8 @@ if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = umbilic.cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "scipy": sorted(
-    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+    m for m in sys.modules if m.partition(".")[0] == "scipy"), "polynomial": sorted(
+    m for m in sys.modules if m.startswith("numpy.polynomial"))}))
 """
 
 
@@ -74,6 +77,16 @@ def test_command_loads_no_scipy(case):
     run = _probe(argv)
     assert run["rc"] == rc
     assert run["scipy"] == []
+
+
+@pytest.mark.parametrize("case", ["falsify-sphere", "daniel-grid"])
+def test_sphere_command_loads_no_numpy_polynomial(case):
+    # the geodesic spheres take their Gauss-Legendre rule from a Newton
+    # solve, not from numpy.polynomial
+    argv, rc = SCIPY_FREE[case]
+    run = _probe(argv)
+    assert run["rc"] == rc
+    assert run["polynomial"] == []
 
 
 def test_profile_ode_loads_scipy_integrate():

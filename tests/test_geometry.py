@@ -15,7 +15,9 @@ from scipy.integrate import solve_ivp
 from oracles import (
     GEODESIC_RTOL,
     GeodesicEscapeError,
+    _geodesic_rhs,
     _matvec,
+    _rk4_flow,
     christoffel_contract,
     exp_map,
     inverse_metric,
@@ -25,7 +27,10 @@ from umbilic.geometry import (
     IllFormedIsometryError,
     IsometrySpec,
     ModelGeometry,
-    _geodesic_rhs,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _m3_axis_geodesic,
+    _sinc_cos,
     apply_isometry,
     chart_contains,
     christoffel_deriv,
@@ -469,6 +474,75 @@ def test_geodesic_fan_matches_exp_map():
     qs, _ = fan.at(0.8)
     for q, d in zip(qs, dirs):
         assert_allclose(q, exp_map(space, p, 0.8 * d), atol=1e-9)
+
+
+# --- closed-form m3 geodesics from an axis point ------------------------------
+
+
+AXIS_PAIRS = [(-1.0, 0.5), (0.0, 0.5), (1.0, 1.0), (-1.0, 0.0), (1.0, 0.5), (-1.0, 1.0),
+              (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-4.0, 1.0), (1.0, 0.25)]
+
+
+def _axis_starts(kappa, tau):
+    # random chart velocities of norm <= 2.2 (<= 0.9 for kappa < 0), then a
+    # vertical start (a = 0), a horizontal one (c = 0), the zero velocity and,
+    # where one exists with a > 0, a start with D = kappa a^2 + 4 tau^2 c^2 = 0;
+    # the horizontal start has D = 0 for kappa = 0, the vertical one for tau = 0
+    rng = np.random.default_rng(17)
+    d = rng.normal(size=(8, 3))
+    r = rng.uniform(0.05, 0.9 if kappa < 0 else 2.2, (8, 1))
+    extra = [[0.0, 0.0, 0.8], [0.5, -0.6, 0.0], [0.0, 0.0, 0.0]]
+    if kappa < 0 and tau != 0:
+        extra.append([0.4, 0.3, 0.5 * np.sqrt(-kappa) / (2.0 * tau)])
+    return np.vstack([r * d / np.linalg.norm(d, axis=1)[:, None], extra])
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert np.max(np.abs(_GL_NODES - 0.5 * (1.0 + x))) <= 1e-15
+    assert np.max(np.abs(_GL_WEIGHTS - 0.5 * w)) <= 1e-15
+    # exact for polynomials of degree 39
+    assert abs(_GL_NODES ** 39 @ _GL_WEIGHTS - 1.0 / 40.0) <= 1e-15
+
+
+def test_sinc_cos_series_meets_the_direct_quotient():
+    # values and complex-step derivatives on both sides of the switch |q| = 1/4
+    q = np.array([-0.2500001, -0.2499999, 0.2499999, 0.2500001, -3.0, 1e-9, 0.0, 7.0])
+    sinc, cos = _sinc_cos(q)
+    r = np.sqrt(np.abs(q))
+    want_sinc = np.where(q > 0, np.sin(r) / np.where(r > 0, r, 1.0), np.sinh(r) / np.where(r > 0, r, 1.0))
+    want_sinc[q == 0] = 1.0
+    want_cos = np.where(q > 0, np.cos(r), np.cosh(r))
+    assert np.max(np.abs(sinc - want_sinc)) <= 1e-15
+    assert np.max(np.abs(cos - want_cos)) <= 1e-15
+    d_sinc, d_cos = (f.imag / 1e-30 for f in _sinc_cos(q + 1e-30j))
+    # d/dq cos(sqrt q) = -sinc/2; d/dq sinc = (cos - sinc)/(2q), -1/6 at q = 0
+    assert np.max(np.abs(d_cos + 0.5 * want_sinc)) <= 1e-15
+    safe = np.where(q != 0, q, 1.0)
+    want = np.where(np.abs(q) > 1e-3, (want_cos - want_sinc) / (2.0 * safe), -1.0 / 6.0 + q / 60.0)
+    assert np.max(np.abs(d_sinc - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa,tau", AXIS_PAIRS)
+def test_axis_geodesics_match_exp_map(kappa, tau):
+    sp = m3(kappa, tau)
+    v = _axis_starts(kappa, tau)
+    got = _m3_axis_geodesic(sp, 0.3, v)
+    want = np.array([exp_map(sp, [0.0, 0.0, 0.3], w) for w in v])
+    assert np.max(np.abs(got[:, :3] - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa,tau", AXIS_PAIRS)
+def test_axis_geodesic_jacobi_fields_match_rk4(kappa, tau):
+    # the complex steps along two random directions carry the Jacobi fields;
+    # 2000 RK4 steps keep the oracle's truncation error near 1e-11
+    sp = m3(kappa, tau)
+    v = _axis_starts(kappa, tau)
+    w = v + 1e-30j * np.random.default_rng(3).normal(size=(2,) + v.shape)
+    got = _m3_axis_geodesic(sp, 0.3, w)
+    want = _rk4_flow(sp, np.array([0.0, 0.0, 0.3]), w, 2000)
+    assert np.max(np.abs(got.real - want.real)) <= 1e-9
+    assert np.max(np.abs(got.imag - want.imag)) / 1e-30 <= 1e-9
 
 
 # --- vector algebra ----------------------------------------------------------

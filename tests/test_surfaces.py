@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import christoffel_contract
+from oracles import _geodesic_rhs, christoffel_contract
 from umbilic.families import build_family
 from umbilic.geometry import (
     christoffels,
@@ -637,7 +637,7 @@ def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
     patches = [build_family(name, param)[1] for name, param in (
         ("H2xR_elliptic", 1.0), ("S2xR_a_lt_1", 0.6), ("Sol_Fa", 1.0))]
     patches.append(rotational_graph_patch(m3(1.0, 0.5), [0.3, -0.2, 0.1]))
-    patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8, n_steps=12))
+    patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8))
     for name in ("christoffels", "metric_at"):
         original = getattr(geometry, name)
 
@@ -655,5 +655,5 @@ def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
         assert np.all(np.isfinite(rep.defect[rep.included]))
     state = np.array([0.1, -0.2, 0.3, 0.5, 0.4, -0.3])
     for space in (m3(1.0, 0.5), h2xr(-1.0), sol(), h3()):
-        assert np.all(np.isfinite(geometry._geodesic_rhs(space, state)))
-        assert np.all(np.isfinite(geometry._geodesic_rhs(space, state + 1e-20j)))
+        assert np.all(np.isfinite(_geodesic_rhs(space, state)))
+        assert np.all(np.isfinite(_geodesic_rhs(space, state + 1e-20j)))
