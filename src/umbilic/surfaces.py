@@ -589,29 +589,28 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
 
 
 def _shape_invariants(I, II):
-    """lambda1 <= lambda2, the mean curvature H and the gap lambda2 - lambda1.
+    """H, the half gap (lambda2 - lambda1)/2 and the trace-free part (s, b).
 
-    The gap comes from the shape matrix [[a, b], [b, c]] in the orthonormal
-    frame e1 = X_u / sqrt(E), e2 perpendicular, as sqrt((a - c)^2 + 4 b^2):
-    it has no cancellation at umbilic points, where sqrt(H^2 - K) returns
-    rounding noise of order sqrt(eps).
+    In the orthonormal frame e1 = X_u / sqrt(E), e2 perpendicular, the shape
+    matrix [[a, b], [b, c]] has trace-free part [[s, b], [b, -s]], s = (a - c)/2,
+    and half gap sqrt(s^2 + b^2): it has no cancellation at umbilic points,
+    where sqrt(H^2 - K) returns rounding noise of order sqrt(eps).
     """
     E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
     L, M, Nn = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
     det_I = E * G - F * F
     H = (E * Nn - 2.0 * F * M + G * L) / (2.0 * det_I)
-    a_c = L / E - (E * E * Nn - 2.0 * E * F * M + F * F * L) / (E * det_I)
+    s = 0.5 * (L / E - (E * E * Nn - 2.0 * E * F * M + F * F * L) / (E * det_I))
     # excluded points may have det I slightly below 0
     b = (E * M - F * L) / (E * np.sqrt(np.abs(det_I)))
-    gap = np.sqrt(a_c * a_c + 4.0 * b * b)
-    return H - 0.5 * gap, H + 0.5 * gap, H, gap
+    return H, np.sqrt(s * s + b * b), s, b
 
 
 def principal_curvatures(patch: SurfacePatch, u, v, h=None):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
     I, II, _ = fundamental_forms(patch, u, v, h=h)
-    lam1, lam2, _, _ = _shape_invariants(I, II)
-    return lam1, lam2
+    H, half_gap, _, _ = _shape_invariants(I, II)
+    return H - half_gap, H + half_gap
 
 
 @dataclass
@@ -620,13 +619,14 @@ class CurvatureReport:
 
     Holds the jet's position and first derivatives, the fundamental forms,
     the unit normal, the principal curvatures, the umbilicity factor
-    (lambda1 + lambda2) / 2 and the normalized defect.  ``included`` masks
-    out points within the axis tube (orbit speed below ``AXIS_TUBE``) or with
-    degenerate first fundamental form; statistics are over included points
-    only.  ``nu``/``T``/``JT`` split the height field d_z = nu N + T, with
-    JT = N ^ T, wherever d_z is a unit field: the vertical Killing field of
-    the products and of M^3(kappa, tau), and the frame field E3 of Sol, the
-    one space without a vertical Killing field where the split is taken.
+    (lambda1 + lambda2) / 2, the normalized defect, the trace-free shape operator
+    [[s0_11, s0_12], [s0_12, -s0_11]] (``_shape_invariants``).  ``included``
+    masks out points within the axis tube (orbit speed below ``AXIS_TUBE``)
+    or with degenerate first fundamental form; statistics are over included
+    points only.  ``nu``/``T``/``JT`` split the height field d_z = nu N + T,
+    with JT = N ^ T, wherever d_z is a unit field: the vertical Killing field
+    of the products and of M^3(kappa, tau), and the frame field E3 of Sol,
+    the one space without a vertical Killing field where the split is taken.
     They are None in every other space.
     """
 
@@ -644,6 +644,8 @@ class CurvatureReport:
     mean_curvature: np.ndarray
     umbilicity_factor: np.ndarray
     defect: np.ndarray
+    s0_11: np.ndarray
+    s0_12: np.ndarray
     included: np.ndarray
     nu: Optional[np.ndarray] = None
     T: Optional[np.ndarray] = None
@@ -691,8 +693,9 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     orbit_speed = np.sqrt(I[..., 1, 1])
     included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
 
-    lam1, lam2, H, gap = _shape_invariants(I, II)
-    defect = gap / (1.0 + np.abs(lam1) + np.abs(lam2))
+    H, half_gap, s0_11, s0_12 = _shape_invariants(I, II)
+    lam1, lam2 = H - half_gap, H + half_gap
+    defect = 2.0 * half_gap / (1.0 + np.abs(lam1) + np.abs(lam2))
 
     nu = T = JT = None
     if space.has_vertical_field or space.kind == "sol":
@@ -709,7 +712,7 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
         U=U, V=V, X=X, Xu=j["Xu"], Xv=j["Xv"], I=I, II=II, N=N,
         lambda1=lam1, lambda2=lam2,
         mean_curvature=H, umbilicity_factor=0.5 * (lam1 + lam2),
-        defect=defect, included=included,
+        defect=defect, s0_11=s0_11, s0_12=s0_12, included=included,
         nu=nu, T=T, JT=JT,
     )
 

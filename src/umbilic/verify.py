@@ -4,16 +4,17 @@ Every identity the umbilicity analysis rests on is checked here by finite
 differences against the closed-form geometry: the Killing property of the
 vertical field, the curvature commutator on an umbilic patch, the fibration
 curvature formula, the gradient law for the common principal curvature, the
-bracket [T, JT], and the Sol frame relations.  A derivative-free search
-(`nonexistence_falsifier`) then looks for umbilic surfaces in the fibration
-chart and reports the smallest defect it can reach, which stays bounded away
-from zero exactly when no umbilic surface exists.
+bracket [T, JT], and the Sol frame relations.  A least-squares search
+(`nonexistence_falsifier`, bounded Levenberg-Marquardt on the trace-free
+shape operator) then looks for umbilic surfaces in the fibration chart and
+reports the smallest defect it can reach, which stays bounded away from
+zero exactly when no umbilic surface exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -529,47 +530,39 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
                         jet, chart=chart)
 
 
+# z-translations are isometries of every m3 chart, so a sphere's defect
+# depends on its radius alone and the trial spheres are centred at height 0
 _TRIAL_FAMILIES = {
-    "graph": {
-        "bounds": [(-1.0, 1.0)] + [(-2.0, 2.0)] * 5,
-        "first_start": np.zeros(6),
-        "options": {"xatol": 1e-6, "fatol": 1e-10},
-    },
-    "sphere": {
-        "bounds": [(-0.5, 0.5), (0.5, 2.2)],
-        "first_start": np.array([0.0, 1.0]),
-        # the sphere objective is exact to rounding (about 1e-16 on the
-        # umbilic spheres of m3(1, 1/2)), far below these stopping tolerances
-        "options": {"xatol": 1e-4, "fatol": 1e-9},
-    },
+    "graph": {"bounds": [(-1.0, 1.0)] + [(-2.0, 2.0)] * 5, "first_start": np.zeros(6)},
+    "sphere": {"bounds": [(0.5, 2.2)], "first_start": np.array([1.0])},
 }
-_SPHERE_MAXFEV = 100
 
 
 def trial_patch(space: ModelGeometry, family: str, params) -> SurfacePatch:
     """The trial surface of ``family`` with parameters ``params``.
 
-    ``params`` is one parameter vector, or a (K, n) batch of them for a
-    batched patch.  Both families are surfaces of rotation about the z axis
-    (a graph over the rho axis, a geodesic sphere centered on the axis).
-    Rotations about that axis are isometries of every M^3(kappa, tau), so
-    the umbilicity defect of a trial surface is constant along its parallels.
+    ``params`` is one parameter vector, or a (K, n) batch of them: the six
+    coefficients of a graph in rho^2, or the radius of a geodesic sphere
+    about the origin.  Both are surfaces of rotation about the z axis, an
+    isometry of every M^3(kappa, tau), so their defect is constant along
+    parallels.
     """
     params = np.asarray(params, dtype=float)
     if family == "graph":
         return rotational_graph_patch(space, params)
     if family == "sphere":
-        return geodesic_sphere_patch(space, params[..., 0], params[..., 1])
+        return geodesic_sphere_patch(space, 0.0, params[..., 0])
     raise ValueError(f"unknown trial family {family!r}")
 
 
-def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24)) -> np.ndarray:
-    """Max normalized umbilicity defect of each trial surface in a batch.
+def _trial_fields(space, family, P, grid):
+    """Max normalized defect and trace-free residual of each trial in a batch.
 
-    ``P`` holds one parameter row per trial, shape (K, n).  The K patches go
-    through one :func:`surface_fields` call on a (K, n_u, n_v) grid, and each
-    row takes its max over its admissible points.  A row with no admissible
-    point, or with a non-finite max, scores the penalty 1e3.
+    The K trials of the (K, n) parameters ``P`` go through one
+    :func:`surface_fields` call on a (K, n_u, n_v) grid.  Row k of the
+    residual holds (s0_11, s0_12) at the admissible grid points of trial k
+    and 0 elsewhere.  A trial with no admissible point, or with a non-finite
+    max, scores the penalty 1e3 and an infinite residual.
     """
     P = np.asarray(P, dtype=float)
     patch = trial_patch(space, family, P)
@@ -579,106 +572,111 @@ def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24)) -> np.nda
         rep = surface_fields(patch, np.broadcast_to(U, shape),
                              np.broadcast_to(V, shape))
         worst = np.max(np.where(rep.included, rep.defect, -np.inf), axis=(1, 2))
-    return np.where(np.isfinite(worst), worst, 1e3)
+    penalized = ~np.isfinite(worst)
+    resid = np.where(rep.included[:, None], np.stack([rep.s0_11, rep.s0_12], 1), 0.0)
+    resid = resid.reshape(len(P), -1)
+    resid[penalized] = np.inf
+    return np.where(penalized, 1e3, worst), resid
+
+
+def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24)) -> np.ndarray:
+    """Max normalized umbilicity defect of each trial surface in a batch.
+
+    ``P`` holds one parameter row per trial, shape (K, n); each row takes its
+    max over its admissible points, or the penalty 1e3 (see _trial_fields).
+    """
+    return _trial_fields(space, family, P, grid)[0]
 
 
 def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24)) -> float:
-    """Max normalized umbilicity defect of one trial surface.
-
-    The one-row case of :func:`trial_defects`.
-    """
+    """Max normalized umbilicity defect of one trial surface (a trial_defects row)."""
     P = np.asarray(params, dtype=float)[None]
     return float(trial_defects(space, family, P, grid=grid)[0])
 
 
-def _nelder_mead(x0, bounds, maxfev, xatol, fatol):
-    """Bounded Nelder-Mead as a coroutine, step for step as scipy runs it.
+# stopping tolerances: relative cost reduction, step over |x|, free gradient
+_FTOL, _XTOL, _GTOL = 1e-10, 1e-10, 1e-12
 
-    This is scipy's Nelder-Mead with ``bounds`` and the options ``maxfev``,
-    ``xatol`` and ``fatol``, with every objective call turned into a yield:
-    the generator yields each (m, n) array of points it needs (m = 1 per
-    step, the n + 1 initial vertices, or the n vertices of a shrink) and is
-    sent their m values.  As in scipy, a request at the evaluation cap ends
-    the run, and the pending vertex of that iteration is dropped.  Returns
-    ``(x, fun, nfev, success)``.
+
+def _levenberg_marquardt(x0, bounds, maxfev):
+    """Bounded Levenberg-Marquardt (More, LNM 630, 1978) as a coroutine.
+
+    It yields each (m, n) array of points it needs and is sent their (m, k)
+    residuals.  An iteration is one request: the trial point and its n
+    forward-difference neighbours, whose Jacobian serves the next step if
+    the trial lowers the cost |r|^2 / 2.  A step solves (J^T J + lam D) dx =
+    -J^T r, D the running max of diag(J^T J), on the coordinates the
+    gradient does not hold at a bound, and is clipped into the box.  The run
+    stops on the free gradient ("gradient"), the step ("step"), an accepted
+    relative cost reduction ("reduction") or a start with a non-finite
+    residual ("penalized").  ``maxfev`` >= n + 1 caps the rows: the rows left
+    under it go to trial steps at damping lam, 4 lam, ... ("cap").  Returns
+    ``(x, cost, nfev, status)``.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    lb = np.array([float(lo) for lo, _ in bounds])
-    ub = np.array([float(hi) for _, hi in bounds])
-    x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    N = len(x0)
-    # step each coordinate by 5% (from zero by 0.00025), reflect vertices
-    # beyond the upper bound into the interior, then clip
-    sim = np.tile(x0, (N + 1, 1))
-    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    lb, ub = (np.array(b, dtype=float) for b in zip(*bounds))
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    n = len(x)
     nfev = 0
 
-    def evaluate(points):
-        # the values of the leading points that fit under the cap
+    def probe(x):
+        # residual, cost and transposed forward-difference Jacobian at x
         nonlocal nfev
-        m = min(len(points), maxfev - nfev)
-        nfev += m
-        if m == 0:
-            return np.empty(0)
-        return (yield points[:m])
+        h = 2.0 ** -26 * np.maximum(1.0, np.abs(x))  # sqrt(eps) max(1, |x|)
+        pts = np.vstack([x, x + np.diag(np.where(x + h > ub, -h, h))])
+        nfev += n + 1
+        R = yield pts
+        cost = 0.5 * (R * R).sum(axis=1)
+        Jt = (R[1:] - R[0]) / (pts.diagonal(-1) - x)[:, None]
+        Jt[~np.isfinite(cost[1:])] = 0.0
+        return R[0], Jt, cost[0]
 
-    def iterate():
-        # one Nelder-Mead iteration on the sorted simplex, in place
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lb, ub)
-        fxr = (yield from evaluate(xr[None]))[0]
-        if fxr < fsim[0]:
-            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lb, ub)
-            fxe = yield from evaluate(xe[None])
-            if len(fxe):
-                if fxe[0] < fxr:
-                    sim[-1], fsim[-1] = xe, fxe[0]
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            return
-        if fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-            return
-        if fxr < fsim[-1]:
-            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lb, ub)
-            fxc = yield from evaluate(xc[None])
-            if not len(fxc):
-                return
-            if fxc[0] <= fxr:
-                sim[-1], fsim[-1] = xc, fxc[0]
-                return
+    r, Jt, cost = yield from probe(x)
+    if not np.isfinite(cost):
+        return x, cost, nfev, "penalized"
+    lam, nu, D = 1e-3, 2.0, np.zeros(n)
+    while True:
+        g = Jt @ r
+        held = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
+        g[held] = 0.0
+        if np.abs(g).max() <= _GTOL:
+            return x, cost, nfev, "gradient"
+        A = Jt @ Jt.T
+        D = np.maximum(D, A.diagonal())
+        A[held] = A[:, held] = 0.0
+        scale = np.diag(np.where(D > 0, D, 1.0))
+
+        def trial(lam):
+            return np.clip(x - np.linalg.solve(A + lam * scale, g), lb, ub)
+
+        left = maxfev - nfev
+        if left < n + 1:
+            if left:
+                pts = np.array([trial(lam * 4.0 ** k) for k in range(left)])
+                nfev += left
+                R = yield pts
+                costs = 0.5 * (R * R).sum(axis=1)
+                k = int(np.argmin(costs))
+                if costs[k] < cost:
+                    x, cost = pts[k], costs[k]
+            return x, cost, nfev, "cap"
+        x_new = trial(lam)
+        s = x_new - x
+        if np.sqrt(s @ s) <= _XTOL * (_XTOL + np.sqrt(x @ x)):
+            return x, cost, nfev, "step"
+        r_new, Jt_new, cost_new = yield from probe(x_new)
+        actual = cost - cost_new
+        if actual > 0:
+            Js = s @ Jt
+            predicted = -(g @ s) - 0.5 * (Js @ Js)
+            ratio = actual / predicted if predicted > 0 else 0.0
+            x, r, Jt, cost = x_new, r_new, Jt_new, cost_new
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            nu = 2.0
+            if actual <= _FTOL * (cost + actual) and ratio > 0.25:
+                return x, cost, nfev, "reduction"
         else:
-            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lb, ub)
-            fxcc = yield from evaluate(xcc[None])
-            if not len(fxcc):
-                return
-            if fxcc[0] < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc[0]
-                return
-        # shrink toward the best vertex; scipy moves each vertex before its
-        # call, so the vertex whose call hits the cap moves but keeps its value
-        shrunk = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lb, ub)
-        f = yield from evaluate(shrunk)
-        m = len(f)
-        sim[1:m + 2] = shrunk[:m + 1]
-        fsim[1:m + 1] = f
-
-    fsim = np.full(N + 1, np.inf)
-    f = yield from evaluate(sim)
-    fsim[:len(f)] = f
-    # scipy sorts the initial simplex twice
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        yield from iterate()
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0].copy(), float(np.min(fsim)), nfev, nfev < maxfev
+            lam *= nu
+            nu *= 2.0
 
 
 def _lockstep(objective, runs):
@@ -716,27 +714,24 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
                            seed=0, grid=(24, 24)) -> dict:
     """Search the trial families for an umbilic surface in M^3(kappa, tau).
 
-    Runs derivative-free minimization of the max-defect objective from
-    ``n_starts`` seeds per family and merges results by minimum.  The floor
-    found is numerical evidence only: a large floor supports nonexistence, a
-    tiny one demonstrates an umbilic surface the search can exhibit.
+    Runs a bounded Levenberg-Marquardt search from ``n_starts`` seeds per
+    family on the trace-free shape operator (s0_11, s0_12) of each trial,
+    which vanishes exactly on an umbilic surface, and reports the max
+    normalized defect at the best point found.  A large floor is numerical
+    evidence for nonexistence; a tiny one exhibits an umbilic surface.
 
-    The restarts of a family run in lockstep: each round evaluates every
-    pending Nelder-Mead point in one batched :func:`trial_defects` call.
-    Rotations about the z axis are isometries of M^3(kappa, tau) that map
-    each trial surface to itself, so the defect is constant along parallels
-    and every trial is evaluated on one meridian of ``grid[0]`` points;
-    ``grid`` in the result is that meridian, ``[grid[0], 1]``.  Sphere jets
-    come from the closed-form geodesics and their exact Jacobi fields, so
-    each family's floor is the value its search minimized.
+    The restarts of a family run in lockstep: each round is one iteration of
+    every restart, its trial point and difference neighbours evaluated in
+    one batched :func:`surface_fields` call.  Rotations about the z axis are
+    isometries that map each trial to itself, so every trial is evaluated on
+    one meridian, ``grid`` in the result, ``[grid[0], 1]``.
 
-    The sphere radius is bounded below (0.5) because small geodesic spheres
-    are asymptotically umbilic in any space, so letting the radius shrink
-    would drive the defect to zero without exhibiting an actual umbilic
-    surface.  ``budget`` is the evaluation budget of each trial family,
-    split evenly across its restarts; it must allow at least 8 evaluations
-    per restart.  ``partial`` is set when some restart stopped at its
-    evaluation cap before meeting the convergence tolerances.
+    The sphere radius is bounded below (0.5): small geodesic spheres are
+    asymptotically umbilic in any space.  ``best_on_bound`` lists the
+    coordinates of the best point that lie on a bound.  ``budget`` caps the
+    evaluations of each family, split evenly across its restarts, at least
+    8 per restart.  ``partial`` is set when some restart stopped at its cap
+    before its step, gradient or cost-reduction test passed.
     """
     space = m3(float(kappa), float(tau))
     if family == "auto":
@@ -755,35 +750,37 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     meridian = (grid[0], 1)
     floors, best_x, n_evals, all_converged = {}, {}, 0, True
     for fam, starts in plans:
-        fam_spec = _TRIAL_FAMILIES[fam]
-        bounds = fam_spec["bounds"]
-        maxfev = budget // starts
-        if fam == "sphere":
-            maxfev = min(maxfev, _SPHERE_MAXFEV)
-        runs = []
-        for k in range(starts):
-            if k == 0:
-                x0 = fam_spec["first_start"].copy()
-            else:
-                fam_id = sorted(_TRIAL_FAMILIES).index(fam)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(fam_id, k)))
-                x0 = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
-            runs.append(_nelder_mead(x0, bounds, maxfev, **fam_spec["options"]))
-        objective = partial(trial_defects, space, fam, grid=meridian)
-        for x, fun, nfev, success in _lockstep(objective, runs):
+        spec, fam_id = _TRIAL_FAMILIES[fam], sorted(_TRIAL_FAMILIES).index(fam)
+        x0s = [spec["first_start"]] + [
+            np.array([rng.uniform(lo, hi) for lo, hi in spec["bounds"]])
+            for rng in (np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(fam_id, k))) for k in range(1, starts))]
+        runs = [_levenberg_marquardt(x0, spec["bounds"], budget // starts)
+                for x0 in x0s]
+        defects = {}  # the defect of every evaluated trial, by its parameters
+
+        def objective(P, fam=fam):
+            worst, resid = _trial_fields(space, fam, P, meridian)
+            defects.update(zip(map(bytes, P), worst))
+            return resid
+
+        for x, _, nfev, status in _lockstep(objective, runs):
             n_evals += nfev
-            all_converged &= success
+            all_converged &= status != "cap"
+            fun = defects[x.tobytes()]
             if fam not in floors or fun < floors[fam]:
                 floors[fam], best_x[fam] = fun, x
 
     best_family = min(floors, key=floors.get)
+    x = best_x[best_family]
+    lb, ub = np.array(_TRIAL_FAMILIES[best_family]["bounds"]).T
     return {
         "kappa": float(kappa),
         "tau": float(tau),
         "min_defect_found": float(floors[best_family]),
         "best_params": {"family": best_family,
-                        "values": [float(v) for v in best_x[best_family]]},
+                        "values": [float(v) for v in x]},
+        "best_on_bound": np.flatnonzero((x <= lb) | (x >= ub)).tolist(),
         "floors_by_family": {f: float(v) for f, v in floors.items()},
         "n_starts": {f: s for f, s in plans},
         "n_evals": n_evals,

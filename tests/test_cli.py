@@ -300,6 +300,20 @@ def test_falsify_reports_the_meridian_it_evaluated(capsys):
     assert [d["config"]["grid"] for d in docs] == [[24, 2], [24, 24]]
 
 
+def test_falsify_reports_the_best_point_on_the_radius_bound(capsys):
+    # the README search: a sphere's defect in m3(0, 1/2) grows with its
+    # radius, so the best trial is the sphere on the radius bound 0.5
+    argv = ["falsify", "--kappa", "0", "--tau", "0.5", "--starts", "50",
+            "--seed", "7"]
+    rc1, out1, _ = _run(capsys, argv)
+    rc2, out2, _ = _run(capsys, argv)
+    assert rc1 == rc2 and out1 == out2
+    res = json.loads(out1)["result"]
+    assert res["best_params"] == {"family": "sphere", "values": [0.5]}
+    assert res["best_on_bound"] == [0]
+    assert res["min_defect_found"] > 1e-2
+
+
 # --- conformal ------------------------------------------------------------------
 
 

@@ -41,13 +41,14 @@ def _probe(argv):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-# (argv, exit code): the small falsify budgets end partial, so exit 1
+# (argv, exit code): the small graph budget ends partial, so exit 1; both
+# sphere restarts converge on the radius bound within theirs, so exit 0
 SCIPY_FREE = {
     "import": ([], 0),
     "falsify-graph": (["falsify", "--kappa", "0", "--tau", "0.5", "--family",
                        "graph", "--starts", "2", "--budget", "40"], 1),
     "falsify-sphere": (["falsify", "--kappa", "0", "--tau", "0.5", "--family",
-                        "sphere", "--starts", "2", "--budget", "40"], 1),
+                        "sphere", "--starts", "2", "--budget", "40"], 0),
     "killing-grid": (["verify", "--suite", "killing-grid", "--grid", "16x16"], 0),
     "daniel-grid": (["verify", "--suite", "daniel-grid", "--grid", "16x16"], 0),
     "gen-a-eq-1": (["gen", "--space", "s2xr", "--family", "a-eq-1",
