@@ -615,8 +615,7 @@ def _levenberg_marquardt(x0, bounds, maxfev):
     """
     lb, ub = (np.array(b, dtype=float) for b in zip(*bounds))
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    n = len(x)
-    nfev = 0
+    n, nfev = len(x), 0
 
     def probe(x):
         # residual, cost and transposed forward-difference Jacobian at x
@@ -628,7 +627,7 @@ def _levenberg_marquardt(x0, bounds, maxfev):
         cost = 0.5 * (R * R).sum(axis=1)
         Jt = (R[1:] - R[0]) / (pts.diagonal(-1) - x)[:, None]
         Jt[~np.isfinite(cost[1:])] = 0.0
-        return R[0], Jt, cost[0]
+        return R[0].copy(), Jt, cost[0]
 
     r, Jt, cost = yield from probe(x)
     if not np.isfinite(cost):
@@ -675,8 +674,7 @@ def _levenberg_marquardt(x0, bounds, maxfev):
             if actual <= _FTOL * (cost + actual) and ratio > 0.25:
                 return x, cost, nfev, "reduction"
         else:
-            lam *= nu
-            nu *= 2.0
+            lam, nu = lam * nu, 2.0 * nu
 
 
 def _lockstep(objective, runs):
@@ -757,17 +755,19 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
                 entropy=seed, spawn_key=(fam_id, k))) for k in range(1, starts))]
         runs = [_levenberg_marquardt(x0, spec["bounds"], budget // starts)
                 for x0 in x0s]
-        defects = {}  # the defect of every evaluated trial, by its parameters
+        seen = []  # the parameters and defects of every round
 
         def objective(P, fam=fam):
             worst, resid = _trial_fields(space, fam, P, meridian)
-            defects.update(zip(map(bytes, P), worst))
+            seen.append((P, worst))
             return resid
 
-        for x, _, nfev, status in _lockstep(objective, runs):
+        results = _lockstep(objective, runs)
+        P, worst = (np.concatenate(a) for a in zip(*seen))
+        for x, _, nfev, status in results:
             n_evals += nfev
             all_converged &= status != "cap"
-            fun = defects[x.tobytes()]
+            fun = worst[np.all(P == x, axis=1)][0]
             if fam not in floors or fun < floors[fam]:
                 floors[fam], best_x[fam] = fun, x
 

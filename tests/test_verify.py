@@ -570,14 +570,14 @@ def _rosenbrock(P):
     return np.stack([10.0 * (P[:, 1] - P[:, 0] ** 2), 1.0 - P[:, 0]], axis=1)
 
 
+def _rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
 # a consistent 4 x 3 system nudged off its range: the unconstrained minimum,
 # about (0.5, -0.25, 1.31), lies above the third coordinate's bound 1.2
 _A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
 _B = _A @ [0.5, -0.25, 1.3] + [0.01, -0.02, 0.01, 0.0]
-
-
-def _rosenbrock_jac(x):
-    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
 def _linear(P):
