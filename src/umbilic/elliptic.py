@@ -12,6 +12,8 @@ c_n = (a_{n-1} - b_{n-1})/2, set phi_N = 2^N a_N u and recurse
 
 then am = phi_0.  Arguments are first reduced by the quasi-period
 (am(u + 2K) = am(u) + pi), so the recursion only ever sees |u| <= K.
+The same pass gives the Jacobi zeta function Z(u) = sum_n c_n sin phi_n,
+with E(am u | m) = u E/K + Z(u) (Abramowitz-Stegun 17.6).
 
 Parameter ranges outside [0, 1) are reduced to it by the standard
 transformations: the imaginary-modulus identity for m < 0 and the
@@ -22,12 +24,15 @@ them against mpmath up to |m| = 1e6.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # two ulps: the AGM stagnates at machine epsilon, so demand no more
 AGM_TOL = 4.5e-16
 
 
+@lru_cache(maxsize=64)
 def elliptic_K(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter m < 1."""
     m = float(m)
@@ -41,8 +46,9 @@ def elliptic_K(m: float) -> float:
     return float(np.pi / (2.0 * a))
 
 
+@lru_cache(maxsize=64)
 def _agm_scales(m):
-    """AGM ladder (a_n, c_n) for parameter m in [0, 1)."""
+    """AGM ladder (a_n, c_n) for parameter m in [0, 1), as a tuple."""
     a, b = 1.0, np.sqrt(1.0 - m)
     ladder = []
     # c_0 = sqrt(m) is not used by the phase recursion, which starts at n = 1
@@ -54,20 +60,25 @@ def _agm_scales(m):
             break
         if len(ladder) > 64:  # pragma: no cover
             raise RuntimeError("AGM ladder failed to converge")
-    return ladder
+    return tuple(ladder)
 
 
 def _am_core(u, m):
-    """Amplitude for m in [0, 1), |u| <= K(m): descending Landen recursion."""
+    """Amplitude and Jacobi zeta function (am, Z) for m in [0, 1), |u| <= K(m),
+    by the descending Landen recursion."""
     u = np.asarray(u, dtype=float)
     if m == 0.0:
-        return u.copy()
+        return u.copy(), np.zeros_like(u)
     ladder = _agm_scales(m)
     n = len(ladder)
     phi = (2.0**n) * ladder[-1][0] * u
+    zeta = 0.0
     for a_k, c_k in reversed(ladder):
-        phi = 0.5 * (phi + np.arcsin(np.clip(c_k / a_k * np.sin(phi), -1.0, 1.0)))
-    return phi
+        # c_k < a_k, so the arcsine's argument never leaves [-1, 1]
+        s = np.sin(phi)
+        zeta = zeta + c_k * s
+        phi = 0.5 * (phi + np.arcsin(c_k / a_k * s))
+    return phi, zeta
 
 
 def _reduce(u, K):
@@ -89,21 +100,26 @@ def _jacobi(u, m):
         sn = sn_r / rm
         return sn, dn_r, cn_r, np.arcsin(sn)
     n, w = _reduce(u, elliptic_K(m))
-    sign = 1.0 - 2.0 * np.mod(n, 2.0)
     if m < 0.0:
         # imaginary modulus: at v = w sqrt(1 - m) and parameter -m / (1 - m),
         # sn = sd / sqrt(1 - m), cn = cd, dn = nd; the amplitude is read off
         # (sn, cn) by atan2, which stays exact where |sn| -> 1
-        r = np.sqrt(1.0 - m)
+        r, sign = np.sqrt(1.0 - m), 1.0 - 2.0 * np.mod(n, 2.0)
         sn_v, cn_v, dn_v, _ = _jacobi(w * r, -m / (1.0 - m))
         return (sign * sn_v / (r * dn_v), sign * cn_v / dn_v, 1.0 / dn_v,
                 n * np.pi + np.arctan2(sn_v / r, cn_v))
-    # m in [0, 1): u = 2nK + w shifts the amplitude by n pi, and
-    # dn^2 = cn^2 + (1 - m) sn^2 does not cancel as m -> 1
-    phi = _am_core(w, m)
+    return _landen(n, w, m)[:4]
+
+
+def _landen(n, w, m):
+    """(sn, cn, dn, am, Z) at u = 2nK + w, |w| <= K, for m in [0, 1): the
+    shift adds n pi to am and leaves Z alone; dn^2 = cn^2 + (1 - m) sn^2
+    does not cancel as m -> 1."""
+    phi, zeta = _am_core(w, m)
+    sign = 1.0 - 2.0 * np.mod(n, 2.0)
     sn_w, cn_w = np.sin(phi), np.cos(phi)
     return (sign * sn_w, sign * cn_w, np.sqrt(cn_w**2 + (1.0 - m) * sn_w**2),
-            n * np.pi + phi)
+            n * np.pi + phi, zeta)
 
 
 def ellipj(u, m: float):
@@ -115,6 +131,19 @@ def ellipj(u, m: float):
     u = np.asarray(u, dtype=float)
     out = _jacobi(u, float(m))
     return out if u.ndim else tuple(float(v) for v in out)
+
+
+def ellipj_zeta(u, m: float):
+    """(sn, cn, dn, Z(u | m)) at real u for 0 <= m < 1, from one pass.
+
+    Z is the Jacobi zeta function, 2K-periodic and odd, with
+    E(am u | m) = u E/K + Z(u) for |u| <= K.
+    """
+    m = float(m)
+    if not 0.0 <= m < 1.0:
+        raise ValueError("ellipj_zeta requires parameter 0 <= m < 1")
+    sn, cn, dn, _, zeta = _landen(*_reduce(np.asarray(u, dtype=float), elliptic_K(m)), m)
+    return sn, cn, dn, zeta
 
 
 def jacobi_am(u, m: float):

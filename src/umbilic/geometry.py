@@ -23,8 +23,9 @@ Conventions fixed here and relied on throughout the package:
 Each kind gives its metric, inverse metric, volume factor sqrt(det g) and
 Christoffel symbols in closed form, analytic in the point, as tables of
 their nonzero components; vectors are contracted against the tables
-(:func:`lowering`, :func:`cross`, :func:`connection`).  The curvature
-tensor follows from the symbols and their complex-step derivatives.
+(:func:`lowering`, :func:`cross`, :func:`connection`), and so is R(X, Y)Z
+(:func:`curvature_tensor`); the dense arrays (:func:`metric_at`,
+:func:`christoffels`, :func:`riemann`) remain for other callers.
 
 All tensor-valued functions broadcast over leading point axes: points have
 shape (..., 3), metrics (..., 3, 3), Christoffel symbols (..., 3, 3, 3) with
@@ -415,12 +416,8 @@ def connection(space: ModelGeometry, p):
 def christoffel_deriv(space: ModelGeometry, p) -> np.ndarray:
     """dgamma[..., m, l, i, j] = d_m gamma^l_ij via complex step (machine precision)."""
     p = np.asarray(p, dtype=float)
-    out = np.empty(p.shape[:-1] + (3, 3, 3, 3))
-    for mth in range(3):
-        pc = p.astype(complex)
-        pc[..., mth] += 1j * _CS
-        out[..., mth, :, :, :] = christoffels(space, pc).imag / _CS
-    return out
+    return np.stack([christoffels(space, p + (1j * _CS) * e).imag / _CS
+                     for e in np.eye(3)], axis=-4)
 
 
 def riemann(space: ModelGeometry, p) -> np.ndarray:
@@ -439,9 +436,19 @@ def riemann(space: ModelGeometry, p) -> np.ndarray:
 
 
 def curvature_tensor(space: ModelGeometry, p, X, Y, Z) -> np.ndarray:
-    """R(X, Y)Z at p (chart components), in the package sign convention."""
-    R = riemann(space, p)
-    return np.einsum("...lijk,...i,...j,...k->...l", R, X, Y, Z)
+    """R(X, Y)Z at p (chart components), in the package sign convention.
+
+    With Gamma the connection at p and d_Y the derivative along Y, it is
+    d_Y Gamma(X, Z) - d_X Gamma(Y, Z) + Gamma(Y, Gamma(X, Z)) - Gamma(X, Gamma(Y, Z)),
+    both derivatives by a complex step of the point, so no dense tensor
+    is formed.
+    """
+    p = np.asarray(p, dtype=float)
+    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
+    gamma = connection(space, p)
+    dY = connection(space, p + (1j * _CS) * Y)(X, Z).imag / _CS
+    dX = connection(space, p + (1j * _CS) * X)(Y, Z).imag / _CS
+    return dY - dX + gamma(Y, gamma(X, Z)) - gamma(X, gamma(Y, Z))
 
 
 def inner(space: ModelGeometry, p, X, Y) -> np.ndarray:

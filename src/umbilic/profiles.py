@@ -34,9 +34,14 @@ The Sol family is a graph z(y) over the y-axis in the plane {x = 0},
 
     z'' + 3 z'^2 + 2 e^{-2z} = 0,   z'(0) = 0,  z(0) = (1/4) log a,
 
-with first integral z'^2 = a e^{-6z} - e^{-2z}.  z falls to -infinity at a
-finite half-width y_a; integration stops at z = Z_CLIP and y_a is completed
-by a quadrature tail.
+with first integral z'^2 = a e^{-6z} - e^{-2z}.  It is lemniscatic: with
+c = a^{1/4}/sqrt(2) and z0 = (1/4) log a,
+
+    e^{z - z0} = cn(u | 1/2),   y = c (2 E(am u | 1/2) - u),
+
+so z falls to -infinity at the finite half-width y_a = c (2 E - K) at
+m = 1/2.  The evaluator inverts y -> u by Newton's method; samples below
+the evaluated span, down to z = Z_CLIP, come from the series of y_a - y.
 
 All curves are normalized to pass through the origin of their plane:
 rho(0) = 0, t(0) = 0 (Sol: z'(0) = 0, y = 0 at the crest).
@@ -48,10 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import ellipj, elliptic_K
+from .elliptic import ellipj, ellipj_zeta, elliptic_K
 
-PROFILE_RTOL = 1e-10
-PROFILE_ATOL = 1e-12
 Z_CLIP = -30.0
 
 
@@ -85,7 +88,6 @@ class GeneratingCurve:
     samples: np.ndarray  # shape (n, len(columns))
     period_data: PeriodData | None
     _jet: callable = field(repr=False)
-    _aux: dict | None = field(default=None, repr=False)
 
     @property
     def s(self):
@@ -127,19 +129,6 @@ _SHAPE_RATE_DRHO = {
     "h2xr-parabolic": lambda rho, theta, p: 0.0 * rho,
     "h2xr-hyperbolic": lambda rho, theta, p: p * np.cosh(rho),
 }
-
-
-def principal_curvature_normal_part(kind, rho, theta, param):
-    """The orbit-direction principal curvature lambda_2 in closed form."""
-    if kind == "s2xr":
-        return np.sin(theta) / np.tan(rho)
-    if kind == "h2xr-elliptic":
-        return np.sin(theta) / np.tanh(rho)
-    if kind == "h2xr-parabolic":
-        return np.sin(theta)
-    if kind == "h2xr-hyperbolic":
-        return np.sin(theta) * np.tanh(rho)
-    raise ValueError(kind)
 
 
 def _plane_jet(kind, param, state):
@@ -302,112 +291,85 @@ def h2xr_hyperbolic_profile(c, s_span=None, n_samples=2001) -> GeneratingCurve:
                               s_span, n_samples, PeriodData(delta=delta))
 
 
-def sol_profile(a, z_clip=Z_CLIP, n_samples=2001,
-                rtol=PROFILE_RTOL, atol=PROFILE_ATOL) -> GeneratingCurve:
+def _lemniscate_series(v, p):
+    """sum_k C(2k, k) 4^-k v^(4k + p) / (4k + p), to rounding for 0 <= v <= e^-4.
+
+    It is the integral of t^(p - 1) (1 - t^4)^(-1/2) from 0 to v; term k
+    is below v^(4k) <= e^(-16k) of the first, so three terms suffice.
+    """
+    total, coef, term, v4 = 0.0, 1.0, v**p, v**4
+    for k in range(3):
+        total = total + coef * term / (4 * k + p)
+        coef, term = coef * (2 * k + 1) / (2 * k + 2), term * v4
+    return total
+
+
+# The Sol graph is lemniscatic: e^{z - z0} = cn(u | 1/2) and y = c w(u) with
+# w = 2 E(am u | 1/2) - u = (2E/K - 1) u + 2 Z(u), in which nothing cancels,
+# and dw/du = cn^2.  At m = 1/2, Legendre's relation gives 2E - K = pi/(2K).
+# The evaluated span ends _SOL_DEPTH below the crest, at
+# u = K - sqrt(2) * (series in cn = e^{-_SOL_DEPTH}).  w does not depend on
+# a, so neither do the nodes that start Newton's method for y -> u; they are
+# denser toward the end, where the slope cn^2 falls fastest.
+_SOL_M, _SOL_DEPTH = 0.5, 4.0
+_SOL_K = elliptic_K(_SOL_M)
+
+
+def _sol_w(u):
+    """w(u) and its slope cn(u | 1/2)^2."""
+    _, cn, _, zeta = ellipj_zeta(u, _SOL_M)
+    return (0.5 * np.pi / _SOL_K**2) * u + 2.0 * zeta, cn * cn
+
+
+_SOL_U = ((_SOL_K - np.sqrt(2.0) * _lemniscate_series(np.exp(-_SOL_DEPTH), 1))
+          * np.sin(np.linspace(0.0, 0.5 * np.pi, 129)))
+_SOL_W = _sol_w(_SOL_U)[0]
+
+
+def sol_profile(a, z_clip=Z_CLIP, n_samples=2001) -> GeneratingCurve:
     """The translation-invariant Sol graph family, parameter a > 0.
 
-    Crest height z(0) = (1/4) log a; z blows down to -infinity at |y| = y_a.
-    Samples stop where z reaches ``z_clip``; ``period_data.y_a`` adds the
-    quadrature tail below the clip.
+    Crest height z(0) = z0 = (1/4) log a; with c = a^{1/4}/sqrt(2),
 
-    Past a switch depth 4 below the crest, |z'| grows like e^{-3z} and the
-    whole remaining drop to the clip happens within one ulp of y_a, so the
-    graph cannot be advanced (or evaluated) in y there.  The tail is instead
-    integrated with z as the independent variable in (y, log|z'|) form; the
-    ``jet`` evaluator spans the y-parametrized part only, while ``samples``
-    and blow-down events cover the full clipped window.
+        y = c (2 E(am u | 1/2) - u),  z = z0 + log cn(u | 1/2),
+        z_y = -sn dn / (c cn^3),      y_a = c (2 E - K) = c pi / (2 K),
+
+    and z blows down to -infinity at |y| = y_a.  The ``jet`` evaluator spans
+    the graph down to 4 below the crest.  Below that depth |z'| grows like
+    e^{-3z} and the rest of the drop happens within one ulp of y_a;
+    ``samples`` continue down to ``z_clip``, which must lie deeper, with
+    y_a - y from its series in v = e^{z - z0}.
     """
-    from scipy.integrate import quad, solve_ivp
-
     a = float(a)
     if not a > 0:
         raise ValueError("a must be positive")
     z0 = 0.25 * np.log(a)
-    z_switch = max(z0 - 4.0, z_clip)
-
-    def rhs(_, y):
-        z, w = y
-        return [w, -3.0 * w**2 - 2.0 * np.exp(-2.0 * z)]
-
-    def switch_event(_, y):
-        return y[0] - z_switch
-
-    switch_event.terminal = True
-    switch_event.direction = -1
-
-    legs = []
-    for sign in (1.0, -1.0):
-        res = solve_ivp(
-            rhs,
-            (0.0, sign * 1e6),
-            [z0, 0.0],
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-            events=switch_event,
-        )
-        if res.status != 1:
-            raise RuntimeError("sol profile never reached the switch depth")
-        legs.append(res)
-    fwd, bwd = legs
-    y_switch = float(fwd.t_events[0][0])
-    z_sw, w_sw = fwd.y_events[0][0]
-
-    if z_switch > z_clip:
-        # descend in z: y' = -e^{-L}, L' = -3 - 2 e^{-2z} e^{-2L}, L = log(-z')
-        deep = solve_ivp(
-            lambda z, s: [-np.exp(-s[1]), -3.0 - 2.0 * np.exp(-2.0 * z - 2.0 * s[1])],
-            (z_sw, z_clip),
-            [y_switch, np.log(-w_sw)],
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-        )
-        if not deep.success:
-            raise RuntimeError("sol tail integration failed")
-        y_of_z = lambda z: deep.sol(z)[0]
-        y_clip = float(y_of_z(z_clip))
-    else:
-        y_of_z = lambda z: np.full_like(np.asarray(z, dtype=float), y_switch)
-        y_clip = y_switch
-
-    # tail below the clip: dy = dz / |z'|, z' = -e^{-z} sqrt(a e^{-4z} - 1);
-    # substituting u = e^z turns it into int_0^{e^{z_clip}} u^2/sqrt(a - u^4) du
-    u_clip = np.exp(z_clip)
-    tail = quad(lambda u: u**2 / np.sqrt(a - u**4), 0.0, u_clip)[0]
-    y_a = y_clip + tail
+    z_switch = z0 - _SOL_DEPTH
+    if not z_clip < z_switch:
+        raise ValueError(f"z_clip must lie below log(a)/4 - {_SOL_DEPTH:g}")
+    scale = a**0.25
+    c = scale / np.sqrt(2.0)
+    y_a = c * 0.5 * np.pi / _SOL_K
+    y_switch = float(c * _SOL_W[-1])
 
     def jet(y):
-        out = np.empty((2,) + y.shape)
-        pos = y >= 0
-        if np.any(pos):
-            out[:, pos] = fwd.sol(y[pos])
-        if np.any(~pos):
-            out[:, ~pos] = bwd.sol(y[~pos])
-        z, w = out
-        return {"z": z, "z_y": w, "z_yy": -3.0 * w**2 - 2.0 * np.exp(-2.0 * z)}
+        w = np.abs(y / c)
+        u = np.interp(w, _SOL_W, _SOL_U)
+        for _ in range(3):
+            value, slope = _sol_w(u)
+            u = u - (value - w) / slope
+        sn, cn, dn, _ = ellipj_zeta(np.sign(y) * u, _SOL_M)
+        z = z0 + np.log(cn)
+        z_y = -sn * dn / (c * cn**3)
+        return {"z": z, "z_y": z_y, "z_yy": -3.0 * z_y**2 - 2.0 * np.exp(-2.0 * z)}
 
-    n_deep = max(n_samples // 8, 16) if z_switch > z_clip else 0
+    n_deep = max(n_samples // 8, 16)
     grid = np.linspace(-y_switch, y_switch, n_samples - 2 * n_deep)
-    body = np.column_stack([grid, jet(grid)["z"]])
-    if n_deep:
-        z_deep = np.linspace(z_switch, z_clip, n_deep + 1)[1:]
-        y_deep = np.asarray(y_of_z(z_deep), dtype=float)
-        right = np.column_stack([y_deep, z_deep])
-        left = np.column_stack([-y_deep[::-1], z_deep[::-1]])
-        samples = np.vstack([left, body, right])
-    else:
-        samples = body
-    return GeneratingCurve(
-        kind="sol",
-        param=a,
-        span=(-y_switch, y_switch),
-        columns=("y", "z"),
-        samples=samples,
-        period_data=PeriodData(y_a=y_a),
-        _jet=jet,
-        _aux={"y_of_z": y_of_z, "z_switch": z_switch, "z_clip": z_clip,
-              "y_clip": y_clip},
-    )
+    z_deep = np.linspace(z_switch, z_clip, n_deep + 1)[1:]
+    y_deep = y_a - scale * _lemniscate_series(np.exp(z_deep - z0), 3)
+    samples = np.vstack([np.column_stack([-y_deep[::-1], z_deep[::-1]]),
+                         np.column_stack([grid, jet(grid)["z"]]),
+                         np.column_stack([y_deep, z_deep])])
+    return GeneratingCurve(kind="sol", param=a, span=(-y_switch, y_switch),
+                           columns=("y", "z"), samples=samples,
+                           period_data=PeriodData(y_a=y_a), _jet=jet)

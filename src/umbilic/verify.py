@@ -149,18 +149,11 @@ def _sol_identities(st, seed):
     z = X[..., 2]
     shape = z.shape
 
-    # orthonormal frame E1 = e^{-z} dx, E2 = e^{z} dy, E3 = dz and its
-    # closed covariant-derivative table
-    zero = np.zeros(shape)
-    E = np.stack([
-        np.stack([np.exp(-z), zero, zero], axis=-1),
-        np.stack([zero, np.exp(z), zero], axis=-1),
-        np.stack([zero, zero, np.ones(shape)], axis=-1),
-    ])
-    # dE[i, j, ...] = d/dz of E_j's component i-th... only z-derivatives exist
-    dE = np.zeros((3,) + shape + (3,))
-    dE[0, ..., 0] = -np.exp(-z)
-    dE[1, ..., 1] = np.exp(z)
+    # orthonormal frame E1 = e^{-z} dx, E2 = e^{z} dy, E3 = dz, its
+    # z-derivatives dE (the only ones) and its closed covariant-derivative table
+    E, dE = np.zeros((2, 3) + shape + (3,))
+    E[0, ..., 0], E[1, ..., 1], E[2, ..., 2] = np.exp(-z), np.exp(z), 1.0
+    dE[0, ..., 0], dE[1, ..., 1] = -E[0, ..., 0], E[1, ..., 1]
     table = {(0, 0): -E[2], (0, 2): E[0], (1, 1): E[2], (1, 2): -E[1]}
     gamma = connection(space, X)
     frame_resid = []
@@ -266,11 +259,16 @@ class _Stencil:
         return (s[0] - s[1]) / (2.0 * self.hu), (s[2] - s[3]) / (2.0 * self.hv)
 
 
+def _solve_first_form(I, b0, b1):
+    """(x0, x1) with I x = b at every grid point, by Cramer's rule."""
+    i00, i01, i10, i11 = I[..., 0, 0], I[..., 0, 1], I[..., 1, 0], I[..., 1, 1]
+    det = i00 * i11 - i01 * i10
+    return (i11 * b0 - i01 * b1) / det, (i00 * b1 - i10 * b0) / det
+
+
 def _tangent_components(space, f, W):
     """Coefficients of a tangent vector in the (X_u, X_v) basis."""
-    b = np.stack([inner(space, f.X, W, f.Xu), inner(space, f.X, W, f.Xv)], axis=-1)
-    ab = np.linalg.solve(f.I, b[..., None])[..., 0]
-    return ab[..., 0], ab[..., 1]
+    return _solve_first_form(f.I, inner(space, f.X, W, f.Xu), inner(space, f.X, W, f.Xv))
 
 
 def _covariant_along(space, st, W, name):
@@ -368,8 +366,8 @@ def _gradient_identity(st):
     f, space = st.f, st.patch.space
     _require_umbilic(st.patch, f)
     lam_u, lam_v = st.partials("umbilicity_factor")
-    ab = np.linalg.solve(f.I, np.stack([lam_u, lam_v], axis=-1)[..., None])[..., 0]
-    grad = ab[..., 0:1] * f.Xu + ab[..., 1:2] * f.Xv
+    a, b = _solve_first_form(f.I, lam_u, lam_v)
+    grad = a[..., None] * f.Xu + b[..., None] * f.Xv
     c = 2.0 if space.kind == "sol" else space.bundle_discriminant
     resid = norm(space, f.X, grad + c * f.nu[..., None] * f.T)
     name = "gradient_sol" if space.kind == "sol" else "gradient_product"

@@ -18,8 +18,13 @@ table the sparse kernels use; it checks ``metric_at`` and ``cross``.
 ``find_event`` locates a profile event (turning point, rho level, Sol
 blow-down) nearest 0, solving only the brackets that can hold that root;
 ``find_event_all_roots`` solves every bracketed sign change and checks it.
-The Sol blow-down abscissa ``period_data.y_a`` is checked against
-``find_event``.
+Below a Sol graph's evaluated span, the blow-down level is found by
+quadrature of dz / |z'| (``_sol_blow_down``); the blow-down abscissa
+``period_data.y_a`` is checked against it.
+
+``principal_curvature_normal_part`` is the closed-form orbit-direction
+principal curvature of the plane-profile families; the curvature pipeline
+is checked against it.
 
 ``sol_flattening_xi`` integrates e^{-4z} over a Sol graph by adaptive
 quadrature; the exact antiderivative of ``umbilic.conformal.sol_flattening``
@@ -27,7 +32,9 @@ is checked against it.
 
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
-profiles of ``umbilic.profiles`` are checked against it.
+profiles of ``umbilic.profiles`` are checked against it.  ``ode_sol_profile``
+integrates the Sol graph equation the same way, for the closed-form
+lemniscatic Sol profile.
 """
 
 import numpy as np
@@ -43,14 +50,14 @@ from umbilic.geometry import (
 )
 from umbilic.profiles import (
     GeneratingCurve,
-    PROFILE_ATOL,
-    PROFILE_RTOL,
     _SHAPE_RATE,
     _build_plane_curve,
     _plane_jet,
 )
 
 GEODESIC_RTOL = 1e-12
+PROFILE_RTOL = 1e-10
+PROFILE_ATOL = 1e-12
 
 _CHUNK = 20.0
 _MAX_SPAN = 2000.0
@@ -193,16 +200,14 @@ def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> floa
         if kind == "rho_hits":
             raise ValueError("rho_hits applies to plane profiles")
         if kind == "blow_down":
-            aux = curve._aux
-            target = aux["z_clip"] if value is None else float(value)
-            if target < aux["z_clip"]:
+            # the samples end at the clip
+            z_clip = float(curve.samples[:, 1].min())
+            target = z_clip if value is None else float(value)
+            if target < z_clip:
                 raise EventNotFoundError(
-                    f"blow-down level {target} is below the clip {aux['z_clip']}"
-                )
-            if target < aux["z_switch"]:
-                # below the switch the graph is vertical to machine precision
-                # in y; the z-parametrized tail solve IS the refined root
-                return float(aux["y_of_z"](target))
+                    f"blow-down level {target} is below the clip {z_clip}")
+            if target < float(curve.jet(curve.span[1])["z"]):
+                return _sol_blow_down(curve.param, target)
             fn = lambda s: curve.jet(s)["z"] - target
         else:
             fn = lambda s: curve.jet(s)["z_y"]
@@ -237,6 +242,17 @@ def find_event(curve: GeneratingCurve, kind: str, value=None, tol=1e-13) -> floa
         root = brentq(lambda s: float(fn(s)), a[n], b[n], xtol=tol)
         best = root if best is None else min(best, root, key=key)
     return float(best)
+
+
+def _sol_blow_down(a, target):
+    """y > 0 with z(y) = target on the Sol graph of parameter a, below its
+    evaluated span: y_a - y is the integral of dz / |z'| from -infinity to
+    the target, which e^z = u turns into that of u^2 (a - u^4)^{-1/2}."""
+    # u^4 = a sin^2(t^2) makes the integrand of y_a smooth
+    y_a = quad(lambda t: a**0.25 * t * np.sqrt(np.sin(t * t)), 0.0, np.sqrt(np.pi / 2),
+               epsabs=0.0, epsrel=1e-13)[0]
+    return y_a - quad(lambda u: u * u / np.sqrt(a - u**4), 0.0, np.exp(target),
+                      epsabs=0.0, epsrel=1e-13)[0]
 
 
 def find_event_all_roots(curve, kind, value=None, tol=1e-13) -> float:
@@ -350,6 +366,60 @@ def ode_plane_profile(kind, param, s_span=None, rtol=PROFILE_RTOL, atol=PROFILE_
     dense, smax = _integrate_plane(kind, param, theta0, want, s_span, rtol, atol)
     return _build_plane_curve(kind, param, _plane_jet(kind, param, dense), None,
                               (-smax, smax), 2001, None)
+
+
+def ode_sol_profile(a, rtol=PROFILE_RTOL, atol=PROFILE_ATOL, depth=4.0):
+    """The Sol graph z'' + 3 z'^2 + 2 e^{-2z} = 0 from its crest z(0) = log(a)/4,
+    integrated with DOP853 in both directions until z is ``depth`` below the
+    crest; the span ends there, and the curve carries no period data."""
+    z0 = 0.25 * np.log(a)
+
+    def rhs(_, y):
+        z, w = y
+        return [w, -3.0 * w**2 - 2.0 * np.exp(-2.0 * z)]
+
+    def switch(_, y):
+        return y[0] - (z0 - depth)
+
+    switch.terminal = True
+    switch.direction = -1
+    legs = []
+    for sign in (1.0, -1.0):
+        res = solve_ivp(rhs, (0.0, sign * 1e6), [z0, 0.0], method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=True, events=switch)
+        if res.status != 1:
+            raise RuntimeError("sol profile never reached the switch depth")
+        legs.append(res)
+    fwd, bwd = legs
+    y_end = float(fwd.t_events[0][0])
+
+    def jet(y):
+        out = np.empty((2,) + y.shape)
+        pos = y >= 0
+        out[:, pos] = fwd.sol(y[pos])
+        out[:, ~pos] = bwd.sol(y[~pos])
+        z, w = out
+        return {"z": z, "z_y": w, "z_yy": -3.0 * w**2 - 2.0 * np.exp(-2.0 * z)}
+
+    grid = np.linspace(-y_end, y_end, 2001)
+    return GeneratingCurve(kind="sol", param=float(a), span=(-y_end, y_end),
+                           columns=("y", "z"),
+                           samples=np.column_stack([grid, jet(grid)["z"]]),
+                           period_data=None, _jet=jet)
+
+
+def principal_curvature_normal_part(kind, rho, theta, param):
+    """The orbit-direction principal curvature lambda_2 of a plane-profile
+    orbit surface, in closed form."""
+    if kind == "s2xr":
+        return np.sin(theta) / np.tan(rho)
+    if kind == "h2xr-elliptic":
+        return np.sin(theta) / np.tanh(rho)
+    if kind == "h2xr-parabolic":
+        return np.sin(theta)
+    if kind == "h2xr-hyperbolic":
+        return np.sin(theta) * np.tanh(rho)
+    raise ValueError(kind)
 
 
 def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:

@@ -69,6 +69,11 @@ SCIPY_FREE = {
     "product-identities": (["verify", "--suite", "product-identities",
                             "--grid", "16x16"], 0),
     "conformal-s2xr-r3": (["conformal", "--map", "s2xr-r3"], 0),
+    # the Sol graph is a closed form, like the plane profiles
+    "gen-sol-fa": (["gen", "--space", "sol", "--family", "fa",
+                    "--param", "1", "--grid", "16x16"], 0),
+    "sol-identities": (["verify", "--suite", "sol-identities", "--grid", "16x16"], 0),
+    "conformal-sol-flat": (["conformal", "--map", "sol-flat"], 0),
 }
 
 
@@ -88,11 +93,3 @@ def test_sphere_command_loads_no_numpy_polynomial(case):
     run = _probe(argv)
     assert run["rc"] == rc
     assert run["polynomial"] == []
-
-
-def test_profile_ode_loads_scipy_integrate():
-    # the Sol graph is the one profile still integrated
-    run = _probe(["gen", "--space", "sol", "--family", "fa",
-                  "--param", "1", "--grid", "16x16"])
-    assert run["rc"] == 0
-    assert "scipy.integrate" in run["scipy"]

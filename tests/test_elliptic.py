@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ellipj, ellipkinc
 
-from umbilic.elliptic import elliptic_K, jacobi_am, jacobi_cn, jacobi_dn, jacobi_sn
+from umbilic.elliptic import (
+    ellipj_zeta,
+    elliptic_K,
+    jacobi_am,
+    jacobi_cn,
+    jacobi_dn,
+    jacobi_sn,
+)
 from umbilic.elliptic import ellipj as umbilic_ellipj
 
 # quadrature oracle: int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt
@@ -117,6 +124,22 @@ def test_large_parameters_match_mpmath():
         assert_allclose(np.sin(am), s, atol=1e-12)
         assert_allclose(s**2 + c**2, 1.0, atol=1e-12)
         assert_allclose(d**2 + m * s**2, 1.0, atol=1e-12 * abs(m))
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-3, 0.3, 0.5, 0.9, 0.999])
+def test_zeta_matches_mpmath(m):
+    # the Jacobi zeta function is theta_4'/theta_4 at v = pi u/(2K), times pi/(2K)
+    u = np.linspace(-9.0, 9.0, 25)
+    sn, cn, dn, zeta = ellipj_zeta(u, m)
+    k = mpmath.pi / (2 * mpmath.ellipk(m))
+    q = mpmath.qfrom(m=m)
+    want = [float(k * mpmath.jtheta(4, k * x, q, 1) / mpmath.jtheta(4, k * x, q)) for x in u]
+    assert_allclose(zeta, want, rtol=0, atol=2e-15)
+    ref = umbilic_ellipj(u, m)
+    assert_allclose(np.stack([sn, cn, dn]), np.stack(ref[:3]), rtol=0, atol=0)
+    for bad in (-0.5, 1.0):
+        with pytest.raises(ValueError):
+            ellipj_zeta(u, bad)
 
 
 @given(

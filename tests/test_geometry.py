@@ -356,6 +356,17 @@ def test_riemann_symmetries():
         assert_allclose(bianchi, 0.0, atol=1e-11, err_msg=space.kind)
 
 
+@pytest.mark.parametrize("shape", [(2304,), (48, 48)], ids=["2304", "48x48"])
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: f"{s.kind}{s.kappa:g},{s.tau:g}")
+def test_curvature_tensor_matches_the_dense_riemann(space, shape):
+    # R(X, Y)Z from the connection and its directional complex steps,
+    # against the dense (..., 3, 3, 3, 3) tensor contracted by einsum
+    p = sample_points(space, 2304, seed=5).reshape(shape + (3,))
+    X, Y, Z = np.random.default_rng(6).standard_normal((3,) + shape + (3,))
+    dense = np.einsum("...lijk,...i,...j,...k->...l", riemann(space, p), X, Y, Z)
+    assert_relative(curvature_tensor(space, p, X, Y, Z), dense, rtol=1e-13)
+
+
 def killing_residual(space, p, h=1e-6):
     """Max-norm of d_i xi_j + d_j xi_i - 2 Gamma^m_ij xi_m for the vertical field."""
     xi_low = lambda q: metric_at(space, q) @ vertical_field(space, q)

@@ -1,5 +1,6 @@
 """Profile-curve integration against quadrature oracles and closed forms."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,13 +12,15 @@ from oracles import (
     find_event,
     find_event_all_roots,
     ode_plane_profile,
+    ode_sol_profile,
+    principal_curvature_normal_part,
 )
 from umbilic.elliptic import elliptic_K, jacobi_am
 from umbilic.profiles import (
+    _lemniscate_series,
     h2xr_elliptic_profile,
     h2xr_hyperbolic_profile,
     h2xr_parabolic_profile,
-    principal_curvature_normal_part,
     s2xr_profile,
     sol_profile,
 )
@@ -303,16 +306,71 @@ def test_sol_crest_values_are_exact():
 @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
 def test_sol_half_width_against_closed_form(a):
     curve = sol_profile(a)
-    assert abs(curve.period_data.y_a - SOL_HALF_WIDTH_1 * a**0.25) < 1e-10
+    assert abs(curve.period_data.y_a - SOL_HALF_WIDTH_1 * a**0.25) < 1e-14
 
 
 def test_sol_half_width_against_quadrature():
     a = 2.0
     curve = sol_profile(a)
-    # u^2 (a - u^4)^{-1/2} du over (0, a^{1/4}); u^4 = a sin^2(psi) is regular
-    oracle = quad(lambda psi: 0.5 * a**0.25 * np.sqrt(np.sin(psi)), 0.0, np.pi / 2,
-                  epsabs=1e-12, epsrel=1e-12)[0]
-    assert abs(curve.period_data.y_a - oracle) < 1e-9
+    # u^2 (a - u^4)^{-1/2} du over (0, a^{1/4}); u^4 = a sin^2(t^2) is smooth
+    oracle = quad(lambda t: a**0.25 * t * np.sqrt(np.sin(t * t)), 0.0, np.sqrt(np.pi / 2),
+                  epsabs=0.0, epsrel=1e-13)[0]
+    assert abs(curve.period_data.y_a - oracle) < 1e-14
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_lemniscate_series_matches_its_integral(p):
+    # the integral of t^(p - 1) (1 - t^4)^(-1/2) from 0 to v, for v <= e^-4,
+    # taken over t = v s so that mpmath's absolute tolerance is relative
+    for v in (np.exp(-4.0), np.exp(-4.5), 1e-3, 1e-12):
+        with mpmath.workdps(30):
+            v4 = mpmath.mpf(v) ** 4
+            want = mpmath.mpf(v) ** p * mpmath.quad(
+                lambda s: s ** (p - 1) / mpmath.sqrt(1 - v4 * s**4), [0, 1])
+        assert abs(_lemniscate_series(v, p) - float(want)) <= 4e-16 * float(want)
+
+
+def _sol_oracle(a, y, u0):
+    """z and z_y at y on the Sol graph of parameter a, by mpmath: the root u
+    of y = c (2 E(am u | 1/2) - u) nearest u0, then e^{z - z0} = cn(u | 1/2)."""
+    c, z0 = mpmath.mpf(a) ** 0.25 / mpmath.sqrt(2), mpmath.log(a) / 4
+
+    def w(u):
+        return 2 * mpmath.ellipe(mpmath.asin(mpmath.ellipfun("sn", u, m=0.5)), 0.5) - u
+
+    u = mpmath.findroot(lambda u: w(u) - mpmath.mpf(y) / c, u0)
+    sn, cn, dn = (mpmath.ellipfun(f, u, m=0.5) for f in ("sn", "cn", "dn"))
+    return float(z0 + mpmath.log(cn)), float(-sn * dn / (c * cn**3))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, float(np.exp(4.0))])
+def test_sol_closed_form_matches_mpmath(a):
+    # at the end of the span z_y reaches 2e5; z(y) is conditioned by it, so
+    # each bound also carries an error of 4 ulps in y through the slope
+    curve = sol_profile(a)
+    y = np.concatenate([np.linspace(curve.span[0], curve.span[1], 11),
+                        curve.span[1] * (1.0 - np.geomspace(1e-12, 1e-3, 4))])
+    j = curve.jet(y)
+    slop = 4.0 * np.spacing(np.abs(y))
+    # the Newton iterations start at the amplitude arccos(e^{z - z0})
+    u0 = [float(mpmath.ellipf(np.arccos(np.exp(z - 0.25 * np.log(a))), 0.5)) * np.sign(yy)
+          for yy, z in zip(y, j["z"])]
+    with mpmath.workdps(25):
+        want = np.array([_sol_oracle(a, yy, uu) for yy, uu in zip(y, u0)])
+    assert np.all(np.abs(j["z"] - want[:, 0]) <= 1e-10 + slop * np.abs(j["z_y"]))
+    assert np.all(np.abs(j["z_y"] - want[:, 1])
+                  <= 1e-10 * np.maximum(1.0, np.abs(want[:, 1])) + slop * np.abs(j["z_yy"]))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, float(np.exp(4.0))])
+def test_sol_closed_form_matches_the_ode_oracle(a):
+    curve, ode = sol_profile(a), ode_sol_profile(a, rtol=1e-12, atol=1e-14)
+    # both spans end 4 below the crest
+    assert abs(curve.span[1] - ode.span[1]) < 1e-13
+    y = np.linspace(-0.999, 0.999, 401) * curve.span[1]
+    j, o = curve.jet(y), ode.jet(y)
+    assert np.max(np.abs(j["z"] - o["z"])) < 1e-10
+    assert np.max(np.abs(j["z_y"] - o["z_y"]) / np.maximum(1.0, np.abs(o["z_y"]))) < 1e-10
 
 
 def test_sol_graph_equation_and_first_integral():
@@ -325,8 +383,8 @@ def test_sol_graph_equation_and_first_integral():
     fd = (curve.jet(y + h)["z_y"] - curve.jet(y - h)["z_y"]) / (2 * h)
     assert np.max(np.abs(fd + 3.0 * j["z_y"] ** 2 + 2.0 * np.exp(-2.0 * j["z"]))) < 1e-6
     first = j["z_y"] ** 2 - (a * np.exp(-6.0 * j["z"]) - np.exp(-2.0 * j["z"]))
-    assert np.max(np.abs(first)) < 1e-8
-    assert np.max(np.abs(curve.jet(-y)["z"] - j["z"])) < 1e-8
+    assert np.max(np.abs(first)) < 1e-12
+    assert np.max(np.abs(curve.jet(-y)["z"] - j["z"])) < 1e-15
 
 
 def test_sol_scaling_between_parameters():
@@ -336,8 +394,8 @@ def test_sol_scaling_between_parameters():
     big = sol_profile(np.exp(4.0))
     y = np.linspace(-0.8 * base.span[1], 0.8 * base.span[1], 101)
     mapped = base.jet(y)["z"] + c
-    assert np.max(np.abs(big.jet(np.exp(c) * y)["z"] - mapped)) < 1e-8
-    assert abs(big.period_data.y_a - np.exp(c) * base.period_data.y_a) < 1e-9
+    assert np.max(np.abs(big.jet(np.exp(c) * y)["z"] - mapped)) < 1e-14
+    assert abs(big.period_data.y_a - np.exp(c) * base.period_data.y_a) < 1e-14
 
 
 def test_sol_samples_cover_the_clipped_window():
@@ -345,9 +403,14 @@ def test_sol_samples_cover_the_clipped_window():
     assert curve.samples[:, 1].min() < -29.0
     assert abs(curve.samples[0, 0] + curve.samples[-1, 0]) < 1e-12
     y_star = find_event(curve, "blow_down", -30.0)
-    assert abs(y_star - curve.period_data.y_a) < 1e-10
+    assert abs(y_star - curve.period_data.y_a) < 1e-14
     shallow = find_event(curve, "blow_down", -1.0)
-    assert abs(curve.jet(shallow)["z"] + 1.0) < 1e-9
+    assert abs(curve.jet(shallow)["z"] + 1.0) < 1e-11
+    # the samples below the span lie on the graph: y_a - y from the series
+    # against the quadrature of dz / |z'|
+    span_end = curve.jet(curve.span[1])["z"]
+    for y, z in curve.samples[curve.samples[:, 1] < span_end]:
+        assert abs(abs(y) - find_event(curve, "blow_down", z)) < 1e-14
 
 
 def test_sol_blow_down_below_clip_raises():

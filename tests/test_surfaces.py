@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import _geodesic_rhs, christoffel_contract
+from oracles import _geodesic_rhs, christoffel_contract, principal_curvature_normal_part
 from umbilic.families import build_family
 from umbilic.geometry import (
     christoffels,
@@ -34,7 +34,6 @@ from umbilic.profiles import (
     h2xr_elliptic_profile,
     h2xr_hyperbolic_profile,
     h2xr_parabolic_profile,
-    principal_curvature_normal_part,
     s2xr_profile,
     sol_profile,
 )
@@ -625,31 +624,39 @@ def test_synthetic_profile_rejects_unknown_variant():
 
 
 def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
-    # the surface fields and the geodesic right-hand side contract vectors
-    # against the closed-form components; the dense tensors stay for the
-    # curvature tensor and for callers outside these paths
+    # the surface fields, the geodesic right-hand side and the identity
+    # suites contract vectors against the closed-form components; the dense
+    # tensors stay for callers outside these paths (building an orbit patch
+    # orients it with one metric_at call)
     import sys
 
     import umbilic.geometry as geometry
     from umbilic.families import build_family
-    from umbilic.verify import geodesic_sphere_patch
+    from umbilic.verify import geodesic_sphere_patch, run_suite
 
     patches = [build_family(name, param)[1] for name, param in (
         ("H2xR_elliptic", 1.0), ("S2xR_a_lt_1", 0.6), ("Sol_Fa", 1.0))]
     patches.append(rotational_graph_patch(m3(1.0, 0.5), [0.3, -0.2, 0.1]))
     patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8))
-    for name in ("christoffels", "metric_at"):
-        original = getattr(geometry, name)
 
-        def blocked(*args, _name=name, **kwargs):
-            raise AssertionError(f"{_name} called")
+    def block(*names):
+        for name in names:
+            original = getattr(geometry, name)
 
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("umbilic")
-                    and getattr(mod, name, None) is original):
-                monkeypatch.setattr(mod, name, blocked)
-    with pytest.raises(AssertionError, match="christoffels called"):
-        geometry.riemann(h3(), np.array([0.0, 0.0, 1.0]))
+            def blocked(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called")
+
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("umbilic")
+                        and getattr(mod, name, None) is original):
+                    monkeypatch.setattr(mod, name, blocked)
+            with pytest.raises(AssertionError, match=f"{name} called"):
+                getattr(geometry, name)(h3(), np.array([0.0, 0.0, 1.0]))
+
+    block("christoffels", "christoffel_deriv", "riemann")
+    for suite in ("product-identities", "sol-identities"):
+        assert run_suite(suite, grid=(16, 16))["max_residual"] < 1e-5
+    block("metric_at")
     for patch in patches:
         rep = surface_fields(patch, *patch.grid(8, 6))
         assert np.all(np.isfinite(rep.defect[rep.included]))

@@ -16,6 +16,7 @@ from umbilic.verify import (
     _TRIAL_FAMILIES,
     _levenberg_marquardt,
     _lockstep,
+    _solve_first_form,
     IdentityCheck,
     NonUmbilicPatchError,
     SUITE_NAMES,
@@ -130,6 +131,18 @@ def test_daniel_grid_on_geodesic_spheres():
 
 
 # --- gradient law ---------------------------------------------------------------
+
+
+def test_first_form_solve_matches_numpy():
+    # Cramer's rule on a batch of first fundamental forms, against LAPACK
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(48, 48, 2, 2))
+    I = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(2)
+    b = rng.normal(size=(48, 48, 2))
+    want = np.linalg.solve(I, b[..., None])[..., 0]
+    x0, x1 = _solve_first_form(I, b[..., 0], b[..., 1])
+    scale = np.abs(want).max(axis=-1) * np.linalg.cond(I)
+    assert np.all(np.abs(np.stack([x0, x1], -1) - want).max(axis=-1) <= 1e-15 * scale)
 
 
 def test_gradient_identity_a1_surface(patches):
