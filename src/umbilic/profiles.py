@@ -349,7 +349,7 @@ def sol_profile(a, z_clip=Z_CLIP, n_samples=2001) -> GeneratingCurve:
         raise ValueError(f"z_clip must lie below log(a)/4 - {_SOL_DEPTH:g}")
     scale = a**0.25
     c = scale / np.sqrt(2.0)
-    y_a = c * 0.5 * np.pi / _SOL_K
+    y_a = float(c * 0.5 * np.pi / _SOL_K)
     y_switch = float(c * _SOL_W[-1])
 
     def jet(y):
