@@ -368,10 +368,10 @@ def ode_plane_profile(kind, param, s_span=None, rtol=PROFILE_RTOL, atol=PROFILE_
                               (-smax, smax), 2001, None)
 
 
-def ode_sol_profile(a, rtol=PROFILE_RTOL, atol=PROFILE_ATOL, depth=4.0):
+def ode_sol_profile(a, rtol=PROFILE_RTOL, atol=PROFILE_ATOL):
     """The Sol graph z'' + 3 z'^2 + 2 e^{-2z} = 0 from its crest z(0) = log(a)/4,
-    integrated with DOP853 in both directions until z is ``depth`` below the
-    crest; the span ends there, and the curve carries no period data."""
+    integrated with DOP853 in both directions until z is 4 below the crest,
+    where the closed form's span ends too; the curve carries no period data."""
     z0 = 0.25 * np.log(a)
 
     def rhs(_, y):
@@ -379,7 +379,7 @@ def ode_sol_profile(a, rtol=PROFILE_RTOL, atol=PROFILE_ATOL, depth=4.0):
         return [w, -3.0 * w**2 - 2.0 * np.exp(-2.0 * z)]
 
     def switch(_, y):
-        return y[0] - (z0 - depth)
+        return y[0] - (z0 - 4.0)
 
     switch.terminal = True
     switch.direction = -1

@@ -352,7 +352,7 @@ def test_sol_closed_form_matches_mpmath(a):
                         curve.span[1] * (1.0 - np.geomspace(1e-12, 1e-3, 4))])
     j = curve.jet(y)
     slop = 4.0 * np.spacing(np.abs(y))
-    # the Newton iterations start at the amplitude arccos(e^{z - z0})
+    # each root search starts at u = F(arccos(e^{z - z0}) | 1/2) of the tested z
     u0 = [float(mpmath.ellipf(np.arccos(np.exp(z - 0.25 * np.log(a))), 0.5)) * np.sign(yy)
           for yy, z in zip(y, j["z"])]
     with mpmath.workdps(25):
@@ -430,6 +430,7 @@ def test_parameter_domains():
         lambda: h2xr_hyperbolic_profile(0.0),
         lambda: h2xr_hyperbolic_profile(1.0),
         lambda: sol_profile(-2.0),
+        lambda: sol_profile(1.0, z_clip=-3.0),  # the clip must lie below the span
     ):
         with pytest.raises(ValueError):
             bad_call()
