@@ -7,6 +7,8 @@ classification rests on, and runs a multistart search for low-defect trial
 surfaces in the remaining homogeneous spaces.
 """
 
+from types import ModuleType as _ModuleType
+
 from .conformal import (
     ConformalMap,
     conformality_check,
@@ -67,67 +69,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConformalMap",
-    "FamilyDefinition",
-    "GeneratingCurve",
-    "IdentityCheck",
-    "ImmersionError",
-    "ModelGeometry",
-    "NonUmbilicPatchError",
-    "PeriodData",
-    "SUITE_NAMES",
-    "SurfacePatch",
-    "TransversalityError",
-    "build_family",
-    "catalog_rows",
-    "check_bracket_and_jtnu",
-    "check_curvature_commutator",
-    "check_daniel_formula",
-    "check_gradient_identity",
-    "check_killing",
-    "check_sol_identities",
-    "christoffels",
-    "classify_slice_structure",
-    "conformality_check",
-    "curvature_report",
-    "curvature_tensor",
-    "elliptic_K",
-    "family_names",
-    "fundamental_forms",
-    "geodesic_sphere_patch",
-    "grid_mesh",
-    "h2xi_to_h3_map",
-    "h2xr",
-    "h2xr_elliptic_profile",
-    "h2xr_hyperbolic_profile",
-    "h2xr_parabolic_profile",
-    "jacobi_am",
-    "jacobi_cn",
-    "jacobi_dn",
-    "jacobi_sn",
-    "m3",
-    "mean_curvature_stats",
-    "nonexistence_falsifier",
-    "orbit_surface",
-    "patch_from_chart",
-    "pushforward",
-    "r3",
-    "read_ply",
-    "resolve_cli_family",
-    "rotational_graph_patch",
-    "run_suite",
-    "s2xr",
-    "s2xr_profile",
-    "s2xr_to_r3_map",
-    "sol",
-    "sol_flattening",
-    "sol_profile",
-    "trial_defect",
-    "trial_defects",
-    "trial_patch",
-    "umbilicity_defect",
-    "write_curve_csv",
-    "write_obj",
-    "write_ply",
-]
+# the public names are those imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -177,10 +177,13 @@ def _mobius_chain(M, W, Wu, Wv, Wuu, Wuv, Wvv):
 
 
 def _grid_args(curve, U, V):
-    """Broadcast (U, V) and evaluate the curve jet on the raveled grid."""
+    """Broadcast (U, V) and evaluate the curve jet once per distinct u."""
     U, V = np.broadcast_arrays(
         np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     )
+    if U.ndim == 2 and (U == U[:, :1]).all():  # a grid: one u per row
+        j = curve.jet(U[:, 0])
+        return U, V, {k: np.broadcast_to(v[:, None], U.shape) for k, v in j.items()}
     flat = curve.jet(np.ravel(U))
     j = {k: np.reshape(v, U.shape) for k, v in flat.items()}
     return U, V, j

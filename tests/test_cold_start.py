@@ -16,26 +16,29 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs the CLI with the given argv (none: import only) and prints the exit
-# code, every loaded scipy module and every loaded numpy.polynomial module
-# as the last stdout line
+# code, every loaded scipy module, every loaded numpy.polynomial module and
+# whether the mesh text tables were built after the import and after the
+# run as the last stdout line
 _PROBE = """
 import contextlib, io, json, sys
 import umbilic, umbilic.cli
+tables = [umbilic.meshes._tables.cache_info().currsize]
 rc = 0
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()):
         rc = umbilic.cli.main(sys.argv[1:])
+tables.append(umbilic.meshes._tables.cache_info().currsize)
 print(json.dumps({"rc": rc, "scipy": sorted(
     m for m in sys.modules if m.partition(".")[0] == "scipy"), "polynomial": sorted(
-    m for m in sys.modules if m.startswith("numpy.polynomial"))}))
+    m for m in sys.modules if m.startswith("numpy.polynomial")), "tables": tables}))
 """
 
 
-def _probe(argv):
+def _probe(argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -74,15 +77,22 @@ SCIPY_FREE = {
                     "--param", "1", "--grid", "16x16"], 0),
     "sol-identities": (["verify", "--suite", "sol-identities", "--grid", "16x16"], 0),
     "conformal-sol-flat": (["conformal", "--map", "sol-flat"], 0),
+    # mesh and profile text, written into the working directory
+    "gen-obj": (["gen", "--space", "h2xr", "--family", "elliptic", "--param",
+                 "1", "--grid", "16x16", "--out", "x.obj"], 0),
+    "gen-csv": (["gen", "--space", "h2xr", "--family", "parabolic",
+                 "--out", "x.csv"], 0),
 }
 
 
 @pytest.mark.parametrize("case", SCIPY_FREE)
-def test_command_loads_no_scipy(case):
+def test_command_loads_no_scipy(case, tmp_path):
     argv, rc = SCIPY_FREE[case]
-    run = _probe(argv)
+    run = _probe(argv, cwd=tmp_path)
     assert run["rc"] == rc
     assert run["scipy"] == []
+    # the import builds no digit tables; only a text export does
+    assert run["tables"] == [0, int(case in ("gen-obj", "gen-csv"))]
 
 
 @pytest.mark.parametrize("case", ["falsify-sphere", "daniel-grid"])

@@ -1,10 +1,13 @@
 """Round-trip checks for the OBJ / PLY / CSV exporters."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 from umbilic.geometry import rotation
 from umbilic.meshes import (
+    _text_rows,
     defect_quality,
     grid_mesh,
     read_ply,
@@ -120,3 +123,95 @@ def test_sol_curve_csv_uses_graph_columns(tmp_path):
     assert info["columns"] == ("y", "z")
     first = path.read_text().splitlines()[0]
     assert first == "y,z"
+
+
+def test_curve_csv_matches_savetxt(tmp_path):
+    for curve in (s2xr_profile(0.6), sol_profile(1.0)):
+        path, ref = tmp_path / "profile.csv", tmp_path / "savetxt.csv"
+        write_curve_csv(path, curve)
+        np.savetxt(ref, curve.samples, fmt="%.17g", delimiter=",",
+                   header=",".join(curve.columns), comments="")
+        assert path.read_bytes() == ref.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the numpy text formatter against Python's own "%.17g" and "%d"
+
+
+def _assert_formats_like_percent(values, fmt="%.17g"):
+    values = np.asarray(values).ravel()
+    got = b"".join(_text_rows(values.reshape(-1, 1), b"", " ")).split(b"\n")
+    want = [(fmt % v).encode() for v in values.tolist()]
+    assert got[-1] == b"" and len(got) == len(want) + 1
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_doubles_match_percent_over_every_exponent():
+    rng = np.random.default_rng(20)
+    # random sign and mantissa bits under each of the 2048 exponent fields
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 24)
+    mantissa = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, exponent.size, dtype=np.uint64)
+    bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+    _assert_formats_like_percent(bits.view(np.float64))
+
+
+def test_doubles_match_percent_over_the_fixed_notation_range():
+    rng = np.random.default_rng(21)
+    x = 10.0 ** rng.uniform(-7.0, 17.0, 60000)
+    _assert_formats_like_percent(x * rng.choice([-1.0, 1.0], x.size))
+
+
+def test_doubles_round_exact_ties_half_to_even():
+    rng = np.random.default_rng(22)
+    # n + j / 2^q on [2^48, 2^51) is exact; its 18-digit decimal often ends
+    # in a lone 5, so the 17-digit cut is a tie, and powers of two keep some
+    values = []
+    for q in (2, 3, 4):
+        n = rng.integers(2**48, 2**51 - 1, 400).astype(float)
+        j = rng.integers(1, 2**q, n.size) * 2.0 ** -q
+        values.append(n + j)
+    x = np.concatenate(values)
+    x = np.concatenate([x * 2.0 ** p for p in range(-40, 10)])
+    digits = (Decimal(v).as_tuple().digits for v in x.tolist())
+    ties = sum(len(d) == 18 and d[-1] == 5 for d in digits)
+    assert ties > 1000  # the set holds many exact ties
+    _assert_formats_like_percent(np.concatenate([x, -x]))
+
+
+def test_doubles_match_percent_at_powers_of_ten():
+    # both notation switches: 1e-5 / 1e-4 and 1e16 / 1e17
+    p = np.array([float(f"1e{k}") for k in range(-10, 20)])
+    x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    _assert_formats_like_percent(np.concatenate([x, -x]))
+
+
+def test_doubles_match_percent_at_special_values():
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny,
+                  np.nextafter(np.finfo(float).tiny, 0.0), np.finfo(float).max,
+                  -np.finfo(float).max, np.nan, -np.nan, np.inf, -np.inf,
+                  1e-4, 9.9999999999999991e-05, 1e16, 9999999999999998.0])
+    _assert_formats_like_percent(x)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_ints_match_percent_across_digit_counts(dtype):
+    top = 10 if dtype == np.int32 else 19
+    edges = [0, 1, 2] + [m for k in range(1, top) for m in
+                         (10**k - 1, 10**k, 10**k + 1)]
+    x = np.array([v for v in edges if v <= np.iinfo(dtype).max], dtype=dtype)
+    _assert_formats_like_percent(x, "%d")
+    # a face block mixing digit counts within each row
+    rows = np.random.default_rng(23).permutation(np.resize(x, 4 * len(x)))
+    rows = rows.reshape(-1, 4)
+    text = b"".join(_text_rows(rows, b"f ", " "))
+    assert text == "".join("f %d %d %d %d\n" % tuple(r) for r in rows.tolist()).encode()
+
+
+def test_rows_split_into_blocks():
+    # more rows than one block, with a partial last block
+    x = np.random.default_rng(24).normal(size=(4096 * 2 + 17, 3))
+    text = b"".join(_text_rows(x, b"v ", " "))
+    assert text == ("v %.17g %.17g %.17g\n" * len(x) % tuple(x.ravel())).encode()
