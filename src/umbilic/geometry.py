@@ -22,8 +22,9 @@ Conventions fixed here and relied on throughout the package:
 
 Each kind gives its metric, inverse metric, volume factor sqrt(det g) and
 Christoffel symbols in closed form, analytic in the point, as tables of
-their nonzero components; vectors are contracted against the tables
-(:func:`lowering`, :func:`cross`, :func:`connection`), and so is R(X, Y)Z
+their nonzero components; vectors are contracted against the tables by
+kernels on component triples (:func:`lowering`, :func:`cross`,
+:func:`connection` adapt them to a last axis), and so is R(X, Y)Z
 (:func:`curvature_tensor`); the dense arrays (:func:`metric_at`,
 :func:`christoffels`, :func:`riemann`) remain for other callers.
 
@@ -124,7 +125,10 @@ def m3(kappa: float, tau: float) -> ModelGeometry:
 def chart_contains(space: ModelGeometry, p) -> np.ndarray:
     """Boolean mask of points lying inside the chart."""
     p = np.asarray(p, dtype=float)
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return _contains(space, p[..., 0], p[..., 1], p[..., 2])
+
+
+def _contains(space, x, y, z):
     if space.kind == "h3":
         return z > 0
     if space.kind == "h2xr":
@@ -134,23 +138,24 @@ def chart_contains(space: ModelGeometry, p) -> np.ndarray:
     return np.ones(np.shape(x), dtype=bool)
 
 
-def _check_domain(space, p):
-    # a complex-step point is checked by its real part; the r3, sol, s2xr and
-    # m3 (kappa >= 0) charts contain every point
+def _check_domain(space, P):
+    # returns the components P once every point lies in the chart, a complex
+    # step by its real part; the r3, sol, s2xr and m3 (kappa >= 0) charts hold all
     bounded = space.kind in ("h3", "h2xr") or (space.kind == "m3" and space.kappa < 0)
-    if bounded and not np.all(chart_contains(space, np.real(p))):
+    if bounded and not np.all(_contains(space, *(np.real(c) for c in P))):
         raise ChartDomainError(f"point outside the {space.kind} chart")
+    return P
 
 
 # ---------------------------------------------------------------------------
 # closed-form components
 #
 # Each kind lists the nonzero components of its metric, inverse metric and
-# Christoffel symbols, keyed by index with the last two indices sorted (all
-# three are symmetric in them).  The dense tensors are filled from these
-# tables; vectors are contracted against them directly, as row sums in index
-# order with the zero terms dropped, so a contraction rounds exactly like the
-# dense product it replaces.
+# Christoffel symbols at the points P = (x, y, z), keyed by index with the
+# last two indices sorted (all three are symmetric in them).  The dense
+# tensors are filled from these tables; vectors are contracted against them
+# directly, as row sums in index order with the zero terms dropped, so a
+# contraction rounds exactly like the dense product it replaces.
 
 
 def _m3_lambda(space, x, y):
@@ -170,9 +175,9 @@ def _log_conformal_grad(space, x, y):
     return w * x, w * y
 
 
-def _metric_table(space, p) -> dict:
+def _metric_table(space, P) -> dict:
     """Nonzero g_kj, k <= j."""
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    x, y, z = P
     if space.kind == "r3":
         return {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}
     if space.kind == "h3":
@@ -191,14 +196,14 @@ def _metric_table(space, p) -> dict:
             (1, 1): lam**2 + wy**2, (1, 2): wy, (2, 2): 1.0}
 
 
-def _inverse_table(space, p) -> dict:
+def _inverse_table(space, P) -> dict:
     """Nonzero g^kj, k <= j.
 
     For ``m3`` it is E1 E1 + E2 E2 + E3 E3 in the orthonormal frame
     E1 = d_x/lam - tau y d_z, E2 = d_y/lam + tau x d_z, E3 = d_z dual to the
     coframe (lam dx, lam dy, dz + tau lam (y dx - x dy)).
     """
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    x, y, z = P
     if space.kind == "r3":
         return {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0}
     if space.kind == "h3":
@@ -227,9 +232,9 @@ def _m3_coefficients(k, tau, ndim):
     return coef
 
 
-def _symbol_table(space, p) -> dict:
+def _symbol_table(space, P) -> dict:
     """Nonzero Christoffel symbols gamma^l_ij, i <= j."""
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    x, y, z = P
     if space.kind == "r3":
         return {}
     if space.kind == "h3":
@@ -248,13 +253,10 @@ def _symbol_table(space, p) -> dict:
     # m3 with d = 1/(4 + kappa r^2); eight symbols are (coefficient * x or y)
     # * d, taken as one batch
     k, tau = space.kappa, space.tau
-    P = _components(p)
-    x, y = P[0], P[1]
     x2, y2 = x**2, y**2
     d = 1.0 / (4.0 + k * (x2 + y2))
     tcd2 = 4.0 * tau * (k - 4.0 * tau**2) * d**2
-    xy = np.take(P, [0, 1, 0, 1, 0, 1, 0, 1], axis=0)
-    linear = _m3_coefficients(k, tau, x.ndim) * xy * d
+    linear = _m3_coefficients(k, tau, np.ndim(x)) * np.stack((x, y) * 4) * d
     txy = 2.0 * tcd2 * x * y
     table = dict(zip([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1),
                       (2, 0, 2), (2, 1, 2)], linear))
@@ -297,27 +299,37 @@ def _components(v):
     return v.reshape(-1, 3).T.copy().reshape((3,) + v.shape[:-1])
 
 
-def _join(comps, p, *vectors):
-    """Stack three components on a last axis; a None component is zero.
+def _full(comps, P, *vectors):
+    """Three components of one shape; a None component is zero.
 
-    The points p and the vectors' components give the shape and dtype of
+    The points P and the vectors' components give the shape and dtype of
     that zero, and components of differing shapes (constant entries) are
     broadcast.
     """
     c0, c1, c2 = comps
     if c0 is None or c1 is None or c2 is None or not c0.shape == c1.shape == c2.shape:
-        shape = np.broadcast_shapes(p.shape[:-1], *(np.shape(v[0]) for v in vectors))
-        zero = np.zeros(shape, np.result_type(p, *(v[0] for v in vectors)))
+        shape = np.broadcast_shapes(np.shape(P[0]), *(np.shape(v[0]) for v in vectors))
+        zero = np.zeros(shape, np.result_type(*P, *(v[0] for v in vectors)))
         comps = np.broadcast_arrays(*(zero if c is None else c for c in comps))
+    return tuple(comps)
+
+
+def _join(comps):
+    """Stack three components of one shape on a last axis."""
     out = np.empty(comps[0].shape + (3,), np.result_type(*comps))
     out[..., 0], out[..., 1], out[..., 2] = comps
     return out
 
 
-def _row_sums(table, plan, c, p):
+def _dot(a, b):
+    """sum_k a^k b^k of component triples, left to right as np.sum adds 3 terms."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _row_sums(table, plan, c, P):
     """(A v)^k = A_k0 v^0 + A_k1 v^1 + A_k2 v^2 from the components c of v,
-    over the nonzero entries of a rank-2 table at the points p."""
-    values, c = tuple(table.values()), tuple(c)
+    over the nonzero entries of a rank-2 table at the points P."""
+    values = tuple(table.values())
     out = []
     for row in plan:
         acc = None
@@ -325,29 +337,36 @@ def _row_sums(table, plan, c, p):
             term = values[n] * c[j]
             acc = term if acc is None else acc + term
         out.append(acc)
-    return _join(out, p, c)
+    return _full(out, P, c)
 
 
 def metric_at(space: ModelGeometry, p) -> np.ndarray:
     """Metric matrix g_ij at p; broadcasts, symmetric positive definite."""
     p = np.asarray(p)
-    _check_domain(space, p)
-    return _dense(p, _metric_table(space, p), (3, 3))
+    return _dense(p, _metric_table(space, _check_domain(space, _components(p))), (3, 3))
 
 
-def volume_factor(space: ModelGeometry, p) -> np.ndarray:
-    """sqrt(det g) at p in closed form (the chart keeps every factor positive)."""
-    p = np.asarray(p)
-    _check_domain(space, p)
-    x, y = p[..., 0], p[..., 1]
-    z = p[..., 2]
+def _volume(space, P):
+    x, y, z = P
     if space.kind in ("r3", "sol"):
-        return np.ones(p.shape[:-1], dtype=p.dtype if np.iscomplexobj(p) else float)
+        return np.ones(np.shape(x), np.result_type(x) if np.iscomplexobj(x) else float)
     if space.kind == "h3":
         return z**-3
     if space.kind in ("s2xr", "h2xr"):
         return _conformal_factor(space, x, y) ** 2
     return _m3_lambda(space, x, y) ** 2
+
+
+def volume_factor(space: ModelGeometry, p) -> np.ndarray:
+    """sqrt(det g) at p in closed form (the chart keeps every factor positive)."""
+    return _volume(space, _check_domain(space, _components(p)))
+
+
+def _lowering(space, P):
+    """v -> g v at the points P, on component triples."""
+    table = _metric_table(space, P)
+    plan = _plan(tuple(table), 2)
+    return lambda c: _row_sums(table, plan, c, P)
 
 
 def lowering(space: ModelGeometry, p):
@@ -356,12 +375,8 @@ def lowering(space: ModelGeometry, p):
     Each component is the row sum g_k0 v^0 + g_k1 v^1 + g_k2 v^2 over the
     nonzero closed-form g_kj, evaluated once for every vector lowered.
     """
-    p = np.asarray(p)
-    _check_domain(space, p)
-    table = _metric_table(space, p)
-    plan = _plan(tuple(table), 2)
-
-    return lambda v: _row_sums(table, plan, _components(v), p)
+    lower = _lowering(space, _check_domain(space, _components(p)))
+    return lambda v: _join(lower(_components(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +391,7 @@ def christoffels(space: ModelGeometry, p) -> np.ndarray:
     goes through unchanged.
     """
     p = np.asarray(p)
-    _check_domain(space, p)
-    return _dense(p, _symbol_table(space, p), (3, 3, 3))
+    return _dense(p, _symbol_table(space, _check_domain(space, _components(p))), (3, 3, 3))
 
 
 def connection(space: ModelGeometry, p):
@@ -387,16 +401,22 @@ def connection(space: ModelGeometry, p):
     sum_i a^i (sum_j gamma^l_ij b^j) in index order over the nonzero
     symbols only, for vectors a, b at the points of p.
     """
-    p = np.asarray(p)
-    _check_domain(space, p)
-    table = _symbol_table(space, p)
+    gamma = _connection(space, _check_domain(space, _components(p)))
+
+    def adapter(a, b):
+        a_ = _components(a)
+        return _join(gamma(a_, a_ if b is a else _components(b)))
+
+    return adapter
+
+
+def _connection(space, P):
+    """(a, b) -> Gamma(a, b) at the points P, on component triples."""
+    table = _symbol_table(space, P)
     plan = _plan(tuple(table), 3)
     values = tuple(table.values())
 
     def gamma(a, b):
-        same = b is a
-        a = tuple(_components(a))
-        b = a if same else tuple(_components(b))
         out = []
         for rows in plan:
             acc = None
@@ -408,7 +428,7 @@ def connection(space: ModelGeometry, p):
                 term = gb * a[i]
                 acc = term if acc is None else acc + term
             out.append(acc)
-        return _join(out, p, a, b)
+        return _full(out, P, a, b)
 
     return gamma
 
@@ -452,7 +472,8 @@ def curvature_tensor(space: ModelGeometry, p, X, Y, Z) -> np.ndarray:
 
 
 def inner(space: ModelGeometry, p, X, Y) -> np.ndarray:
-    return np.sum(np.asarray(X) * lowering(space, p)(Y), axis=-1)
+    lower = _lowering(space, _check_domain(space, _components(p)))
+    return _dot(_components(X), lower(_components(Y)))
 
 
 def norm(space: ModelGeometry, p, X) -> np.ndarray:
@@ -465,13 +486,17 @@ def cross(space: ModelGeometry, p, X, Y) -> np.ndarray:
     The covector sqrt(det g) (X x Y) is raised by row sums over the nonzero
     g^kj, like :func:`lowering`.
     """
-    X, Y, p = np.asarray(X), np.asarray(Y), np.asarray(p)
-    x0, x1, x2 = X[..., 0], X[..., 1], X[..., 2]
-    y0, y1, y2 = Y[..., 0], Y[..., 1], Y[..., 2]
-    vol = volume_factor(space, p)
+    P = _check_domain(space, _components(p))
+    return _join(_cross(space, P, _components(X), _components(Y)))
+
+
+def _cross(space, P, X, Y):
+    """X ^ Y at the points P, on component triples."""
+    (x0, x1, x2), (y0, y1, y2) = X, Y
+    vol = _volume(space, P)
     low = (vol * (x1 * y2 - x2 * y1), vol * (x2 * y0 - x0 * y2), vol * (x0 * y1 - x1 * y0))
-    table = _inverse_table(space, p)
-    return _row_sums(table, _plan(tuple(table), 2), low, p)
+    table = _inverse_table(space, P)
+    return _row_sums(table, _plan(tuple(table), 2), low, P)
 
 
 def vertical_field(space: ModelGeometry, p=None) -> np.ndarray:
@@ -542,7 +567,7 @@ def _m3_axis_geodesic(space, height, v):
     state = np.stack([x, y, z, (2.0 * (v0 * C - v1 * dB) + x * ka2 * S) / Q,
                       (2.0 * (v0 * dB + v1 * C) + y * ka2 * S) / Q,
                       c * (1.0 + tau * tau * r2[..., 0])], axis=-1)
-    _check_domain(space, state[..., :3])
+    _check_domain(space, (x, y, z))
     return state
 
 

@@ -13,11 +13,16 @@ the generating vertical plane N equals the curve tangent rotated by +90
 degrees, N = -sin(theta) u_rho + cos(theta) xi.  With that choice the
 curve-direction principal curvature is theta'(s) and the orbit-direction one
 is the family's closed form (sin/tan, sinh/tanh, exp, or cosh/sinh ratios).
+
+Jets give vectors as component triples (x, y, z), kept so through the
+geometry kernels and the forms E, F, G, L, M, N; a report builds its vector
+and matrix fields when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,12 +34,16 @@ from .geometry import (
     h2xr,
     inner,
     isometry_jet,
-    lowering,
     metric_at,
     norm,
     s2xr,
     sol,
     vertical_field,
+    _check_domain,
+    _connection,
+    _cross,
+    _dot,
+    _lowering,
     _mobius_jet,
 )
 from .profiles import GeneratingCurve
@@ -65,12 +74,14 @@ class IncompatibleActionError(ValueError):
 class SurfacePatch:
     """Immersed patch with derivative evaluators.
 
-    ``jet(U, V)`` returns a dict of arrays keyed by ``JET_KEYS`` with a
-    trailing axis of chart components.  In place of the second derivatives
-    a jet may carry a nonvanishing normal field ``normal`` with its chart
-    partials ``normal_u`` and ``normal_v``; the second fundamental form then
-    comes from the Weingarten equation.  ``chart(U, V)`` returns positions
-    only; it always exists so curvature can be recomputed by finite
+    ``jet(U, V)`` returns a dict keyed by ``JET_KEYS`` whose vectors are
+    component triples (x, y, z) of arrays shaped like the parameters, so the
+    curvature pipeline reads each component as one array.  In place of the
+    second derivatives a jet may carry a nonvanishing normal field
+    ``normal`` with its chart partials ``normal_u`` and ``normal_v``; the
+    second fundamental form then comes from the Weingarten equation.
+    ``chart(U, V)`` returns positions only, on a trailing axis of chart
+    components; it always exists so curvature can be recomputed by finite
     differences at a chosen step.  ``orient`` is the overall sign applied to
     the cross-product normal.
     """
@@ -86,7 +97,7 @@ class SurfacePatch:
     def __post_init__(self):
         if self.chart is None:
             jet = self.jet
-            self.chart = lambda U, V: jet(U, V)["X"]
+            self.chart = lambda U, V: np.stack(jet(U, V)["X"], axis=-1)
 
     def grid(self, n_u=48, n_v=48, margin=GRID_MARGIN):
         """Meshgrid over the domain inset by a relative margin."""
@@ -108,18 +119,18 @@ def fd_jet(chart, u_range, v_range, h=None):
 
     def jet(U, V):
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-        P = chart(
+        P = np.moveaxis(chart(
             np.stack([U, U + hu, U - hu, U, U, U + hu, U + hu, U - hu, U - hu]),
             np.stack([V, V, V, V + hv, V - hv, V + hv, V - hv, V + hv, V - hv]),
-        )
+        ), -1, 0)
+        # X is a copy, so the stacked stencil is freed with this frame
         return {
-            # a copy, so the stacked stencil is freed with this frame
-            "X": P[0].copy(),
-            "Xu": (P[1] - P[2]) / (2 * hu),
-            "Xv": (P[3] - P[4]) / (2 * hv),
-            "Xuu": (P[1] - 2 * P[0] + P[2]) / hu**2,
-            "Xvv": (P[3] - 2 * P[0] + P[4]) / hv**2,
-            "Xuv": (P[5] - P[6] - P[7] + P[8]) / (4 * hu * hv),
+            "X": tuple(P[:, 0].copy()),
+            "Xu": tuple((P[:, 1] - P[:, 2]) / (2 * hu)),
+            "Xv": tuple((P[:, 3] - P[:, 4]) / (2 * hv)),
+            "Xuu": tuple((P[:, 1] - 2 * P[:, 0] + P[:, 2]) / hu**2),
+            "Xvv": tuple((P[:, 3] - 2 * P[:, 0] + P[:, 4]) / hv**2),
+            "Xuv": tuple((P[:, 5] - P[:, 6] - P[:, 7] + P[:, 8]) / (4 * hu * hv)),
         }
 
     return jet
@@ -141,26 +152,13 @@ def patch_from_chart(space, name, chart, u_range, v_range, h=None) -> SurfacePat
 # orbit surfaces
 
 
-def _complex_pair(w):
-    return np.stack([w.real, w.imag], axis=-1)
-
-
 def _assemble(wjets, t, t_u, t_uu):
     """Real chart jets from complex horizontal jets plus a vertical profile."""
-    w, wu, wv, wuu, wuv, wvv = wjets
-    zero = np.zeros_like(t)
-
-    def comp(h, vert):
-        return np.concatenate([_complex_pair(h), np.asarray(vert)[..., None]], axis=-1)
-
-    return {
-        "X": comp(w, t),
-        "Xu": comp(wu, t_u),
-        "Xv": comp(wv, zero),
-        "Xuu": comp(wuu, t_uu),
-        "Xuv": comp(wuv, zero),
-        "Xvv": comp(wvv, zero),
-    }
+    shape = wjets[0].shape
+    t, t_u, t_uu = (np.broadcast_to(a, shape) for a in (t, t_u, t_uu))
+    zero = np.zeros(shape)
+    return {key: (h.real, h.imag, vert) for key, h, vert
+            in zip(JET_KEYS, wjets, (t, t_u, zero, t_uu, zero, zero))}
 
 
 def _mobius_chain(M, W, Wu, Wv, Wuu, Wuv, Wvv):
@@ -177,16 +175,19 @@ def _mobius_chain(M, W, Wu, Wv, Wuu, Wuv, Wvv):
 
 
 def _grid_args(curve, U, V):
-    """Broadcast (U, V) and evaluate the curve jet once per distinct u."""
+    """Broadcast (U, V) and evaluate the curve jet once per grid row.
+
+    Where U is constant along its last axis (a grid, or a stack of grids)
+    the jet is taken at U[..., 0] and its fields keep a last axis of length
+    1, to broadcast against U; the jet and what the sweeps compute from it
+    are elementwise, so the values are the pointwise ones.
+    """
     U, V = np.broadcast_arrays(
         np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     )
-    if U.ndim == 2 and (U == U[:, :1]).all():  # a grid: one u per row
-        j = curve.jet(U[:, 0])
-        return U, V, {k: np.broadcast_to(v[:, None], U.shape) for k, v in j.items()}
-    flat = curve.jet(np.ravel(U))
-    j = {k: np.reshape(v, U.shape) for k, v in flat.items()}
-    return U, V, j
+    rows = U[..., :1] if U.ndim >= 2 and (U == U[..., :1]).all() else U
+    j = curve.jet(np.ravel(rows))
+    return U, V, {k: np.reshape(v, rows.shape) for k, v in j.items()}
 
 
 def _rotational_jet(curve, kappa_sign):
@@ -201,20 +202,16 @@ def _rotational_jet(curve, kappa_sign):
         r_u = r_rho * j["rho_s"]
         r_uu = r_rhorho * j["rho_s"] ** 2 + r_rho * j["rho_ss"]
         c, s = np.cos(V), np.sin(V)
-        e = np.stack([c, s], axis=-1)
-        e_perp = np.stack([-s, c], axis=-1)
-        zero = np.zeros_like(rho)
-
-        def comp(h, vert):
-            return np.concatenate([h, np.asarray(vert)[..., None]], axis=-1)
-
+        ms = -s
+        zero = np.zeros(U.shape)
+        t, t_s, t_ss = (np.broadcast_to(j[k], U.shape) for k in ("t", "t_s", "t_ss"))
         return {
-            "X": comp(r[..., None] * e, j["t"]),
-            "Xu": comp(r_u[..., None] * e, j["t_s"]),
-            "Xv": comp(r[..., None] * e_perp, zero),
-            "Xuu": comp(r_uu[..., None] * e, j["t_ss"]),
-            "Xuv": comp(r_u[..., None] * e_perp, zero),
-            "Xvv": comp(-r[..., None] * e, zero),
+            "X": (r * c, r * s, t),
+            "Xu": (r_u * c, r_u * s, t_s),
+            "Xv": (r * ms, r * c, zero),
+            "Xuu": (r_uu * c, r_uu * s, t_ss),
+            "Xuv": (r_u * ms, r_u * c, zero),
+            "Xvv": (-r * c, -r * s, zero),
             # the (u, v) parametrization reverses orientation each time the
             # profile crosses the rotation axis (sign of r); folding that
             # into the normal keeps N smooth across axis crossings
@@ -282,15 +279,10 @@ def _hyperbolic_jet(curve, axis_angle):
 def _sol_graph_jet(curve):
     def jet(U, V):
         U, V, j = _grid_args(curve, U, V)
-        out = {k: np.zeros(U.shape + (3,)) for k in JET_KEYS}
-        out["X"][..., 0] = V
-        out["X"][..., 1] = U
-        out["X"][..., 2] = j["z"]
-        out["Xu"][..., 1] = 1.0
-        out["Xu"][..., 2] = j["z_y"]
-        out["Xv"][..., 0] = 1.0
-        out["Xuu"][..., 2] = j["z_yy"]
-        return out
+        zero, one = np.zeros(U.shape), np.ones(U.shape)
+        z, z_y, z_yy = (np.broadcast_to(j[k], U.shape) for k in ("z", "z_y", "z_yy"))
+        return {"X": (V, U, z), "Xu": (zero, one, z_y), "Xv": (one, zero, zero),
+                "Xuu": (zero, zero, z_yy), "Xuv": (zero,) * 3, "Xvv": (zero,) * 3}
 
     return jet
 
@@ -436,17 +428,17 @@ def _orient_to_profile(patch, curve):
     us = np.linspace(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0), 33)
     j = curve.jet(us)
     if curve.kind == "sol":
-        # conormal covector of the graph z = z(y) is (0, -z', 1)
         i = int(np.argmax(np.abs(j["z_y"])))
-        jet = patch.jet(np.asarray(us[i]), np.asarray(v_ref))
-        cov = np.array([0.0, -float(j["z_y"][i]), 1.0])
-        hint = np.linalg.solve(metric_at(patch.space, jet["X"]), cov)
     else:
-        score = np.abs(np.cos(j["theta"])) * np.minimum(np.abs(j["rho"]), 1.0)
-        i = int(np.argmax(score))
+        i = int(np.argmax(np.abs(np.cos(j["theta"])) * np.minimum(np.abs(j["rho"]), 1.0)))
+    jet = patch.jet(np.asarray(us[i]), np.asarray(v_ref))
+    X, Xu, Xv = (np.stack(jet[k], axis=-1) for k in ("X", "Xu", "Xv"))
+    if curve.kind == "sol":
+        # conormal covector of the graph z = z(y) is (0, -z', 1)
+        cov = np.array([0.0, -float(j["z_y"][i]), 1.0])
+        hint = np.linalg.solve(metric_at(patch.space, X), cov)
+    else:
         theta = float(j["theta"][i])
-        jet = patch.jet(np.asarray(us[i]), np.asarray(v_ref))
-        X, Xu = jet["X"], jet["Xu"]
         xi = vertical_field(patch.space, X)
         horiz = Xu - inner(patch.space, X, Xu, xi) * xi
         nh = norm(patch.space, X, horiz)
@@ -455,9 +447,9 @@ def _orient_to_profile(patch, curve):
         else:
             u_rho = horiz / nh * np.sign(np.cos(theta))
             hint = -np.sin(theta) * u_rho + np.cos(theta) * xi
-    n_cross = cross(patch.space, jet["X"], jet["Xu"], jet["Xv"])
+    n_cross = cross(patch.space, X, Xu, Xv)
     n_cross = n_cross * float(np.asarray(jet.get("orient_sign", 1.0)))
-    sign = np.sign(inner(patch.space, jet["X"], n_cross, hint))
+    sign = np.sign(inner(patch.space, X, n_cross, hint))
     patch.orient = float(sign) if sign != 0 else 1.0
     return patch
 
@@ -469,7 +461,7 @@ def transform_patch(patch: SurfacePatch, iso, name=None) -> SurfacePatch:
 
     def moved_jet(U, V):
         j = base_jet(U, V)
-        flats = {k: np.asarray(j[k], dtype=float).reshape(-1, 3) for k in JET_KEYS}
+        flats = {k: np.stack(j[k], axis=-1).reshape(-1, 3) for k in JET_KEYS}
         res = {k: np.empty_like(flats[k]) for k in JET_KEYS}
         for n, p in enumerate(flats["X"]):
             q, J, H = isometry_jet(space, iso, p)
@@ -480,8 +472,8 @@ def transform_patch(patch: SurfacePatch, iso, name=None) -> SurfacePatch:
             res["Xuu"][n] = J @ flats["Xuu"][n] + np.einsum("kij,i,j->k", H, a, a)
             res["Xuv"][n] = J @ flats["Xuv"][n] + np.einsum("kij,i,j->k", H, a, b)
             res["Xvv"][n] = J @ flats["Xvv"][n] + np.einsum("kij,i,j->k", H, b, b)
-        shape = np.asarray(j["X"]).shape
-        out = {k: res[k].reshape(shape) for k in JET_KEYS}
+        shape = (3,) + np.shape(j["X"][0])
+        out = {k: tuple(res[k].T.reshape(shape)) for k in JET_KEYS}
         if "orient_sign" in j:
             out["orient_sign"] = j["orient_sign"]
         return out
@@ -512,47 +504,47 @@ def _jet_arrays(patch, U, V, h=None):
     return fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)(U, V)
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
+def _sym2(a, b, c):
+    """The symmetric 2x2 matrices [[a, b], [b, c]] on two last axes."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
 
 
 def _forms_from_jet(space, j, orient):
-    """I, II, the unit normal N, its lowered form gN and det I of a jet."""
+    """I = (E, F, G), II = (L, M, N), the unit normal and its lowered form,
+    from a jet of component triples; the chart domain is checked once, here."""
     X, Xu, Xv = j["X"], j["Xu"], j["Xv"]
-    lower = lowering(space, X)
+    _check_domain(space, X)
+    lower = _lowering(space, X)
     gXu = lower(Xu)
     E = _dot(Xu, gXu)
     F = _dot(Xv, gXu)
     gXv = lower(Xv)
     G = _dot(Xv, gXv)
-    I = np.stack(
-        [np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2
-    )
-    det_I = E * G - F * F
 
-    factor = np.expand_dims(orient * np.asarray(j.get("orient_sign", 1.0)), -1)
-    n_raw = cross(space, X, Xu, Xv) * factor
+    factor = orient * np.asarray(j.get("orient_sign", 1.0))
+    n_raw = tuple(c * factor for c in _cross(space, X, Xu, Xv))
     gn = lower(n_raw)
     n_len = np.sqrt(_dot(n_raw, gn))
-    safe = np.where(n_len > 0, n_len, 1.0)[..., None]
-    N = n_raw / safe
-    gN = gn / safe
+    safe = np.where(n_len > 0, n_len, 1.0)
+    N = tuple(c / safe for c in n_raw)
+    gN = tuple(c / safe for c in gn)
 
-    gamma = connection(space, X)
+    gamma = _connection(space, X)
     if "normal" in j:
         # Weingarten: II_ab = -<nabla_{X_a} n, X_b> with n the jet's normal
         # field, made unit and oriented like N.  A normal field from a
         # geodesic flow is normal only up to rounding, so the mixed term is
         # symmetrized.
-        n = j["normal"] * factor
+        n = tuple(c * factor for c in j["normal"])
         gn = lower(n)
-        scale = np.sqrt(_dot(n, gn))[..., None]
-        n, gn = n / scale, gn / scale
+        scale = np.sqrt(_dot(n, gn))
+        n, gn = tuple(c / scale for c in n), tuple(c / scale for c in gn)
 
         def dn(n_a, Xa):
             # nabla_{X_a} of the unit field, from the partials of j["normal"]
-            d = n_a * factor / scale + gamma(Xa, n)
-            return d - _dot(d, gn)[..., None] * n
+            d = tuple(c * factor / scale + g for c, g in zip(n_a, gamma(Xa, n)))
+            t = _dot(d, gn)
+            return tuple(c - t * m for c, m in zip(d, n))
 
         dn_u, dn_v = dn(j["normal_u"], Xu), dn(j["normal_v"], Xv)
         L = -_dot(dn_u, gXu)
@@ -560,15 +552,12 @@ def _forms_from_jet(space, j, orient):
         Nn = -_dot(dn_v, gXv)
     else:
         def second(Xa, Xb, Xab):
-            return _dot(Xab + gamma(Xa, Xb), gN)
+            return _dot(tuple(c + g for c, g in zip(Xab, gamma(Xa, Xb))), gN)
 
         L = second(Xu, Xu, j["Xuu"])
         M = second(Xu, Xv, j["Xuv"])
         Nn = second(Xv, Xv, j["Xvv"])
-    II = np.stack(
-        [np.stack([L, M], axis=-1), np.stack([M, Nn], axis=-1)], axis=-2
-    )
-    return I, II, N, gN, det_I
+    return (E, F, G, L, M, Nn), N, gN
 
 
 def fundamental_forms(patch: SurfacePatch, u, v, h=None):
@@ -578,20 +567,19 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
     by default the patch's own (closed-form or default-step) jet is used.
     Raises :class:`ImmersionError` where det I falls below 1e-10.
     """
-    U = np.asarray(u, dtype=float)
-    V = np.asarray(v, dtype=float)
-    j = _jet_arrays(patch, U, V, h=h)
-    I, II, N, _, det_I = _forms_from_jet(patch.space, j, patch.orient)
+    j = _jet_arrays(patch, np.asarray(u, dtype=float), np.asarray(v, dtype=float), h=h)
+    (E, F, G, L, M, Nn), N, _ = _forms_from_jet(patch.space, j, patch.orient)
+    det_I = E * G - F * F
     if np.any(det_I <= IMMERSION_FLOOR):
         bad = np.argwhere(np.atleast_1d(det_I) <= IMMERSION_FLOOR).ravel()
         raise ImmersionError(
             f"patch {patch.name!r}: first fundamental form degenerate "
             f"(det I <= {IMMERSION_FLOOR}) at flat grid index {bad[:1]}"
         )
-    return I, II, N
+    return _sym2(E, F, G), _sym2(L, M, Nn), np.stack(N, axis=-1)
 
 
-def _shape_invariants(I, II):
+def _shape_invariants(E, F, G, L, M, Nn):
     """H, the half gap (lambda2 - lambda1)/2 and the trace-free part (s, b).
 
     In the orthonormal frame e1 = X_u / sqrt(E), e2 perpendicular, the shape
@@ -599,8 +587,6 @@ def _shape_invariants(I, II):
     and half gap sqrt(s^2 + b^2): it has no cancellation at umbilic points,
     where sqrt(H^2 - K) returns rounding noise of order sqrt(eps).
     """
-    E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
-    L, M, Nn = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
     det_I = E * G - F * F
     H = (E * Nn - 2.0 * F * M + G * L) / (2.0 * det_I)
     s = 0.5 * (L / E - (E * E * Nn - 2.0 * E * F * M + F * F * L) / (E * det_I))
@@ -612,7 +598,8 @@ def _shape_invariants(I, II):
 def principal_curvatures(patch: SurfacePatch, u, v, h=None):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
     I, II, _ = fundamental_forms(patch, u, v, h=h)
-    H, half_gap, _, _ = _shape_invariants(I, II)
+    forms = (A[..., i, k] for A in (I, II) for i, k in ((0, 0), (0, 1), (1, 1)))
+    H, half_gap, _, _ = _shape_invariants(*forms)
     return H - half_gap, H + half_gap
 
 
@@ -631,17 +618,14 @@ class CurvatureReport:
     of the products and of M^3(kappa, tau), and the frame field E3 of Sol,
     the one space without a vertical Killing field where the split is taken.
     They are None in every other space.
+
+    X, Xu, Xv, N, T, JT (..., 3) and I, II (..., 2, 2) are built from
+    components on first read, under the error state the report was made in.
     """
 
     patch_name: str
     U: np.ndarray
     V: np.ndarray
-    X: np.ndarray
-    Xu: np.ndarray
-    Xv: np.ndarray
-    I: np.ndarray
-    II: np.ndarray
-    N: np.ndarray
     lambda1: np.ndarray
     lambda2: np.ndarray
     mean_curvature: np.ndarray
@@ -650,9 +634,35 @@ class CurvatureReport:
     s0_11: np.ndarray
     s0_12: np.ndarray
     included: np.ndarray
-    nu: Optional[np.ndarray] = None
-    T: Optional[np.ndarray] = None
-    JT: Optional[np.ndarray] = None
+    nu: Optional[np.ndarray]
+    _space: ModelGeometry = field(repr=False)
+    _vectors: dict = field(repr=False)  # component triples of X, Xu, Xv, N (and T)
+    _forms: tuple = field(repr=False)  # E, F, G, L, M, N
+    _errstate: dict = field(repr=False)
+
+    X = cached_property(lambda self: np.stack(self._vectors["X"], axis=-1))
+    Xu = cached_property(lambda self: np.stack(self._vectors["Xu"], axis=-1))
+    Xv = cached_property(lambda self: np.stack(self._vectors["Xv"], axis=-1))
+    N = cached_property(lambda self: np.stack(self._vectors["N"], axis=-1))
+    I = cached_property(lambda self: _sym2(*self._forms[:3]))
+    II = cached_property(lambda self: _sym2(*self._forms[3:]))
+
+    @cached_property
+    def T(self):
+        if self.nu is None:
+            return None
+        nu, N = self.nu, self._vectors["N"]
+        with np.errstate(**self._errstate):  # T = d_z - nu N
+            self._vectors["T"] = 0.0 - nu * N[0], 0.0 - nu * N[1], 1.0 - nu * N[2]
+        return np.stack(self._vectors["T"], axis=-1)
+
+    @cached_property
+    def JT(self):
+        if self.T is None:
+            return None
+        X, N, T = (self._vectors[k] for k in ("X", "N", "T"))
+        with np.errstate(**self._errstate):
+            return np.stack(_cross(self._space, X, N, T), axis=-1)
 
     @property
     def defect_max(self) -> float:
@@ -691,32 +701,20 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     """
     space = patch.space
     j = _jet_arrays(patch, U, V, h=h)
-    I, II, N, gN, det_I = _forms_from_jet(space, j, patch.orient)
-    X = j["X"]
-    orbit_speed = np.sqrt(I[..., 1, 1])
-    included = (orbit_speed > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
+    forms, N, gN = _forms_from_jet(space, j, patch.orient)
+    E, F, G = forms[:3]
+    included = (np.sqrt(G) > AXIS_TUBE) & (E * G - F * F > IMMERSION_FLOOR)
 
-    H, half_gap, s0_11, s0_12 = _shape_invariants(I, II)
+    H, half_gap, s0_11, s0_12 = _shape_invariants(*forms)
     lam1, lam2 = H - half_gap, H + half_gap
     defect = 2.0 * half_gap / (1.0 + np.abs(lam1) + np.abs(lam2))
-
-    nu = T = JT = None
-    if space.has_vertical_field or space.kind == "sol":
-        # d_z: the vertical Killing field, or Sol's unit frame field E3;
-        # nu = <N, d_z> is the z-component of the lowered normal
-        xi = np.zeros_like(X)
-        xi[..., 2] = 1.0
-        nu = gN[..., 2]
-        T = xi - nu[..., None] * N
-        JT = cross(space, X, N, T)
-
+    # d_z: the vertical Killing field, or Sol's unit frame field E3;
+    # nu = <N, d_z> is the z-component of the lowered normal
+    nu = gN[2] if space.has_vertical_field or space.kind == "sol" else None
     return CurvatureReport(
-        patch_name=patch.name,
-        U=U, V=V, X=X, Xu=j["Xu"], Xv=j["Xv"], I=I, II=II, N=N,
-        lambda1=lam1, lambda2=lam2,
-        mean_curvature=H, umbilicity_factor=0.5 * (lam1 + lam2),
-        defect=defect, s0_11=s0_11, s0_12=s0_12, included=included,
-        nu=nu, T=T, JT=JT,
+        patch.name, U, V, lam1, lam2, H, 0.5 * (lam1 + lam2), defect, s0_11, s0_12,
+        included, nu, space, {"X": j["X"], "Xu": j["Xu"], "Xv": j["Xv"], "N": N},
+        forms, np.geterr(),
     )
 
 
@@ -752,16 +750,52 @@ def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
 # slice structure
 
 
-def _find_roots(f, lo, hi, args):
-    """Elementwise roots of f on the brackets [lo, hi] (Chandrupatla)."""
-    from scipy.optimize.elementwise import find_root
+def _find_roots(f, lo, hi, args, xatol=1e-14):
+    """Elementwise roots of f(x, *args) on the brackets [lo, hi] (1-D arrays).
 
-    res = find_root(f, (lo, hi), args=args, tolerances={"xatol": 1e-14})
-    if not np.all(res.success):
-        bad = int(np.count_nonzero(~res.success))
-        raise RuntimeError(f"root solve failed at {bad} of {res.x.size} points "
-                           f"(status {np.unique(res.status[~res.success])})")
-    return res.x
+    Chandrupatla's method (Adv. Eng. Software 28, 1997) on the points still
+    open, with scipy's ``find_root`` steps and stopping rule: a point stops at
+    its end point of smaller |f| once |f| <= the smallest normal or the
+    bracket is under 4 eps |x| + xatol.  A lost bracket, or a point still open
+    after 2046 steps, raises RuntimeError.
+    """
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = f(x1, *args), f(x2, *args)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    roots, live = np.full(x1.shape, np.nan), np.arange(x1.size)
+    for step in range(2047):
+        small = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(small, x1, x2), np.where(small, f1, f2)
+        dx, tol = np.abs(x2 - x1), 4.0 * eps * np.abs(xm) + xatol
+        done = (np.abs(fm) <= tiny) | (dx < tol)
+        bad = ~done & ((np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
+                       | (np.isnan(f1) & np.isnan(f2)))
+        roots[live[done]] = xm[done]  # a lost or open point stays NaN
+        keep = ~(done | bad)
+        live, x1, x2, f1, f2, dx, tol = (a[keep] for a in (live, x1, x2, f1, f2, dx, tol))
+        args = tuple(a[keep] for a in args)
+        if not live.size or step == 2046:
+            break
+        t = 0.5
+        if step:
+            x3, f3 = x3[keep], f3[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                       - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+                t = np.where(((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi)), iqi, 0.5)
+            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = f(x, *args)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    if np.isnan(roots).any():
+        raise RuntimeError(
+            f"root solve failed at {np.isnan(roots).sum()} of {roots.size} points")
+    return roots
 
 
 def _level_points(patch, level, n_v):

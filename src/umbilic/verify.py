@@ -460,12 +460,12 @@ def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
         cv, sv = np.cos(V), np.sin(V)
         zero = np.zeros_like(U)
         return {
-            "X": np.stack([U * cv, U * sv, _polyval(coeffs, w)], axis=-1),
-            "Xu": np.stack([cv, sv, fp], axis=-1),
-            "Xv": np.stack([-U * sv, U * cv, zero], axis=-1),
-            "Xuu": np.stack([zero, zero, fpp], axis=-1),
-            "Xuv": np.stack([-sv, cv, zero], axis=-1),
-            "Xvv": np.stack([-U * cv, -U * sv, zero], axis=-1),
+            "X": (U * cv, U * sv, _polyval(coeffs, w)),
+            "Xu": (cv, sv, fp),
+            "Xv": (-U * sv, U * cv, zero),
+            "Xuu": (zero, zero, fpp),
+            "Xuv": (-sv, cv, zero),
+            "Xvv": (-U * cv, -U * sv, zero),
         }
 
     return SurfacePatch(space, name or "rotational-graph", tuple(rho_window),
@@ -518,11 +518,11 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
     def jet(U, V):
         d, d_u, d_v = directions(U, V)
         v0 = radius[..., None] * (d + 1j * _JACOBI_STEP * np.stack([d_u, d_v]))
-        y = _m3_axis_geodesic(space, height, v0)
+        y = np.moveaxis(_m3_axis_geodesic(space, height, v0), -1, 0)
         dy = y.imag / _JACOBI_STEP
-        return {"X": y[0, ..., :3].real, "Xu": dy[0, ..., :3], "Xv": dy[1, ..., :3],
-                "normal": y[0, ..., 3:].real, "normal_u": dy[0, ..., 3:],
-                "normal_v": dy[1, ..., 3:]}
+        return {"X": tuple(y[:3, 0].real), "Xu": tuple(dy[:3, 0]), "Xv": tuple(dy[:3, 1]),
+                "normal": tuple(y[3:, 0].real), "normal_u": tuple(dy[3:, 0]),
+                "normal_v": tuple(dy[3:, 1])}
 
     return SurfacePatch(space, name or "geodesic-sphere", u_range, v_range,
                         jet, chart=chart)

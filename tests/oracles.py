@@ -26,6 +26,11 @@ quadrature of dz / |z'| (``_sol_blow_down``); the blow-down abscissa
 principal curvature of the plane-profile families; the curvature pipeline
 is checked against it.
 
+``stacked_surface_fields`` is the curvature pipeline on (..., 3) vectors:
+jets stacked on a last axis, dot products as ``np.sum`` over it, and the
+public ``lowering``, ``cross`` and ``connection``.  The component-major
+``umbilic.surfaces.surface_fields`` is checked against it bit for bit.
+
 ``sol_flattening_xi`` integrates e^{-4z} over a Sol graph by adaptive
 quadrature; the exact antiderivative of ``umbilic.conformal.sol_flattening``
 is checked against it.
@@ -47,6 +52,8 @@ from umbilic.geometry import (
     _dense,
     _inverse_table,
     connection,
+    cross,
+    lowering,
 )
 from umbilic.profiles import (
     GeneratingCurve,
@@ -138,7 +145,7 @@ def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarra
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    _check_domain(space, p)
+    _check_domain(space, np.moveaxis(p, -1, 0))
     if np.allclose(v, 0.0):
         return p.copy()
 
@@ -171,8 +178,9 @@ def exp_map(space: ModelGeometry, p, v, tol: float = GEODESIC_RTOL) -> np.ndarra
 def inverse_metric(space: ModelGeometry, p) -> np.ndarray:
     """Inverse metric g^ij at p in closed form; broadcasts like ``metric_at``."""
     p = np.asarray(p)
-    _check_domain(space, p)
-    return _dense(p, _inverse_table(space, p), (3, 3))
+    P = np.moveaxis(p, -1, 0)
+    _check_domain(space, P)
+    return _dense(p, _inverse_table(space, P), (3, 3))
 
 
 class EventNotFoundError(RuntimeError):
@@ -434,3 +442,95 @@ def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:
                     for k in range(n - 1)])
     xi = np.concatenate([[0.0], np.cumsum(seg)])
     return xi - xi[n // 2]
+
+
+def stacked_jet(patch, U, V, h=None):
+    """The patch jet with every component triple stacked on a last axis."""
+    from umbilic.surfaces import fd_jet
+
+    jet = patch.jet if h is None else fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)
+    return {k: np.stack(v, axis=-1) if isinstance(v, tuple) else v
+            for k, v in jet(U, V).items()}
+
+
+def _dot(a, b):
+    return np.sum(a * b, axis=-1)
+
+
+def _stacked_forms(space, j, orient):
+    """I, II, the unit normal N, its lowered form gN and det I of a stacked jet."""
+    X, Xu, Xv = j["X"], j["Xu"], j["Xv"]
+    lower = lowering(space, X)
+    gXu = lower(Xu)
+    E = _dot(Xu, gXu)
+    F = _dot(Xv, gXu)
+    gXv = lower(Xv)
+    G = _dot(Xv, gXv)
+    I = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
+    det_I = E * G - F * F
+
+    factor = np.expand_dims(orient * np.asarray(j.get("orient_sign", 1.0)), -1)
+    n_raw = cross(space, X, Xu, Xv) * factor
+    gn = lower(n_raw)
+    n_len = np.sqrt(_dot(n_raw, gn))
+    safe = np.where(n_len > 0, n_len, 1.0)[..., None]
+    N = n_raw / safe
+    gN = gn / safe
+
+    gamma = connection(space, X)
+    if "normal" in j:
+        n = j["normal"] * factor
+        gn = lower(n)
+        scale = np.sqrt(_dot(n, gn))[..., None]
+        n, gn = n / scale, gn / scale
+
+        def dn(n_a, Xa):
+            d = n_a * factor / scale + gamma(Xa, n)
+            return d - _dot(d, gn)[..., None] * n
+
+        dn_u, dn_v = dn(j["normal_u"], Xu), dn(j["normal_v"], Xv)
+        L = -_dot(dn_u, gXu)
+        M = -0.5 * (_dot(dn_u, gXv) + _dot(dn_v, gXu))
+        Nn = -_dot(dn_v, gXv)
+    else:
+        def second(Xa, Xb, Xab):
+            return _dot(Xab + gamma(Xa, Xb), gN)
+
+        L = second(Xu, Xu, j["Xuu"])
+        M = second(Xu, Xv, j["Xuv"])
+        Nn = second(Xv, Xv, j["Xvv"])
+    II = np.stack([np.stack([L, M], axis=-1), np.stack([M, Nn], axis=-1)], axis=-2)
+    return I, II, N, gN, det_I
+
+
+def stacked_surface_fields(patch, U, V, h=None) -> dict:
+    """Every ``CurvatureReport`` field of the patch at (U, V), by name."""
+    from umbilic.surfaces import AXIS_TUBE, IMMERSION_FLOOR
+
+    space = patch.space
+    j = stacked_jet(patch, U, V, h=h)
+    I, II, N, gN, det_I = _stacked_forms(space, j, patch.orient)
+    X = j["X"]
+    included = (np.sqrt(I[..., 1, 1]) > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
+
+    E, F, G = I[..., 0, 0], I[..., 0, 1], I[..., 1, 1]
+    L, M, Nn = II[..., 0, 0], II[..., 0, 1], II[..., 1, 1]
+    det_I = E * G - F * F
+    H = (E * Nn - 2.0 * F * M + G * L) / (2.0 * det_I)
+    s = 0.5 * (L / E - (E * E * Nn - 2.0 * E * F * M + F * F * L) / (E * det_I))
+    b = (E * M - F * L) / (E * np.sqrt(np.abs(det_I)))
+    half_gap = np.sqrt(s * s + b * b)
+    lam1, lam2 = H - half_gap, H + half_gap
+
+    nu = T = JT = None
+    if space.has_vertical_field or space.kind == "sol":
+        xi = np.zeros_like(X)
+        xi[..., 2] = 1.0
+        nu = gN[..., 2]
+        T = xi - nu[..., None] * N
+        JT = cross(space, X, N, T)
+    return {"X": X, "Xu": j["Xu"], "Xv": j["Xv"], "I": I, "II": II, "N": N,
+            "lambda1": lam1, "lambda2": lam2, "mean_curvature": H,
+            "umbilicity_factor": 0.5 * (lam1 + lam2),
+            "defect": 2.0 * half_gap / (1.0 + np.abs(lam1) + np.abs(lam2)),
+            "s0_11": s, "s0_12": b, "included": included, "nu": nu, "T": T, "JT": JT}

@@ -1,4 +1,4 @@
-"""Commands that need no integrator or root solver start without scipy.
+"""The package runs without scipy: no command or library call imports it.
 
 Each case runs in a fresh interpreter, because this test session has
 imported scipy already.  The sphere commands also load no
@@ -34,11 +34,23 @@ print(json.dumps({"rc": rc, "scipy": sorted(
 """
 
 
-def _probe(argv, cwd=None):
+# the slice classifier on one C10 level, its bracketing root solves included
+_CLASSIFY = """
+import json, sys
+from umbilic.families import build_family
+from umbilic.surfaces import classify_slice_structure
+curve, patch = build_family("H2xR_hyperbolic", 0.5)
+entry = classify_slice_structure(patch, [float(curve.jet(0.8)["t"])])[0]
+print(json.dumps({"tag": entry["tag"], "scipy": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def _probe(argv, cwd=None, code=_PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -93,6 +105,11 @@ def test_command_loads_no_scipy(case, tmp_path):
     assert run["scipy"] == []
     # the import builds no digit tables; only a text export does
     assert run["tables"] == [0, int(case in ("gen-obj", "gen-csv"))]
+
+
+def test_slice_classifier_loads_no_scipy():
+    run = _probe([], code=_CLASSIFY)
+    assert run == {"tag": "hyperbolic", "scipy": []}
 
 
 @pytest.mark.parametrize("case", ["falsify-sphere", "daniel-grid"])

@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import _geodesic_rhs, christoffel_contract, principal_curvature_normal_part
-from umbilic.families import build_family
+from oracles import (
+    _geodesic_rhs,
+    christoffel_contract,
+    principal_curvature_normal_part,
+    stacked_surface_fields,
+)
+from umbilic.families import build_family, family_names
 from umbilic.geometry import (
     christoffels,
     cross,
@@ -55,9 +60,8 @@ from umbilic.surfaces import (
     synthetic_profile,
     transform_patch,
     umbilicity_defect,
-    _forms_from_jet,
 )
-from umbilic.verify import rotational_graph_patch
+from umbilic.verify import rotational_graph_patch, trial_patch
 
 
 @pytest.fixture(scope="module")
@@ -513,9 +517,8 @@ def _scalar_classify(patch, level, n_v=64):
     vs = np.array([p[1] for p in hits])
 
     space = patch.space
-    j = patch.jet(us, vs)
-    _, _, N, _, _ = _forms_from_jet(space, j, patch.orient)
-    nu = inner(space, j["X"], N, vertical_field(space, j["X"]))
+    X = patch.chart(us, vs)
+    nu = inner(space, X, stacked_surface_fields(patch, us, vs)["N"], vertical_field(space, X))
 
     dv = 1e-3 * (v1 - v0)
     bracket = 0.05 * (u1 - u0)
@@ -664,3 +667,86 @@ def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
     for space in (m3(1.0, 0.5), h2xr(-1.0), sol(), h3()):
         assert np.all(np.isfinite(_geodesic_rhs(space, state)))
         assert np.all(np.isfinite(_geodesic_rhs(space, state + 1e-20j)))
+
+
+# --- the component-major pipeline against the stacked one ----------------------
+
+_FAMILY_PARAMS = {"S2xR_a_lt_1": 0.6, "S2xR_a_gt_1": 1.5, "H2xR_elliptic": 1.0,
+                  "H2xR_hyperbolic": 0.5, "Sol_Fa": 1.0}
+
+
+def _stencil_stack(name):
+    # the (4, 16, 16) grid of the identity suites' shifted fields
+    patch = build_family(name, _FAMILY_PARAMS.get(name))[1]
+    U, V = patch.grid(16, 16)
+    hu = 1e-5 * (patch.u_range[1] - patch.u_range[0])
+    hv = 1e-5 * (patch.v_range[1] - patch.v_range[0])
+    return patch, np.stack([U + hu, U - hu, U, U]), np.stack([V, V, V + hv, V - hv])
+
+
+def _trial_batch(space, family, P):
+    # a (K, 24, 24) trial batch, as the falsifier evaluates it
+    patch = trial_patch(space, family, np.asarray(P, dtype=float))
+    U, V = patch.grid(24, 24)
+    shape = (len(P),) + U.shape
+    return patch, np.broadcast_to(U, shape), np.broadcast_to(V, shape)
+
+
+_PIPELINE_CASES = {
+    **{name: lambda name=name: (build_family(name, _FAMILY_PARAMS.get(name))[1],)
+       for name in family_names()},
+    "product-stencil": lambda: _stencil_stack("H2xR_elliptic"),
+    "sol-stencil": lambda: _stencil_stack("Sol_Fa"),
+    "graph-m3(0,1/2)": lambda: _trial_batch(
+        m3(0.0, 0.5), "graph", np.random.default_rng(20).uniform(-1, 1, (7, 6))),
+    "graph-m3(1,1/2)": lambda: _trial_batch(
+        m3(1.0, 0.5), "graph", np.random.default_rng(21).uniform(-1, 1, (7, 6))),
+    "sphere-m3(-1,1)": lambda: _trial_batch(m3(-1.0, 1.0), "sphere", [[0.6], [1.1], [1.7]]),
+    "sphere-m3(1,1/2)": lambda: _trial_batch(m3(1.0, 0.5), "sphere", [[0.6], [1.1], [1.7]]),
+    "fd-h": lambda: (build_family("S2xR_a_lt_1", 0.6)[1], None, None, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", _PIPELINE_CASES)
+def test_surface_fields_match_the_stacked_pipeline_bitwise(case):
+    # every report field, bit for bit, against the (..., 3) pipeline of the
+    # oracles: families at 64^2, stencil stacks, trial batches (the sphere
+    # takes the Weingarten path), a forced finite-difference jet and the
+    # m3(1, 1/2) metric with its off-diagonal entries
+    patch, U, V, h = (_PIPELINE_CASES[case]() + (None, None, None))[:4]
+    if U is None:
+        U, V = patch.grid(64, 64)
+    with np.errstate(all="ignore"):
+        rep = surface_fields(patch, U, V, h=h)
+        want = stacked_surface_fields(patch, U, V, h=h)
+    assert np.count_nonzero(rep.included) > 0
+    for name, value in want.items():
+        got = getattr(rep, name)
+        if value is None:
+            assert got is None, name
+            continue
+        assert (got.shape, got.dtype) == (value.shape, value.dtype), name
+        assert got.tobytes() == value.tobytes(), name
+
+
+def test_surface_fields_convert_no_stacked_vectors(monkeypatch):
+    # jets, kernels and report work on component triples end to end, so the
+    # pipeline never splits a stacked vector or stacks a kernel result
+    import umbilic.geometry as geometry
+
+    cases = [(build_family("H2xR_elliptic", 1.0)[1],), _stencil_stack("Sol_Fa"),
+             _trial_batch(m3(0.0, 0.5), "graph", np.zeros((3, 6))),
+             _trial_batch(m3(1.0, 0.5), "sphere", [[0.8], [1.2]])]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stacked vector converted")
+
+    monkeypatch.setattr(geometry, "_components", refuse)
+    monkeypatch.setattr(geometry, "_join", refuse)
+    with pytest.raises(AssertionError, match="converted"):
+        geometry.lowering(m3(0.0, 0.5), np.zeros(3))
+    for patch, *grid in cases:
+        rep = surface_fields(patch, *(grid or patch.grid(16, 16)))
+        assert np.all(np.isfinite(rep.defect[rep.included]))
+        for name in ("X", "Xu", "Xv", "I", "II", "N", "T", "JT"):
+            assert np.all(np.isfinite(getattr(rep, name)[rep.included])), name
