@@ -202,15 +202,14 @@ def _rotational_jet(curve, kappa_sign):
         r_u = r_rho * j["rho_s"]
         r_uu = r_rhorho * j["rho_s"] ** 2 + r_rho * j["rho_ss"]
         c, s = np.cos(V), np.sin(V)
-        ms = -s
         zero = np.zeros(U.shape)
         t, t_s, t_ss = (np.broadcast_to(j[k], U.shape) for k in ("t", "t_s", "t_ss"))
         return {
             "X": (r * c, r * s, t),
             "Xu": (r_u * c, r_u * s, t_s),
-            "Xv": (r * ms, r * c, zero),
+            "Xv": (r * -s, r * c, zero),
             "Xuu": (r_uu * c, r_uu * s, t_ss),
-            "Xuv": (r_u * ms, r_u * c, zero),
+            "Xuv": (r_u * -s, r_u * c, zero),
             "Xvv": (-r * c, -r * s, zero),
             # the (u, v) parametrization reverses orientation each time the
             # profile crosses the rotation axis (sign of r); folding that
@@ -560,6 +559,19 @@ def _forms_from_jet(space, j, orient):
     return (E, F, G, L, M, Nn), N, gN
 
 
+def _checked_forms(patch: SurfacePatch, u, v, h):
+    """E, F, G, L, M, N and the unit normal's components at (u, v), det I checked."""
+    j = _jet_arrays(patch, np.asarray(u, dtype=float), np.asarray(v, dtype=float), h=h)
+    (E, F, G, L, M, Nn), N, _ = _forms_from_jet(patch.space, j, patch.orient)
+    bad = np.flatnonzero(E * G - F * F <= IMMERSION_FLOOR)
+    if bad.size:
+        raise ImmersionError(
+            f"patch {patch.name!r}: first fundamental form degenerate "
+            f"(det I <= {IMMERSION_FLOOR}) at flat grid index {bad[:1]}"
+        )
+    return (E, F, G, L, M, Nn), N
+
+
 def fundamental_forms(patch: SurfacePatch, u, v, h=None):
     """First and second fundamental forms and the unit normal at (u, v).
 
@@ -567,15 +579,7 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
     by default the patch's own (closed-form or default-step) jet is used.
     Raises :class:`ImmersionError` where det I falls below 1e-10.
     """
-    j = _jet_arrays(patch, np.asarray(u, dtype=float), np.asarray(v, dtype=float), h=h)
-    (E, F, G, L, M, Nn), N, _ = _forms_from_jet(patch.space, j, patch.orient)
-    det_I = E * G - F * F
-    if np.any(det_I <= IMMERSION_FLOOR):
-        bad = np.argwhere(np.atleast_1d(det_I) <= IMMERSION_FLOOR).ravel()
-        raise ImmersionError(
-            f"patch {patch.name!r}: first fundamental form degenerate "
-            f"(det I <= {IMMERSION_FLOOR}) at flat grid index {bad[:1]}"
-        )
+    (E, F, G, L, M, Nn), N = _checked_forms(patch, u, v, h)
     return _sym2(E, F, G), _sym2(L, M, Nn), np.stack(N, axis=-1)
 
 
@@ -597,8 +601,7 @@ def _shape_invariants(E, F, G, L, M, Nn):
 
 def principal_curvatures(patch: SurfacePatch, u, v, h=None):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
-    I, II, _ = fundamental_forms(patch, u, v, h=h)
-    forms = (A[..., i, k] for A in (I, II) for i, k in ((0, 0), (0, 1), (1, 1)))
+    forms, _ = _checked_forms(patch, u, v, h)
     H, half_gap, _, _ = _shape_invariants(*forms)
     return H - half_gap, H + half_gap
 
@@ -750,24 +753,22 @@ def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
 # slice structure
 
 
-def _find_roots(f, lo, hi, args, xatol=1e-14):
+def _find_roots(f, lo, hi, args):
     """Elementwise roots of f(x, *args) on the brackets [lo, hi] (1-D arrays).
 
-    Chandrupatla's method (Adv. Eng. Software 28, 1997) on the points still
-    open, with scipy's ``find_root`` steps and stopping rule: a point stops at
-    its end point of smaller |f| once |f| <= the smallest normal or the
-    bracket is under 4 eps |x| + xatol.  A lost bracket, or a point still open
-    after 2046 steps, raises RuntimeError.
+    Chandrupatla's method (Adv. Eng. Software 28, 1997) with scipy's
+    ``find_root`` steps: a point stops at its end of smaller |f| once |f| is
+    at most the smallest normal or the bracket is under 4 eps |x| + 1e-14.
+    A lost bracket, or a point still open after 2046 steps, raises RuntimeError.
     """
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f1, f2 = f(x1, *args), f(x2, *args)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     roots, live = np.full(x1.shape, np.nan), np.arange(x1.size)
     for step in range(2047):
         small = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(small, x1, x2), np.where(small, f1, f2)
-        dx, tol = np.abs(x2 - x1), 4.0 * eps * np.abs(xm) + xatol
-        done = (np.abs(fm) <= tiny) | (dx < tol)
+        dx, tol = np.abs(x2 - x1), 4.0 * np.finfo(float).eps * np.abs(xm) + 1e-14
+        done = (np.abs(fm) <= np.finfo(float).tiny) | (dx < tol)
         bad = ~done & ((np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
                        | (np.isnan(f1) & np.isnan(f2)))
         roots[live[done]] = xm[done]  # a lost or open point stays NaN
