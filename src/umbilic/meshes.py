@@ -101,8 +101,10 @@ def _double_tokens(x):
     out = fixed.take(layout, axis=0)
     out += keep.take(layout, axis=0) * digits[:, 1:25]
     out += shift.take(layout, axis=0) * digits[:, :24]
-    out[:, 0] = (x < 0) * ord("-")
-    slow = ~fast
+    out[:, 0] = np.signbit(x) * ord("-")  # -0.0 < 0 is false
+    zero = ax == 0.0
+    out[zero, 6] = ord("0")  # a zero took the layout of 1.0, "1" in column 6
+    slow = ~(fast | zero)
     if slow.any():
         text = ("%.17g " * slow.sum()) % tuple(x[slow].tolist())
         out[slow] = np.array(text.split(), dtype=f"S{_W}").view(np.uint8).reshape(-1, _W)

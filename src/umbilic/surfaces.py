@@ -175,33 +175,36 @@ def _mobius_chain(M, W, Wu, Wv, Wuu, Wuv, Wvv):
 
 
 def _grid_args(curve, U, V):
-    """Broadcast (U, V) and evaluate the curve jet once per grid row.
+    """Broadcast (U, V), evaluate the curve jet once per grid row, take V's row.
 
     Where U is constant along its last axis (a grid, or a stack of grids)
     the jet is taken at U[..., 0] and its fields keep a last axis of length
-    1, to broadcast against U; the jet and what the sweeps compute from it
-    are elementwise, so the values are the pointwise ones.
+    1, to broadcast against U.  Where V is constant along its second-to-last
+    axis, ``v`` is its first row, for the functions of V alone; else it is
+    V.  The jet and what the sweeps compute from it are elementwise, so the
+    values are the pointwise ones.
     """
     U, V = np.broadcast_arrays(
         np.asarray(U, dtype=float), np.asarray(V, dtype=float)
     )
     rows = U[..., :1] if U.ndim >= 2 and (U == U[..., :1]).all() else U
+    v = V[..., :1, :] if V.ndim >= 2 and (V == V[..., :1, :]).all() else V
     j = curve.jet(np.ravel(rows))
-    return U, V, {k: np.reshape(v, rows.shape) for k, v in j.items()}
+    return U, V, v, {k: np.reshape(a, rows.shape) for k, a in j.items()}
 
 
 def _rotational_jet(curve, kappa_sign):
     half = np.tan if kappa_sign > 0 else np.tanh
 
     def jet(U, V):
-        U, V, j = _grid_args(curve, U, V)
+        U, _, v, j = _grid_args(curve, U, V)
         rho = j["rho"]
         r = half(rho / 2.0)
         r_rho = (1.0 + kappa_sign * r * r) / 2.0
         r_rhorho = kappa_sign * r * (1.0 + kappa_sign * r * r) / 2.0
         r_u = r_rho * j["rho_s"]
         r_uu = r_rhorho * j["rho_s"] ** 2 + r_rho * j["rho_ss"]
-        c, s = np.cos(V), np.sin(V)
+        c, s = np.cos(v), np.sin(v)
         zero = np.zeros(U.shape)
         t, t_s, t_ss = (np.broadcast_to(j[k], U.shape) for k in ("t", "t_s", "t_ss"))
         return {
@@ -233,11 +236,11 @@ def _parabolic_jet(curve, action_ideal, profile_sign):
     M = np.linalg.inv(Rm) @ np.linalg.inv(C)
 
     def jet(U, V):
-        U, V, j = _grid_args(curve, U, V)
+        U, _, v, j = _grid_args(curve, U, V)
         E = np.exp(profile_sign * j["rho"])
         rho_s = profile_sign * j["rho_s"]
         rho_ss = profile_sign * j["rho_ss"]
-        W = E + 1j * V
+        W = E + 1j * v
         Wu = rho_s * E + 0j
         Wv = np.full(U.shape, 1j)
         Wuu = (rho_ss + rho_s**2) * E + 0j
@@ -259,13 +262,13 @@ def _hyperbolic_jet(curve, axis_angle):
     )
 
     def jet(U, V):
-        U, V, j = _grid_args(curve, U, V)
+        _, _, v, j = _grid_args(curve, U, V)
         rho, rho_s, rho_ss = j["rho"], j["rho_s"], j["rho_ss"]
         sech, tanh = 1.0 / np.cosh(rho), np.tanh(rho)
         q = tanh + 1j * sech
         q_rho = sech * sech - 1j * sech * tanh
         q_rhorho = -2.0 * sech**2 * tanh - 1j * (sech**3 - sech * tanh**2)
-        ev = np.exp(-V)
+        ev = np.exp(-v)
         W = ev * q
         Wu = ev * q_rho * rho_s
         Wuu = ev * (q_rhorho * rho_s**2 + q_rho * rho_ss)
@@ -277,7 +280,7 @@ def _hyperbolic_jet(curve, axis_angle):
 
 def _sol_graph_jet(curve):
     def jet(U, V):
-        U, V, j = _grid_args(curve, U, V)
+        U, V, _, j = _grid_args(curve, U, V)
         zero, one = np.zeros(U.shape), np.ones(U.shape)
         z, z_y, z_yy = (np.broadcast_to(j[k], U.shape) for k in ("z", "z_y", "z_yy"))
         return {"X": (V, U, z), "Xu": (zero, one, z_y), "Xv": (one, zero, zero),

@@ -8,7 +8,9 @@ bracket [T, JT], and the Sol frame relations.  A least-squares search
 (`nonexistence_falsifier`, bounded Levenberg-Marquardt on the trace-free
 shape operator) then looks for umbilic surfaces in the fibration chart and
 reports the smallest defect it can reach, which stays bounded away from
-zero exactly when no umbilic surface exists.
+zero exactly when no umbilic surface exists.  Its restarts keep their state
+in arrays and advance together, one stacked solve and one batched
+evaluation per round.
 """
 
 from __future__ import annotations
@@ -596,111 +598,131 @@ def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24)) -> fl
 _FTOL, _XTOL, _GTOL = 1e-10, 1e-10, 1e-12
 
 
-def _levenberg_marquardt(x0, bounds, maxfev):
-    """Bounded Levenberg-Marquardt (More, LNM 630, 1978) as a coroutine.
+def _diag(v):
+    """The diagonal matrix of each row of v, zero off the diagonal (np.diag)."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape[:-1] + (n * n,))
+    out[..., ::n + 1] = v
+    return out.reshape(v.shape + (n,))
 
-    It yields each (m, n) array of points it needs and is sent their (m, k)
-    residuals.  An iteration is one request: the trial point and its n
+
+def _dots(a, b):
+    """Dot products of the last axes of a and b, one BLAS dot each."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _levenberg_marquardt(objective, x0s, bounds, maxfev):
+    """Bounded Levenberg-Marquardt (More, LNM 630, 1978) from K starts at once.
+
+    ``objective`` maps an (m, n) array of points to their (m,) scores and
+    (m, k) residuals.  Every restart's state lives in (K, ...) arrays, and a
+    round is one iteration of each pending restart: one stacked solve of
+    their damped systems and one ``objective`` call on their rows, in
+    restart order.  An iteration evaluates the trial point and its n
     forward-difference neighbours, whose Jacobian serves the next step if
     the trial lowers the cost |r|^2 / 2.  A step solves (J^T J + lam D) dx =
     -J^T r, D the running max of diag(J^T J), on the coordinates the
-    gradient does not hold at a bound, and is clipped into the box.  The run
-    stops on the free gradient ("gradient"), the step ("step"), an accepted
-    relative cost reduction ("reduction") or a start with a non-finite
-    residual ("penalized").  ``maxfev`` >= n + 1 caps the rows: the rows left
-    under it go to trial steps at damping lam, 4 lam, ... ("cap").  Returns
-    ``(x, cost, nfev, status)``.
+    gradient does not hold at a bound, and is clipped into the box.  A
+    restart stops on the free gradient ("gradient"), the step ("step"), an
+    accepted relative cost reduction ("reduction") or a start with a
+    non-finite residual ("penalized").  ``maxfev`` >= n + 1 caps each
+    restart's rows: the rows left under it go to trial steps at damping lam,
+    4 lam, ... ("cap").  Every pending restart has spent the same rows, so
+    they reach the cap in the same round.  Returns ``(x, cost, score, nfev,
+    status)``, one row or entry per restart, with the objective's score at x.
     """
     lb, ub = (np.array(b, dtype=float) for b in zip(*bounds))
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    n, nfev = len(x), 0
+    x = np.clip(np.asarray(x0s, dtype=float), lb, ub)
+    K, n = x.shape
 
     def probe(x):
-        # residual, cost and transposed forward-difference Jacobian at x
-        nonlocal nfev
+        # score, residual, cost and transposed forward-difference Jacobian
+        # at each row of x, from the row and its n neighbours
         h = 2.0 ** -26 * np.maximum(1.0, np.abs(x))  # sqrt(eps) max(1, |x|)
-        pts = np.vstack([x, x + np.diag(np.where(x + h > ub, -h, h))])
-        nfev += n + 1
-        R = yield pts
-        cost = 0.5 * (R * R).sum(axis=1)
-        Jt = (R[1:] - R[0]) / (pts.diagonal(-1) - x)[:, None]
-        Jt[~np.isfinite(cost[1:])] = 0.0
-        return R[0].copy(), Jt, cost[0]
+        pts = np.repeat(x[:, None], n + 1, axis=1)
+        pts[:, 1:] += _diag(np.where(x + h > ub, -h, h))
+        score, R = objective(pts.reshape(-1, n))
+        R = R.reshape(len(x), n + 1, -1)
+        cost = 0.5 * (R * R).sum(axis=2)
+        Jt = (R[:, 1:] - R[:, :1]) / (pts[:, 1:].diagonal(0, 1, 2) - x)[..., None]
+        Jt[~np.isfinite(cost[:, 1:])] = 0.0
+        return score[::n + 1], R[:, 0].copy(), Jt, cost[:, 0]
 
-    r, Jt, cost = yield from probe(x)
-    if not np.isfinite(cost):
-        return x, cost, nfev, "penalized"
-    lam, nu, D = 1e-3, 2.0, np.zeros(n)
-    while True:
-        g = Jt @ r
+    fx, r, Jt, cost = probe(x)
+    spent = n + 1  # the rows each pending restart has evaluated
+    out = [x.copy(), cost.copy(), fx.copy(), np.full(K, spent), np.empty(K, "U9")]
+    lam, nu, D = np.full(K, 1e-3), np.full(K, 2.0), np.zeros((K, n))
+    live = np.arange(K)  # the pending restarts, whose state the arrays hold
+
+    def stop(mask, why, *more):
+        # record the restarts in mask as stopped; the state of the others
+        for field, v in zip(out, (x, cost, fx, spent, why)):
+            field[live[mask]] = v[mask] if np.ndim(v) else v
+        return [v[~mask] for v in (live, x, r, Jt, cost, fx, lam, nu, D, *more)]
+
+    live, x, r, Jt, cost, fx, lam, nu, D = stop(~np.isfinite(cost), "penalized")
+    while live.size:
+        g = (Jt @ r[..., None])[..., 0]
         held = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
         g[held] = 0.0
-        if np.abs(g).max() <= _GTOL:
-            return x, cost, nfev, "gradient"
-        A = Jt @ Jt.T
-        D = np.maximum(D, A.diagonal())
-        A[held] = A[:, held] = 0.0
-        scale = np.diag(np.where(D > 0, D, 1.0))
-
-        def trial(lam):
-            return np.clip(x - np.linalg.solve(A + lam * scale, g), lb, ub)
-
-        left = maxfev - nfev
-        if left < n + 1:
+        flat = np.abs(g).max(axis=1) <= _GTOL
+        if flat.any():
+            live, x, r, Jt, cost, fx, lam, nu, D, g, held = stop(
+                flat, "gradient", g, held)
+            if not live.size:
+                break
+        A = Jt @ Jt.transpose(0, 2, 1)
+        D = np.maximum(D, A.diagonal(0, 1, 2))
+        A[held] = 0.0
+        A.transpose(0, 2, 1)[held] = 0.0
+        left = maxfev - spent
+        cap = left < n + 1
+        # damping lam, or lam 4^k for each of the rows left under the cap
+        damp = np.ldexp(lam[:, None], 2 * np.arange(left)) if cap else lam[:, None]
+        scale = _diag(np.where(D > 0, D, 1.0))
+        dx = np.linalg.solve(A[:, None] + damp[..., None, None] * scale[:, None],
+                             g[:, None, :, None])[..., 0]
+        trial = np.clip(x[:, None] - dx, lb, ub)
+        if cap:
             if left:
-                pts = np.array([trial(lam * 4.0 ** k) for k in range(left)])
-                nfev += left
-                R = yield pts
-                costs = 0.5 * (R * R).sum(axis=1)
-                k = int(np.argmin(costs))
-                if costs[k] < cost:
-                    x, cost = pts[k], costs[k]
-            return x, cost, nfev, "cap"
-        x_new = trial(lam)
+                score, R = objective(trial.reshape(-1, n))
+                costs = 0.5 * (R * R).sum(axis=1).reshape(-1, left)
+                i, k = np.arange(len(costs)), costs.argmin(axis=1)
+                better = costs[i, k] < cost
+                x = np.where(better[:, None], trial[i, k], x)
+                cost = np.where(better, costs[i, k], cost)
+                fx = np.where(better, score.reshape(-1, left)[i, k], fx)
+            spent += left
+            stop(np.ones(live.size, bool), "cap")
+            break
+        x_new = trial[:, 0]
         s = x_new - x
-        if np.sqrt(s @ s) <= _XTOL * (_XTOL + np.sqrt(x @ x)):
-            return x, cost, nfev, "step"
-        r_new, Jt_new, cost_new = yield from probe(x_new)
+        short = np.sqrt(_dots(s, s)) <= _XTOL * (_XTOL + np.sqrt(_dots(x, x)))
+        if short.any():
+            live, x, r, Jt, cost, fx, lam, nu, D, g, x_new, s = stop(
+                short, "step", g, x_new, s)
+            if not live.size:
+                break
+        f_new, r_new, Jt_new, cost_new = probe(x_new)
+        spent += n + 1
         actual = cost - cost_new
-        if actual > 0:
-            Js = s @ Jt
-            predicted = -(g @ s) - 0.5 * (Js @ Js)
-            ratio = actual / predicted if predicted > 0 else 0.0
-            x, r, Jt, cost = x_new, r_new, Jt_new, cost_new
-            lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-            nu = 2.0
-            if actual <= _FTOL * (cost + actual) and ratio > 0.25:
-                return x, cost, nfev, "reduction"
-        else:
-            lam, nu = lam * nu, 2.0 * nu
-
-
-def _lockstep(objective, runs):
-    """Drive coroutine runs together, one objective call per round.
-
-    Each round concatenates every pending request, evaluates them in one
-    ``objective`` call on the stacked points and sends each run its values.
-    Returns the runs' return values in order.
-    """
-    results = [None] * len(runs)
-    pending = {}
-
-    def advance(i, values=None):
-        try:
-            pending[i] = runs[i].send(values)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            results[i] = stop.value
-
-    for i in range(len(runs)):
-        advance(i)
-    while pending:
-        order = list(pending)
-        values = objective(np.concatenate([pending[i] for i in order]))
-        cuts = np.cumsum([len(pending[i]) for i in order])[:-1]
-        for i, vals in zip(order, np.split(values, cuts)):
-            advance(i, vals)
-    return results
+        up = actual > 0
+        Js = (s[:, None] @ Jt)[:, 0]
+        predicted = -_dots(g, s) - 0.5 * _dots(Js, Js)
+        ratio = np.divide(actual, predicted, out=np.zeros(len(up)),
+                          where=up & (predicted > 0))
+        # libm pow through Python floats: numpy's SIMD array power may round
+        # the last bit differently
+        cube = np.array([t ** 3 for t in (2.0 * ratio - 1.0).tolist()])
+        x, r = np.where(up[:, None], x_new, x), np.where(up[:, None], r_new, r)
+        Jt = np.where(up[:, None, None], Jt_new, Jt)
+        cost, fx = np.where(up, cost_new, cost), np.where(up, f_new, fx)
+        lam = lam * np.where(up, np.maximum(1.0 / 3.0, 1.0 - cube), nu)
+        nu = np.where(up, 2.0, 2.0 * nu)
+        done = up & (actual <= _FTOL * (cost + actual)) & (ratio > 0.25)
+        if done.any():
+            live, x, r, Jt, cost, fx, lam, nu, D = stop(done, "reduction")
+    return out
 
 
 _MIN_EVALS_PER_RESTART = 8
@@ -716,11 +738,14 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     normalized defect at the best point found.  A large floor is numerical
     evidence for nonexistence; a tiny one exhibits an umbilic surface.
 
-    The restarts of a family run in lockstep: each round is one iteration of
-    every restart, its trial point and difference neighbours evaluated in
-    one batched :func:`surface_fields` call.  Rotations about the z axis are
-    isometries that map each trial to itself, so every trial is evaluated on
-    one meridian, ``grid`` in the result, ``[grid[0], 1]``.
+    The restarts of a family run in lockstep, their state held in arrays:
+    each round is one iteration of every pending restart, one stacked solve
+    of their damped systems, and their trial points and difference
+    neighbours evaluated in one batched :func:`surface_fields` call.  The
+    defect reported for a restart is the one evaluated at its final point.
+    Rotations about the z axis are isometries that map each trial to itself,
+    so every trial is evaluated on one meridian, ``grid`` in the result,
+    ``[grid[0], 1]``.
 
     The sphere radius is bounded below (0.5): small geodesic spheres are
     asymptotically umbilic in any space.  ``best_on_bound`` lists the
@@ -751,23 +776,13 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
             np.array([rng.uniform(lo, hi) for lo, hi in spec["bounds"]])
             for rng in (np.random.default_rng(np.random.SeedSequence(
                 entropy=seed, spawn_key=(fam_id, k))) for k in range(1, starts))]
-        runs = [_levenberg_marquardt(x0, spec["bounds"], budget // starts)
-                for x0 in x0s]
-        seen = []  # the parameters and defects of every round
-
-        def objective(P, fam=fam):
-            worst, resid = _trial_fields(space, fam, P, meridian)
-            seen.append((P, worst))
-            return resid
-
-        results = _lockstep(objective, runs)
-        P, worst = (np.concatenate(a) for a in zip(*seen))
-        for x, _, nfev, status in results:
-            n_evals += nfev
-            all_converged &= status != "cap"
-            fun = worst[np.all(P == x, axis=1)][0]
-            if fam not in floors or fun < floors[fam]:
-                floors[fam], best_x[fam] = fun, x
+        x, _, fun, nfev, status = _levenberg_marquardt(
+            lambda P, fam=fam: _trial_fields(space, fam, P, meridian),
+            x0s, spec["bounds"], budget // starts)
+        k = int(np.argmin(fun))
+        floors[fam], best_x[fam] = fun[k], x[k]
+        n_evals += int(nfev.sum())
+        all_converged &= not (status == "cap").any()
 
     best_family = min(floors, key=floors.get)
     x = best_x[best_family]

@@ -35,6 +35,12 @@ public ``lowering``, ``cross`` and ``connection``.  The component-major
 quadrature; the exact antiderivative of ``umbilic.conformal.sol_flattening``
 is checked against it.
 
+``_levenberg_marquardt`` is the bounded Levenberg-Marquardt search as one
+coroutine per restart, driven in lockstep by ``_lockstep``;
+``lockstep_levenberg_marquardt`` gives it the signature of the array-based
+``umbilic.verify._levenberg_marquardt``, which is checked against it bit for
+bit.
+
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
 profiles of ``umbilic.profiles`` are checked against it.  ``ode_sol_profile``
@@ -534,3 +540,136 @@ def stacked_surface_fields(patch, U, V, h=None) -> dict:
             "umbilicity_factor": 0.5 * (lam1 + lam2),
             "defect": 2.0 * half_gap / (1.0 + np.abs(lam1) + np.abs(lam2)),
             "s0_11": s, "s0_12": b, "included": included, "nu": nu, "T": T, "JT": JT}
+
+
+# stopping tolerances: relative cost reduction, step over |x|, free gradient
+_FTOL, _XTOL, _GTOL = 1e-10, 1e-10, 1e-12
+
+
+def _levenberg_marquardt(x0, bounds, maxfev):
+    """Bounded Levenberg-Marquardt (More, LNM 630, 1978) as a coroutine.
+
+    It yields each (m, n) array of points it needs and is sent their (m, k)
+    residuals.  An iteration is one request: the trial point and its n
+    forward-difference neighbours, whose Jacobian serves the next step if
+    the trial lowers the cost |r|^2 / 2.  A step solves (J^T J + lam D) dx =
+    -J^T r, D the running max of diag(J^T J), on the coordinates the
+    gradient does not hold at a bound, and is clipped into the box.  The run
+    stops on the free gradient ("gradient"), the step ("step"), an accepted
+    relative cost reduction ("reduction") or a start with a non-finite
+    residual ("penalized").  ``maxfev`` >= n + 1 caps the rows: the rows left
+    under it go to trial steps at damping lam, 4 lam, ... ("cap").  Returns
+    ``(x, cost, nfev, status)``.
+    """
+    lb, ub = (np.array(b, dtype=float) for b in zip(*bounds))
+    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    n, nfev = len(x), 0
+
+    def probe(x):
+        # residual, cost and transposed forward-difference Jacobian at x
+        nonlocal nfev
+        h = 2.0 ** -26 * np.maximum(1.0, np.abs(x))  # sqrt(eps) max(1, |x|)
+        pts = np.vstack([x, x + np.diag(np.where(x + h > ub, -h, h))])
+        nfev += n + 1
+        R = yield pts
+        cost = 0.5 * (R * R).sum(axis=1)
+        Jt = (R[1:] - R[0]) / (pts.diagonal(-1) - x)[:, None]
+        Jt[~np.isfinite(cost[1:])] = 0.0
+        return R[0].copy(), Jt, cost[0]
+
+    r, Jt, cost = yield from probe(x)
+    if not np.isfinite(cost):
+        return x, cost, nfev, "penalized"
+    lam, nu, D = 1e-3, 2.0, np.zeros(n)
+    while True:
+        g = Jt @ r
+        held = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
+        g[held] = 0.0
+        if np.abs(g).max() <= _GTOL:
+            return x, cost, nfev, "gradient"
+        A = Jt @ Jt.T
+        D = np.maximum(D, A.diagonal())
+        A[held] = A[:, held] = 0.0
+        scale = np.diag(np.where(D > 0, D, 1.0))
+
+        def trial(lam):
+            return np.clip(x - np.linalg.solve(A + lam * scale, g), lb, ub)
+
+        left = maxfev - nfev
+        if left < n + 1:
+            if left:
+                pts = np.array([trial(lam * 4.0 ** k) for k in range(left)])
+                nfev += left
+                R = yield pts
+                costs = 0.5 * (R * R).sum(axis=1)
+                k = int(np.argmin(costs))
+                if costs[k] < cost:
+                    x, cost = pts[k], costs[k]
+            return x, cost, nfev, "cap"
+        x_new = trial(lam)
+        s = x_new - x
+        if np.sqrt(s @ s) <= _XTOL * (_XTOL + np.sqrt(x @ x)):
+            return x, cost, nfev, "step"
+        r_new, Jt_new, cost_new = yield from probe(x_new)
+        actual = cost - cost_new
+        if actual > 0:
+            Js = s @ Jt
+            predicted = -(g @ s) - 0.5 * (Js @ Js)
+            ratio = actual / predicted if predicted > 0 else 0.0
+            x, r, Jt, cost = x_new, r_new, Jt_new, cost_new
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            nu = 2.0
+            if actual <= _FTOL * (cost + actual) and ratio > 0.25:
+                return x, cost, nfev, "reduction"
+        else:
+            lam, nu = lam * nu, 2.0 * nu
+
+
+def _lockstep(objective, runs):
+    """Drive coroutine runs together, one objective call per round.
+
+    Each round concatenates every pending request, evaluates them in one
+    ``objective`` call on the stacked points and sends each run its values.
+    Returns the runs' return values in order.
+    """
+    results = [None] * len(runs)
+    pending = {}
+
+    def advance(i, values=None):
+        try:
+            pending[i] = runs[i].send(values)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(runs)):
+        advance(i)
+    while pending:
+        order = list(pending)
+        values = objective(np.concatenate([pending[i] for i in order]))
+        cuts = np.cumsum([len(pending[i]) for i in order])[:-1]
+        for i, vals in zip(order, np.split(values, cuts)):
+            advance(i, vals)
+    return results
+
+
+def lockstep_levenberg_marquardt(objective, x0s, bounds, maxfev):
+    """The coroutine driver behind the signature of ``verify._levenberg_marquardt``.
+
+    ``objective`` returns (score, residual) per row, as there.  The score of
+    each restart's x is looked up among every evaluated row, the first row
+    equal to x.
+    """
+    seen = []
+
+    def residual(P):
+        score, resid = objective(P)
+        seen.append((P, score))
+        return resid
+
+    runs = [_levenberg_marquardt(x0, bounds, maxfev) for x0 in x0s]
+    x, cost, nfev, status = zip(*_lockstep(residual, runs))
+    P, score = (np.concatenate(a) for a in zip(*seen))
+    fx = [score[np.all(P == xk, axis=1)][0] for xk in x]
+    return (np.array(x), np.array(cost), np.array(fx), np.array(nfev),
+            np.array(status))

@@ -196,6 +196,19 @@ def test_doubles_match_percent_at_special_values():
     _assert_formats_like_percent(x)
 
 
+def test_signed_zeros_match_percent_in_mixed_rows():
+    # exact zeros take the vectorized path; the sign comes from the sign bit
+    rng = np.random.default_rng(25)
+    x = rng.normal(size=(5000, 3))
+    x[rng.random(x.shape) < 0.4] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[:4] = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 1.5, -0.0], [-0.0, 0.0, 1e300]]
+    assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+    _assert_formats_like_percent(x)
+    text = b"".join(_text_rows(x, b"v ", " "))
+    assert text == ("v %.17g %.17g %.17g\n" * len(x) % tuple(x.ravel())).encode()
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_ints_match_percent_across_digit_counts(dtype):
     top = 10 if dtype == np.int32 else 19

@@ -606,6 +606,39 @@ def test_classifier_requires_a_product_base():
         classify_slice_structure(p, [0.0])
 
 
+# --- grid jets ---------------------------------------------------------------------
+
+_ORBIT_FAMILIES = [
+    ("S2xR_slice", None), ("S2xR_cylinder", None), ("S2xR_a_lt_1", 0.6),
+    ("S2xR_a_eq_1", None), ("S2xR_a_gt_1", 1.5), ("H2xR_slice", None),
+    ("H2xR_vertical_plane", None), ("H2xR_elliptic", 1.0),
+    ("H2xR_parabolic", None), ("H2xR_hyperbolic", 0.5),
+]
+
+
+def _jet_arrays(jet, shape):
+    # every jet component, broadcast to the grid shape, by (field, index)
+    return {(key, i): np.ascontiguousarray(np.broadcast_to(a, shape))
+            for key, value in jet.items()
+            for i, a in enumerate(value if isinstance(value, tuple) else (value,))}
+
+
+@pytest.mark.parametrize("name,param", _ORBIT_FAMILIES)
+def test_orbit_grid_jets_equal_pointwise_jets_bitwise(name, param):
+    # on a grid, or a stack of grids, the profile jet is taken once per row
+    # of U and the functions of V (cos, sin, exp) once per row of V; every
+    # value must be the one the flat pointwise call gives
+    patch = build_family(name, param)[1]
+    U, V = patch.grid(64, 64)
+    cases = [(U, V), (np.stack([U, U[::-1], U]), np.stack([V, V + 0.5, -V]))]
+    for U, V in cases:
+        grid = _jet_arrays(patch.jet(U, V), U.shape)
+        flat = _jet_arrays(patch.jet(U.ravel(), V.ravel()), U.size)
+        assert grid.keys() == flat.keys()
+        for key, a in flat.items():
+            assert grid[key].tobytes() == a.tobytes(), key
+
+
 # --- constructor validation ----------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import stacked_jet
+from oracles import lockstep_levenberg_marquardt, stacked_jet
 from scipy.optimize import least_squares
 
 import umbilic.families
@@ -16,7 +16,6 @@ from umbilic.verify import (
     _PRODUCT_SUITE_CASES,
     _TRIAL_FAMILIES,
     _levenberg_marquardt,
-    _lockstep,
     _solve_first_form,
     IdentityCheck,
     NonUmbilicPatchError,
@@ -609,14 +608,96 @@ def test_lockstep_lm_matches_scipy_least_squares(residual, jac, bounds, active):
     # to about sqrt(eps) |r| relative; |r| is about 0.11 at the linear minimum
     lb, ub = np.array(bounds).T
     x0s = np.random.default_rng(len(active)).uniform(lb, ub, (8, len(bounds)))
-    runs = [_levenberg_marquardt(x0, bounds, 2000) for x0 in x0s]
-    for x0, (x, cost, nfev, status) in zip(x0s, _lockstep(residual, runs)):
+    results = _levenberg_marquardt(lambda P: (np.zeros(len(P)), residual(P)),
+                                   x0s, bounds, 2000)
+    for x0, x, cost, _, nfev, status in zip(x0s, *results):
         want = least_squares(lambda v: residual(v[None])[0], x0, jac=jac,
                              bounds=(lb, ub), ftol=1e-15, xtol=1e-15, gtol=1e-15)
         assert status != "cap" and nfev <= 2000
         assert np.max(np.abs(x - want.x)) <= 1e-8, (x0, x, want.x)
         assert abs(cost - want.cost) <= 1e-12
         assert np.flatnonzero((x <= lb) | (x >= ub)).tolist() == active
+
+
+def _walled(P):
+    # Rosenbrock with a non-finite residual past x = 1.2: a start there is
+    # penalized, and a trial step there is rejected
+    R = _rosenbrock(P)
+    R[P[:, 0] > 1.2] = np.inf
+    return R
+
+
+def _assert_driver_matches_oracle(objective, x0s, bounds, maxfev):
+    got = _levenberg_marquardt(objective, x0s, bounds, maxfev)
+    want = lockstep_levenberg_marquardt(objective, x0s, bounds, maxfev)
+    for name, a, b in zip(("x", "cost", "score"), got, want):
+        assert a.tobytes() == b.tobytes(), (name, a, b)
+    assert got[3].tolist() == want[3].tolist()  # nfev
+    assert got[4].tolist() == want[4].tolist()  # status
+    return got
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("residual,bounds", [
+    (_rosenbrock, [(-2.0, 2.0), (-1.0, 3.0)]),
+    (_rosenbrock, [(-2.0, 0.8), (-1.0, 3.0)]),
+    (_linear, [(-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.2)]),
+    (_walled, [(-2.0, 2.0), (-1.0, 3.0)]),
+], ids=["rosenbrock", "rosenbrock-bounded", "linear-bounded", "walled"])
+def test_batched_lm_matches_the_coroutine_oracle_bitwise(residual, bounds):
+    # the driver holds every restart in arrays; the coroutine oracle runs one
+    # generator per restart.  Every stopping rule is reached across the caps.
+    lb, ub = np.array(bounds).T
+    x0s = np.random.default_rng(2).uniform(lb, ub, (8, len(bounds)))
+    x0s[0, 0] = 1.2  # on the wall: its difference neighbour is not finite
+    statuses = set()
+    for maxfev in (2000, 40, 12, 9):
+        got = _assert_driver_matches_oracle(
+            lambda P: (P[:, 0] * P[:, 1], residual(P)), x0s, bounds, maxfev)
+        statuses.update(got[4].tolist())
+    assert "cap" in statuses and statuses & {"step", "gradient", "reduction"}
+    if residual is _walled:
+        assert "penalized" in statuses
+
+
+def test_batched_lm_matches_the_coroutine_oracle_at_every_cap():
+    # the budgets of the capped falsifier test: the last round spends the
+    # rows left under the cap (left > 0) or none (left == 0)
+    sp = m3(0.0, 0.5)
+    bounds = _TRIAL_FAMILIES["graph"]["bounds"]
+    for budget in range(8, 61):
+        _assert_driver_matches_oracle(
+            lambda P: umbilic.verify._trial_fields(sp, "graph", P, (24, 1)),
+            np.zeros((1, 6)), bounds, budget)
+
+
+@pytest.mark.parametrize("kappa,tau", [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0)])
+def test_falsifier_searches_match_the_coroutine_oracle_bitwise(monkeypatch, kappa, tau):
+    # the graph and sphere searches of the C06 spaces, each restart's x, cost,
+    # defect, nfev and status against the oracle's on the same inputs
+    calls = []
+
+    def both(*args):
+        calls.append(1)
+        return _assert_driver_matches_oracle(*args)
+
+    monkeypatch.setattr(umbilic.verify, "_levenberg_marquardt", both)
+    for seed in range(10):
+        nonexistence_falsifier(kappa, tau, n_starts=8, budget=640, seed=seed)
+    # the default budget runs long enough for the damping update's scalar
+    # pow to matter: numpy's array power rounds some cubes differently
+    nonexistence_falsifier(kappa, tau, n_starts=8, seed=8)
+    assert len(calls) == 22
+
+
+def test_falsifier_report_is_unchanged_with_the_coroutine_oracle(monkeypatch):
+    searches = [((0.0, 0.5), dict(n_starts=50, seed=7)),
+                ((1.0, 0.5), dict(family="sphere", n_starts=2, budget=300, seed=1)),
+                ((-1.0, 0.0), dict(family="graph", n_starts=2, budget=400, seed=1))]
+    want = [nonexistence_falsifier(*kt, **kw) for kt, kw in searches]
+    monkeypatch.setattr(umbilic.verify, "_levenberg_marquardt",
+                        lockstep_levenberg_marquardt)
+    assert [nonexistence_falsifier(*kt, **kw) for kt, kw in searches] == want
 
 
 def test_falsifier_caps_rows_and_flags_partial_at_the_cap():
@@ -629,9 +710,9 @@ def test_falsifier_caps_rows_and_flags_partial_at_the_cap():
         r = nonexistence_falsifier(0.0, 0.5, family="graph", n_starts=1,
                                    budget=budget)
         assert r["n_evals"] <= budget
-        [(_, _, nfev, status)] = _lockstep(
-            lambda P: umbilic.verify._trial_fields(sp, "graph", P, (24, 1))[1],
-            [_levenberg_marquardt(np.zeros(6), bounds, budget)])
+        _, _, _, [nfev], [status] = _levenberg_marquardt(
+            lambda P: umbilic.verify._trial_fields(sp, "graph", P, (24, 1)),
+            np.zeros((1, 6)), bounds, budget)
         assert nfev == r["n_evals"]
         # a capped restart spends its whole cap
         assert nfev == budget if status == "cap" else nfev <= budget
