@@ -506,8 +506,14 @@ def _jet_arrays(patch, U, V, h=None):
     return fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)(U, V)
 
 
-def _sym2(a, b, c):
-    """The symmetric 2x2 matrices [[a, b], [b, c]] on two last axes."""
+def _stack3(comps, *like):
+    """A component triple on a last axis, broadcast to one shape with ``like``."""
+    return np.stack(np.broadcast_arrays(*comps, *like)[:3], axis=-1)
+
+
+def _sym2(a, b, c, *like):
+    """[[a, b], [b, c]] on two last axes, broadcast to one shape with ``like``."""
+    a, b, c = np.broadcast_arrays(a, b, c, *like)[:3]
     return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
 
 
@@ -583,7 +589,7 @@ def fundamental_forms(patch: SurfacePatch, u, v, h=None):
     Raises :class:`ImmersionError` where det I falls below 1e-10.
     """
     (E, F, G, L, M, Nn), N = _checked_forms(patch, u, v, h)
-    return _sym2(E, F, G), _sym2(L, M, Nn), np.stack(N, axis=-1)
+    return _sym2(E, F, G), _sym2(L, M, Nn), _stack3(N)
 
 
 def _shape_invariants(E, F, G, L, M, Nn):
@@ -626,7 +632,8 @@ class CurvatureReport:
     They are None in every other space.
 
     X, Xu, Xv, N, T, JT (..., 3) and I, II (..., 2, 2) are built from
-    components on first read, under the error state the report was made in.
+    components on first read, under the error state the report was made in,
+    broadcast to the shape of ``defect``.
     """
 
     patch_name: str
@@ -646,12 +653,12 @@ class CurvatureReport:
     _forms: tuple = field(repr=False)  # E, F, G, L, M, N
     _errstate: dict = field(repr=False)
 
-    X = cached_property(lambda self: np.stack(self._vectors["X"], axis=-1))
-    Xu = cached_property(lambda self: np.stack(self._vectors["Xu"], axis=-1))
-    Xv = cached_property(lambda self: np.stack(self._vectors["Xv"], axis=-1))
-    N = cached_property(lambda self: np.stack(self._vectors["N"], axis=-1))
-    I = cached_property(lambda self: _sym2(*self._forms[:3]))
-    II = cached_property(lambda self: _sym2(*self._forms[3:]))
+    X = cached_property(lambda self: _stack3(self._vectors["X"], self.defect))
+    Xu = cached_property(lambda self: _stack3(self._vectors["Xu"], self.defect))
+    Xv = cached_property(lambda self: _stack3(self._vectors["Xv"], self.defect))
+    N = cached_property(lambda self: _stack3(self._vectors["N"], self.defect))
+    I = cached_property(lambda self: _sym2(*self._forms[:3], self.defect))
+    II = cached_property(lambda self: _sym2(*self._forms[3:], self.defect))
 
     @cached_property
     def T(self):
@@ -660,7 +667,7 @@ class CurvatureReport:
         nu, N = self.nu, self._vectors["N"]
         with np.errstate(**self._errstate):  # T = d_z - nu N
             self._vectors["T"] = 0.0 - nu * N[0], 0.0 - nu * N[1], 1.0 - nu * N[2]
-        return np.stack(self._vectors["T"], axis=-1)
+        return _stack3(self._vectors["T"], self.defect)
 
     @cached_property
     def JT(self):
@@ -668,7 +675,7 @@ class CurvatureReport:
             return None
         X, N, T = (self._vectors[k] for k in ("X", "N", "T"))
         with np.errstate(**self._errstate):
-            return np.stack(_cross(self._space, X, N, T), axis=-1)
+            return _stack3(_cross(self._space, X, N, T), self.defect)
 
     @property
     def defect_max(self) -> float:
@@ -704,6 +711,8 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     slice classifier and :func:`curvature_report` all read their fields from
     here.  ``h`` forces a finite-difference jet with that step on the patch
     chart.  Never raises on degenerate points; they are only excluded.
+    Fields keep the broadcast shape of their inputs: on a (1, n_u, n_v) grid
+    a batch patch's fields that do not depend on the batch stay (1, n_u, n_v).
     """
     space = patch.space
     j = _jet_arrays(patch, U, V, h=h)

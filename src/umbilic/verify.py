@@ -412,9 +412,9 @@ def _bracket_and_jtnu(st):
 def _batch_param(a):
     """A trial parameter: a scalar, or a (K,) batch shaped (K, 1, 1).
 
-    The batch shape broadcasts against the (K, n_u, n_v) grids on which a
-    batched trial patch is evaluated, and against the axis of a sphere's
-    two Jacobi fields stacked in front of them.
+    The batch shape broadcasts against the (n_u, n_v) or (1, n_u, n_v) grid
+    the K trials share, and against the axis of a sphere's two Jacobi
+    fields stacked in front of them.
     """
     a = np.asarray(a, dtype=float)
     return a[..., None, None] if a.ndim else a
@@ -445,7 +445,8 @@ def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
 
     The jet is analytic, so the defect objective is limited only by the
     curvature pipeline, not by chart differencing.  ``coeffs`` of shape
-    (K, k) make a batch of K graphs, evaluated on (K, n_u, n_v) grids.
+    (K, k) make a batch of K graphs on a grid they share: the x, y
+    components and X_v, X_uv, X_vv keep the grid's shape.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if rho_window is None:
@@ -497,8 +498,8 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
     gamma'(1) is normal to the sphere; with its u and v variations it gives
     the second fundamental form by the Weingarten equation.  ``chart`` is
     the real end point, for forced finite differencing.  ``center_height``
-    and ``radius`` of shape (K,) make a batch of K spheres on (K, n_u, n_v)
-    grids.  A space of another kind than m3 raises ValueError.
+    and ``radius`` of shape (K,) make a batch of K spheres on a grid they
+    share.  A space of another kind than m3 raises ValueError.
     """
     if space.kind != "m3":
         raise ValueError(f"geodesic spheres are built in the m3 chart, not {space.kind!r}")
@@ -555,22 +556,25 @@ def trial_patch(space: ModelGeometry, family: str, params) -> SurfacePatch:
     raise ValueError(f"unknown trial family {family!r}")
 
 
-def _trial_fields(space, family, P, grid):
+def _trial_grid(space, family, grid):
+    """The (n_u, n_v) ``grid`` shared by a family's trials, as (1, n_u, n_v) U, V."""
+    patch = trial_patch(space, family, _TRIAL_FAMILIES[family]["first_start"])
+    return tuple(a[None] for a in patch.grid(*grid))
+
+
+def _trial_fields(space, family, P, UV):
     """Max normalized defect and trace-free residual of each trial in a batch.
 
     The K trials of the (K, n) parameters ``P`` go through one
-    :func:`surface_fields` call on a (K, n_u, n_v) grid.  Row k of the
-    residual holds (s0_11, s0_12) at the admissible grid points of trial k
-    and 0 elsewhere.  A trial with no admissible point, or with a non-finite
-    max, scores the penalty 1e3 and an infinite residual.
+    :func:`surface_fields` call on the (1, n_u, n_v) grid ``UV`` they share,
+    so a field that does not vary with the trial is evaluated once.  Row k
+    of the residual holds (s0_11, s0_12) at the admissible grid points of
+    trial k and 0 elsewhere.  A trial with no admissible point, or with a
+    non-finite max, scores the penalty 1e3 and an infinite residual.
     """
     P = np.asarray(P, dtype=float)
-    patch = trial_patch(space, family, P)
-    U, V = patch.grid(*grid)
-    shape = (len(P),) + U.shape
     with np.errstate(all="ignore"):
-        rep = surface_fields(patch, np.broadcast_to(U, shape),
-                             np.broadcast_to(V, shape))
+        rep = surface_fields(trial_patch(space, family, P), *UV)
         worst = np.max(np.where(rep.included, rep.defect, -np.inf), axis=(1, 2))
     penalized = ~np.isfinite(worst)
     resid = np.where(rep.included[:, None], np.stack([rep.s0_11, rep.s0_12], 1), 0.0)
@@ -585,7 +589,7 @@ def trial_defects(space: ModelGeometry, family: str, P, grid=(24, 24)) -> np.nda
     ``P`` holds one parameter row per trial, shape (K, n); each row takes its
     max over its admissible points, or the penalty 1e3 (see _trial_fields).
     """
-    return _trial_fields(space, family, P, grid)[0]
+    return _trial_fields(space, family, P, _trial_grid(space, family, grid))[0]
 
 
 def trial_defect(space: ModelGeometry, family: str, params, grid=(24, 24)) -> float:
@@ -639,7 +643,7 @@ def _levenberg_marquardt(objective, x0s, bounds, maxfev):
         # score, residual, cost and transposed forward-difference Jacobian
         # at each row of x, from the row and its n neighbours
         h = 2.0 ** -26 * np.maximum(1.0, np.abs(x))  # sqrt(eps) max(1, |x|)
-        pts = np.repeat(x[:, None], n + 1, axis=1)
+        pts = x[:, None].repeat(n + 1, 1)
         pts[:, 1:] += _diag(np.where(x + h > ub, -h, h))
         score, R = objective(pts.reshape(-1, n))
         R = R.reshape(len(x), n + 1, -1)
@@ -666,15 +670,16 @@ def _levenberg_marquardt(objective, x0s, bounds, maxfev):
         held = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
         g[held] = 0.0
         flat = np.abs(g).max(axis=1) <= _GTOL
-        if flat.any():
+        if np.count_nonzero(flat):
             live, x, r, Jt, cost, fx, lam, nu, D, g, held = stop(
                 flat, "gradient", g, held)
             if not live.size:
                 break
         A = Jt @ Jt.transpose(0, 2, 1)
         D = np.maximum(D, A.diagonal(0, 1, 2))
-        A[held] = 0.0
-        A.transpose(0, 2, 1)[held] = 0.0
+        if np.count_nonzero(held):
+            A[held] = 0.0
+            A.transpose(0, 2, 1)[held] = 0.0
         left = maxfev - spent
         cap = left < n + 1
         # damping lam, or lam 4^k for each of the rows left under the cap
@@ -698,7 +703,7 @@ def _levenberg_marquardt(objective, x0s, bounds, maxfev):
         x_new = trial[:, 0]
         s = x_new - x
         short = np.sqrt(_dots(s, s)) <= _XTOL * (_XTOL + np.sqrt(_dots(x, x)))
-        if short.any():
+        if np.count_nonzero(short):
             live, x, r, Jt, cost, fx, lam, nu, D, g, x_new, s = stop(
                 short, "step", g, x_new, s)
             if not live.size:
@@ -714,13 +719,15 @@ def _levenberg_marquardt(objective, x0s, bounds, maxfev):
         # libm pow through Python floats: numpy's SIMD array power may round
         # the last bit differently
         cube = np.array([t ** 3 for t in (2.0 * ratio - 1.0).tolist()])
-        x, r = np.where(up[:, None], x_new, x), np.where(up[:, None], r_new, r)
-        Jt = np.where(up[:, None, None], Jt_new, Jt)
+        # accepted rows in place: no caller or output shares x, r or Jt
+        np.copyto(x, x_new, where=up[:, None])
+        np.copyto(r, r_new, where=up[:, None])
+        np.copyto(Jt, Jt_new, where=up[:, None, None])
         cost, fx = np.where(up, cost_new, cost), np.where(up, f_new, fx)
         lam = lam * np.where(up, np.maximum(1.0 / 3.0, 1.0 - cube), nu)
         nu = np.where(up, 2.0, 2.0 * nu)
         done = up & (actual <= _FTOL * (cost + actual)) & (ratio > 0.25)
-        if done.any():
+        if np.count_nonzero(done):
             live, x, r, Jt, cost, fx, lam, nu, D = stop(done, "reduction")
     return out
 
@@ -745,7 +752,9 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
     defect reported for a restart is the one evaluated at its final point.
     Rotations about the z axis are isometries that map each trial to itself,
     so every trial is evaluated on one meridian, ``grid`` in the result,
-    ``[grid[0], 1]``.
+    ``[grid[0], 1]``, built once per family and shared by its trials.  The
+    m3 metric and Christoffel tables depend on (x, y) alone, as do a graph's
+    x, y and X_v, so they are evaluated once per point, not once per trial.
 
     The sphere radius is bounded below (0.5): small geodesic spheres are
     asymptotically umbilic in any space.  ``best_on_bound`` lists the
@@ -776,8 +785,9 @@ def nonexistence_falsifier(kappa, tau, family="auto", n_starts=8, budget=4000,
             np.array([rng.uniform(lo, hi) for lo, hi in spec["bounds"]])
             for rng in (np.random.default_rng(np.random.SeedSequence(
                 entropy=seed, spawn_key=(fam_id, k))) for k in range(1, starts))]
+        UV = _trial_grid(space, fam, meridian)
         x, _, fun, nfev, status = _levenberg_marquardt(
-            lambda P, fam=fam: _trial_fields(space, fam, P, meridian),
+            lambda P, fam=fam, UV=UV: _trial_fields(space, fam, P, UV),
             x0s, spec["bounds"], budget // starts)
         k = int(np.argmin(fun))
         floors[fam], best_x[fam] = fun[k], x[k]

@@ -41,6 +41,12 @@ coroutine per restart, driven in lockstep by ``_lockstep``;
 ``umbilic.verify._levenberg_marquardt``, which is checked against it bit for
 bit.
 
+``broadcast_trial_fields`` scores a batch of falsifier trials on a (K, n_u,
+n_v) grid broadcast from the patch grid, every field evaluated once per
+trial; ``umbilic.verify._trial_fields``, which evaluates the trial-free
+fields once on the shared (1, n_u, n_v) grid, is checked against it bit for
+bit.
+
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
 profiles of ``umbilic.profiles`` are checked against it.  ``ode_sol_profile``
@@ -451,12 +457,16 @@ def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:
 
 
 def stacked_jet(patch, U, V, h=None):
-    """The patch jet with every component triple stacked on a last axis."""
+    """The patch jet with every component triple stacked on a last axis, all
+    of them broadcast to one shape."""
     from umbilic.surfaces import fd_jet
 
     jet = patch.jet if h is None else fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)
-    return {k: np.stack(v, axis=-1) if isinstance(v, tuple) else v
-            for k, v in jet(U, V).items()}
+    j = jet(U, V)
+    shape = np.broadcast_shapes(*(np.shape(a) for v in j.values()
+                                  if isinstance(v, tuple) for a in v))
+    return {k: np.stack([np.broadcast_to(a, shape) for a in v], axis=-1)
+            if isinstance(v, tuple) else v for k, v in j.items()}
 
 
 def _dot(a, b):
@@ -540,6 +550,33 @@ def stacked_surface_fields(patch, U, V, h=None) -> dict:
             "umbilicity_factor": 0.5 * (lam1 + lam2),
             "defect": 2.0 * half_gap / (1.0 + np.abs(lam1) + np.abs(lam2)),
             "s0_11": s, "s0_12": b, "included": included, "nu": nu, "T": T, "JT": JT}
+
+
+def broadcast_trial_fields(space, family, P, grid):
+    """Max normalized defect and trace-free residual of each trial in a batch.
+
+    The K trials of the (K, n) parameters ``P`` go through one
+    :func:`surface_fields` call on a (K, n_u, n_v) grid.  Row k of the
+    residual holds (s0_11, s0_12) at the admissible grid points of trial k
+    and 0 elsewhere.  A trial with no admissible point, or with a non-finite
+    max, scores the penalty 1e3 and an infinite residual.
+    """
+    from umbilic.surfaces import surface_fields
+    from umbilic.verify import trial_patch
+
+    P = np.asarray(P, dtype=float)
+    patch = trial_patch(space, family, P)
+    U, V = patch.grid(*grid)
+    shape = (len(P),) + U.shape
+    with np.errstate(all="ignore"):
+        rep = surface_fields(patch, np.broadcast_to(U, shape),
+                             np.broadcast_to(V, shape))
+        worst = np.max(np.where(rep.included, rep.defect, -np.inf), axis=(1, 2))
+    penalized = ~np.isfinite(worst)
+    resid = np.where(rep.included[:, None], np.stack([rep.s0_11, rep.s0_12], 1), 0.0)
+    resid = resid.reshape(len(P), -1)
+    resid[penalized] = np.inf
+    return np.where(penalized, 1e3, worst), resid
 
 
 # stopping tolerances: relative cost reduction, step over |x|, free gradient

@@ -717,10 +717,14 @@ def _stencil_stack(name):
     return patch, np.stack([U + hu, U - hu, U, U]), np.stack([V, V, V + hv, V - hv])
 
 
-def _trial_batch(space, family, P):
-    # a (K, 24, 24) trial batch, as the falsifier evaluates it
+def _trial_batch(space, family, P, shared=False):
+    # a batch of K trials on a 24^2 grid broadcast to (K, 24, 24), or shared
+    # by the trials as (1, 24, 24), the way the falsifier evaluates its
+    # meridian: fields that do not depend on the trial keep that shape
     patch = trial_patch(space, family, np.asarray(P, dtype=float))
     U, V = patch.grid(24, 24)
+    if shared:
+        return patch, U[None], V[None]
     shape = (len(P),) + U.shape
     return patch, np.broadcast_to(U, shape), np.broadcast_to(V, shape)
 
@@ -736,6 +740,12 @@ _PIPELINE_CASES = {
         m3(1.0, 0.5), "graph", np.random.default_rng(21).uniform(-1, 1, (7, 6))),
     "sphere-m3(-1,1)": lambda: _trial_batch(m3(-1.0, 1.0), "sphere", [[0.6], [1.1], [1.7]]),
     "sphere-m3(1,1/2)": lambda: _trial_batch(m3(1.0, 0.5), "sphere", [[0.6], [1.1], [1.7]]),
+    "shared-graph-m3(0,1/2)": lambda: _trial_batch(
+        m3(0.0, 0.5), "graph", np.random.default_rng(20).uniform(-1, 1, (7, 6)), True),
+    "shared-graph-m3(-1,1)": lambda: _trial_batch(
+        m3(-1.0, 1.0), "graph", np.random.default_rng(22).uniform(-1, 1, (7, 6)), True),
+    "shared-sphere-m3(-1,1)": lambda: _trial_batch(
+        m3(-1.0, 1.0), "sphere", [[0.6], [1.1], [1.7]], True),
     "fd-h": lambda: (build_family("S2xR_a_lt_1", 0.6)[1], None, None, 1e-3),
 }
 
@@ -743,9 +753,10 @@ _PIPELINE_CASES = {
 @pytest.mark.parametrize("case", _PIPELINE_CASES)
 def test_surface_fields_match_the_stacked_pipeline_bitwise(case):
     # every report field, bit for bit, against the (..., 3) pipeline of the
-    # oracles: families at 64^2, stencil stacks, trial batches (the sphere
-    # takes the Weingarten path), a forced finite-difference jet and the
-    # m3(1, 1/2) metric with its off-diagonal entries
+    # oracles: families at 64^2, stencil stacks, trial batches on broadcast
+    # and shared grids (the sphere takes the Weingarten path), a forced
+    # finite-difference jet and the m3(1, 1/2) metric with its off-diagonal
+    # entries
     patch, U, V, h = (_PIPELINE_CASES[case]() + (None, None, None))[:4]
     if U is None:
         U, V = patch.grid(64, 64)
@@ -758,6 +769,29 @@ def test_surface_fields_match_the_stacked_pipeline_bitwise(case):
         if value is None:
             assert got is None, name
             continue
+        assert (got.shape, got.dtype) == (value.shape, value.dtype), name
+        assert got.tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("space,family,P", [
+    (m3(0.0, 0.5), "graph", np.random.default_rng(20).uniform(-1, 1, (7, 6))),
+    (m3(-1.0, 1.0), "graph", np.random.default_rng(22).uniform(-1, 1, (7, 6))),
+    (m3(-1.0, 1.0), "sphere", [[0.6], [1.1], [1.7]]),
+], ids=["graph-m3(0,1/2)", "graph-m3(-1,1)", "sphere-m3(-1,1)"])
+def test_shared_grid_reports_read_like_the_broadcast_grid(space, family, P):
+    # a batch on the (1, 24, 24) grid keeps the fields that do not depend on
+    # the trial at that shape (the graph's X_v, say); every field read from
+    # its report has the shape and bytes of the report on the (K, 24, 24) grid
+    patch, U, V = _trial_batch(space, family, P, shared=True)
+    with np.errstate(all="ignore"):
+        rep = surface_fields(patch, U, V)
+        want = surface_fields(*_trial_batch(space, family, P))
+    if family == "graph":
+        assert rep._vectors["Xv"][0].shape == U.shape
+    for name in ("X", "Xu", "Xv", "N", "T", "JT", "I", "II", "lambda1", "lambda2",
+                 "mean_curvature", "umbilicity_factor", "defect", "s0_11", "s0_12",
+                 "included", "nu"):
+        got, value = getattr(rep, name), getattr(want, name)
         assert (got.shape, got.dtype) == (value.shape, value.dtype), name
         assert got.tobytes() == value.tobytes(), name
 

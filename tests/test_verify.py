@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from oracles import lockstep_levenberg_marquardt, stacked_jet
+from oracles import broadcast_trial_fields, lockstep_levenberg_marquardt, stacked_jet
 from scipy.optimize import least_squares
 
 import umbilic.families
@@ -17,6 +17,8 @@ from umbilic.verify import (
     _TRIAL_FAMILIES,
     _levenberg_marquardt,
     _solve_first_form,
+    _trial_fields,
+    _trial_grid,
     IdentityCheck,
     NonUmbilicPatchError,
     SUITE_NAMES,
@@ -576,6 +578,35 @@ def test_sphere_defect_does_not_depend_on_the_center_height(kappa, tau):
         assert np.max(np.abs(np.array(got) - want)) <= 1e-14, height
 
 
+_ORACLE_SPACES = [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (-1.0, 0.0),
+                  (1.0, 0.0), (0.0, 0.0), (-1.0, 0.5)]
+
+
+@pytest.mark.parametrize("kappa,tau", _ORACLE_SPACES)
+def test_shared_grid_trials_match_the_broadcast_oracle_bitwise(kappa, tau):
+    # the fields that do not depend on the trial are evaluated once on the
+    # (1, n_u, n_v) grid; the scores and residuals equal those of the
+    # (K, n_u, n_v) grid, every field evaluated per trial, bit for bit; the
+    # sphere of radius 1e-12 scores the penalty
+    sp = m3(kappa, tau)
+    rng = np.random.default_rng(int(10 * (kappa + 2) + 20 * tau))
+    (lo, hi), *box = _TRIAL_FAMILIES["graph"]["bounds"]
+    graphs = np.column_stack([rng.uniform(lo, hi, 9)]
+                             + [rng.uniform(a, b, 9) for a, b in box])
+    graphs[0] = 0.0
+    batches = [("graph", graphs), ("graph", graphs[4:5]),
+               ("sphere", np.array([[0.5], [0.8], [1e-12], [1.7], [2.2]]))]
+    for family, P in batches:
+        for grid in [(24, 1), (24, 24), (12, 12), (7, 3)]:
+            UV = _trial_grid(sp, family, grid)
+            assert [a.shape for a in UV] == [(1,) + grid] * 2
+            got = _trial_fields(sp, family, P, UV)
+            want = broadcast_trial_fields(sp, family, P, grid)
+            for a, b in zip(got, want):
+                assert (a.shape, a.dtype) == (b.shape, b.dtype), (family, grid)
+                assert a.tobytes() == b.tobytes(), (family, len(P), grid)
+
+
 # --- lockstep Levenberg-Marquardt --------------------------------------------------
 
 
@@ -665,9 +696,10 @@ def test_batched_lm_matches_the_coroutine_oracle_at_every_cap():
     # rows left under the cap (left > 0) or none (left == 0)
     sp = m3(0.0, 0.5)
     bounds = _TRIAL_FAMILIES["graph"]["bounds"]
+    UV = _trial_grid(sp, "graph", (24, 1))
     for budget in range(8, 61):
         _assert_driver_matches_oracle(
-            lambda P: umbilic.verify._trial_fields(sp, "graph", P, (24, 1)),
+            lambda P: umbilic.verify._trial_fields(sp, "graph", P, UV),
             np.zeros((1, 6)), bounds, budget)
 
 
@@ -700,18 +732,42 @@ def test_falsifier_report_is_unchanged_with_the_coroutine_oracle(monkeypatch):
     assert [nonexistence_falsifier(*kt, **kw) for kt, kw in searches] == want
 
 
+def test_falsifier_report_is_unchanged_with_the_broadcast_oracle(monkeypatch):
+    # the default searches of the C06 spaces and the falsify benchmark's
+    # three ops at seeds 0-9, with the (K, n_u, n_v) grid oracle in place
+    # of the shared grid
+    searches = [((kappa, tau), dict(seed=0))
+                for kappa, tau in [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0)]]
+    for seed in range(10):
+        searches += [
+            ((0.0, 0.5), dict(family="graph", n_starts=50, seed=7 + seed)),
+            ((1.0, 0.5), dict(family="sphere", n_starts=2, budget=300, seed=1 + seed)),
+            ((-1.0, 0.0), dict(family="graph", n_starts=2, budget=400, seed=1 + seed))]
+    want = [nonexistence_falsifier(*kt, **kw) for kt, kw in searches]
+    calls = []
+
+    def oracle(space, family, P, UV):
+        calls.append(1)
+        return broadcast_trial_fields(space, family, P, UV[0].shape[1:])
+
+    monkeypatch.setattr(umbilic.verify, "_trial_fields", oracle)
+    assert [nonexistence_falsifier(*kt, **kw) for kt, kw in searches] == want
+    assert calls
+
+
 def test_falsifier_caps_rows_and_flags_partial_at_the_cap():
     # from the flat graph the search in m3(0, 1/2) stops on its reduction
     # test after 56 rows, so the budgets below end at the cap
     sp = m3(0.0, 0.5)
     bounds = _TRIAL_FAMILIES["graph"]["bounds"]
+    UV = _trial_grid(sp, "graph", (24, 1))
     statuses = set()
     for budget in range(8, 61):
         r = nonexistence_falsifier(0.0, 0.5, family="graph", n_starts=1,
                                    budget=budget)
         assert r["n_evals"] <= budget
         _, _, _, [nfev], [status] = _levenberg_marquardt(
-            lambda P: umbilic.verify._trial_fields(sp, "graph", P, (24, 1)),
+            lambda P: umbilic.verify._trial_fields(sp, "graph", P, UV),
             np.zeros((1, 6)), bounds, budget)
         assert nfev == r["n_evals"]
         # a capped restart spends its whole cap
