@@ -362,9 +362,10 @@ def volume_factor(space: ModelGeometry, p) -> np.ndarray:
     return _volume(space, _check_domain(space, _components(p)))
 
 
-def _lowering(space, P):
-    """v -> g v at the points P, on component triples."""
-    table = _metric_table(space, P)
+def _lowering(space, P, table=_metric_table):
+    """v -> g v at the points P, on component triples; with ``table`` =
+    :func:`_inverse_table` it raises covectors, w -> g^-1 w."""
+    table = table(space, P)
     plan = _plan(tuple(table), 2)
     return lambda c: _row_sums(table, plan, c, P)
 
@@ -410,9 +411,10 @@ def connection(space: ModelGeometry, p):
     return adapter
 
 
-def _connection(space, P):
-    """(a, b) -> Gamma(a, b) at the points P, on component triples."""
-    table = _symbol_table(space, P)
+def _connection(space, P, table=None):
+    """(a, b) -> Gamma(a, b) at the points P, on component triples, from the
+    symbol table at P or the given one."""
+    table = _symbol_table(space, P) if table is None else table
     plan = _plan(tuple(table), 3)
     values = tuple(table.values())
 
@@ -463,12 +465,22 @@ def curvature_tensor(space: ModelGeometry, p, X, Y, Z) -> np.ndarray:
     both derivatives by a complex step of the point, so no dense tensor
     is formed.
     """
-    p = np.asarray(p, dtype=float)
-    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
-    gamma = connection(space, p)
-    dY = connection(space, p + (1j * _CS) * Y)(X, Z).imag / _CS
-    dX = connection(space, p + (1j * _CS) * X)(Y, Z).imag / _CS
-    return dY - dX + gamma(Y, gamma(X, Z)) - gamma(X, gamma(Y, Z))
+    P = _check_domain(space, _components(np.asarray(p, dtype=float)))
+    return _join(_curvature(space, P, *(_components(V) for V in (X, Y, Z))))
+
+
+def _curvature(space, P, X, Y, Z):
+    """R(X, Y)Z at the points P, on component triples."""
+    gamma = _connection(space, P)
+
+    def d(W, A):
+        # _CS d_W Gamma(A, Z), the imaginary part of Gamma(A, Z) at the points
+        # stepped by i _CS W: the symbols' imaginary parts contracted in reals
+        table = _symbol_table(space, tuple(p + (1j * _CS) * w for p, w in zip(P, W)))
+        return _connection(space, P, {k: np.imag(v) for k, v in table.items()})(A, Z)
+
+    return tuple(a / _CS - b / _CS + g - h for a, b, g, h in zip(
+        d(Y, X), d(X, Y), gamma(Y, gamma(X, Z)), gamma(X, gamma(Y, Z))))
 
 
 def inner(space: ModelGeometry, p, X, Y) -> np.ndarray:
@@ -494,9 +506,8 @@ def _cross(space, P, X, Y):
     """X ^ Y at the points P, on component triples."""
     (x0, x1, x2), (y0, y1, y2) = X, Y
     vol = _volume(space, P)
-    low = (vol * (x1 * y2 - x2 * y1), vol * (x2 * y0 - x0 * y2), vol * (x0 * y1 - x1 * y0))
-    table = _inverse_table(space, P)
-    return _row_sums(table, _plan(tuple(table), 2), low, P)
+    return _lowering(space, P, _inverse_table)(
+        (vol * (x1 * y2 - x2 * y1), vol * (x2 * y0 - x0 * y2), vol * (x0 * y1 - x1 * y0)))
 
 
 def vertical_field(space: ModelGeometry, p=None) -> np.ndarray:
@@ -529,46 +540,93 @@ def _gauss_legendre(n):
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
 
 
+class _Dual:
+    """Values v with derivatives d along m directions, d[i] shaped like v: forward
+    mode (Griewank and Walther, Evaluating Derivatives, SIAM 2008) through +, -,
+    *, / and @, indexing and :func:`_sinc_cos`, on real arrays."""
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __getitem__(self, key):
+        return _Dual(self.v[key], self.d[(slice(None),) + (key if type(key) is tuple else (key,))])
+
+    def __add__(self, o):
+        return _Dual(self.v + o.v, self.d + o.d) if type(o) is _Dual else _Dual(self.v + o, self.d)
+
+    def __sub__(self, o):  # x - y is x + (-y) in IEEE arithmetic
+        return self + -1.0 * o
+
+    def __rsub__(self, o):
+        return -1.0 * self + o
+
+    def __mul__(self, o):
+        if type(o) is _Dual:
+            return _Dual(self.v * o.v, self.v * o.d + self.d * o.v)
+        return _Dual(self.v * o, self.d * o)
+
+    def __truediv__(self, o):
+        q = self.v / o.v
+        return _Dual(q, (self.d - q * o.d) / o.v)
+
+    def __matmul__(self, w):
+        return _Dual(self.v @ w, self.d @ w)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 def _sinc_cos(q):
-    """sin(sqrt q)/sqrt q and cos(sqrt q), entire in real or complex q."""
-    small = np.abs(q) < 0.25  # a Taylor series there, in place of 0/0
-    s = np.sqrt(np.where(small, 1.0, q) + 0j)  # either root: both are even in it
-    sinc, cos, qs, ss, sc = np.sin(s) / s, np.cos(s), q[small], 1.0, 1.0
+    """sin(sqrt q)/sqrt q and cos(sqrt q), entire in real q; duals for a dual q, with
+    d cos/dq = -sinc/2 and d sinc/dq = (cos - sinc)/(2q), or the series' derivative."""
+    x = q.v if type(q) is _Dual else q
+    small = np.abs(x) < 0.25  # a Taylor series there, in place of 0/0
+    x1 = np.where(small, 1.0, x)
+    s = np.sqrt(np.abs(x1))  # sinh and cosh of sqrt(-q) for q < 0
+    sin, cos = np.sin(s), np.cos(s)
+    if (neg := x1 < 0.0).any():
+        sin[neg], cos[neg] = np.sinh(s[neg]), np.cosh(s[neg])
+    sinc = sin / s
+    dsinc, qs, ss, ds, sc = (cos - sinc) / (2.0 * x1), x[small], 1.0, 0.0, 1.0
     for k in range(8, 0, -1):
-        ss, sc = 1.0 - qs * ss / (2 * k * (2 * k + 1)), 1.0 - qs * sc / (2 * k * (2 * k - 1))
-    sinc[small], cos[small] = ss, sc
-    return (sinc, cos) if np.iscomplexobj(q) else (sinc.real, cos.real)
+        ss, ds = 1.0 - qs * ss / (2 * k * (2 * k + 1)), -(ss + qs * ds) / (2 * k * (2 * k + 1))
+        sc = 1.0 - qs * sc / (2 * k * (2 * k - 1))
+    sinc[small], cos[small], dsinc[small] = ss, sc, ds
+    if type(q) is not _Dual:
+        return sinc, cos
+    return _Dual(sinc, dsinc * q.d), _Dual(cos, -0.5 * sinc * q.d)
 
 
 def _m3_axis_geodesic(space, height, v):
-    """End state (..., 6) at t = 1 of the m3 geodesics from (0, 0, height), velocity v.
+    """End state (x, y, z, x', y', z') at t = 1 of the m3 geodesics from (0, 0, height).
 
-    With v = (v0, v1, c), a^2 = v0^2 + v1^2, D = kappa a^2 + 4 tau^2 c^2,
+    ``v`` is the component triple of the initial velocity, arrays or
+    :class:`_Dual` values whose derivatives carry the state's (the Jacobi
+    fields).  With v = (v0, v1, c), a^2 = v0^2 + v1^2, D = kappa a^2 + 4 tau^2 c^2,
     S = sin(sqrt(D) t)/sqrt(D) and V = (1 - cos(sqrt(D) t))/D, the base curve
-    is the circle x + iy = 2 (v0 + i v1)(S + 2i tau c V)/(2 - kappa a^2 V), in
-    real components so that a complex step in v carries the Jacobi fields.
+    is the circle x + iy = 2 (v0 + i v1)(S + 2i tau c V)/(2 - kappa a^2 V).
     The angular momentum about the axis is zero, so z' = c (1 + tau^2 r^2),
     r^2 = x^2 + y^2, integrated by 20-point Gauss-Legendre.
     """
     k, tau = space.kappa, space.tau
-    v0, v1, c = v[..., 0], v[..., 1], v[..., 2]
+    v0, v1, c = v
     a2 = v0 * v0 + v1 * v1
     ka2, D = k * a2, k * a2 + 4.0 * tau * tau * c * c
     # (sin(sqrt(D) t/2)/sqrt(D))^2 = V/2 at t = 1 and at the nodes
     t = np.concatenate([[1.0], _GL_NODES])
     sinc, cos = _sinc_cos(D[..., None] * (0.25 * t * t))
-    half2 = (0.5 * t * sinc) ** 2
+    half = 0.5 * t * sinc
+    half2 = half * half
     r2 = 4.0 * a2[..., None] * half2 / (1.0 - ka2[..., None] * half2)
     S, V = sinc[..., 0] * cos[..., 0], 2.0 * half2[..., 0]
     C, Q, B, dB = 1.0 - D * V, 2.0 - ka2 * V, 2.0 * tau * c * V, 2.0 * tau * c * S
     x, y = 2.0 * (v0 * S - v1 * B) / Q, 2.0 * (v0 * B + v1 * S) / Q
     z = height + c * (1.0 + tau * tau * (r2[..., 1:] @ _GL_WEIGHTS))
+    _check_domain(space, [w.v if type(w) is _Dual else w for w in (x, y, z)])
     # d/dt: S' = C, V' = S, Q' = -kappa a^2 S
-    state = np.stack([x, y, z, (2.0 * (v0 * C - v1 * dB) + x * ka2 * S) / Q,
-                      (2.0 * (v0 * dB + v1 * C) + y * ka2 * S) / Q,
-                      c * (1.0 + tau * tau * r2[..., 0])], axis=-1)
-    _check_domain(space, (x, y, z))
-    return state
+    return (x, y, z, (2.0 * (v0 * C - v1 * dB) + x * ka2 * S) / Q,
+            (2.0 * (v0 * dB + v1 * C) + y * ka2 * S) / Q, c * (1.0 + tau * tau * r2[..., 0]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .geometry import (
     h2xr,
     inner,
     isometry_jet,
-    metric_at,
     norm,
     s2xr,
     sol,
@@ -43,6 +42,7 @@ from .geometry import (
     _connection,
     _cross,
     _dot,
+    _inverse_table,
     _lowering,
     _mobius_jet,
 )
@@ -434,24 +434,25 @@ def _orient_to_profile(patch, curve):
     else:
         i = int(np.argmax(np.abs(np.cos(j["theta"])) * np.minimum(np.abs(j["rho"]), 1.0)))
     jet = patch.jet(np.asarray(us[i]), np.asarray(v_ref))
-    X, Xu, Xv = (np.stack(jet[k], axis=-1) for k in ("X", "Xu", "Xv"))
+    space, X, Xu, Xv = patch.space, jet["X"], jet["Xu"], jet["Xv"]
+    lower = _lowering(space, _check_domain(space, X))
     if curve.kind == "sol":
         # conormal covector of the graph z = z(y) is (0, -z', 1)
-        cov = np.array([0.0, -float(j["z_y"][i]), 1.0])
-        hint = np.linalg.solve(metric_at(patch.space, X), cov)
+        cov = tuple(np.array(c) for c in (0.0, -j["z_y"][i], 1.0))
+        hint = _lowering(space, X, _inverse_table)(cov)
     else:
         theta = float(j["theta"][i])
-        xi = vertical_field(patch.space, X)
-        horiz = Xu - inner(patch.space, X, Xu, xi) * xi
-        nh = norm(patch.space, X, horiz)
+        xi = tuple(np.array(c) for c in vertical_field(space))
+        t = _dot(Xu, lower(xi))
+        horiz = tuple(a - t * b for a, b in zip(Xu, xi))
+        nh = np.sqrt(_dot(horiz, lower(horiz)))
         if nh < 1e-12 or abs(np.cos(theta)) < 1e-12:
-            hint = np.cos(theta) * xi
+            hint = tuple(np.cos(theta) * b for b in xi)
         else:
-            u_rho = horiz / nh * np.sign(np.cos(theta))
-            hint = -np.sin(theta) * u_rho + np.cos(theta) * xi
-    n_cross = cross(patch.space, X, Xu, Xv)
-    n_cross = n_cross * float(np.asarray(jet.get("orient_sign", 1.0)))
-    sign = np.sign(inner(patch.space, X, n_cross, hint))
+            hint = tuple(-np.sin(theta) * (h / nh * np.sign(np.cos(theta))) + np.cos(theta) * b
+                         for h, b in zip(horiz, xi))
+    sign = np.sign(float(np.asarray(jet.get("orient_sign", 1.0)))
+                   * _dot(_cross(space, X, Xu, Xv), lower(hint)))
     patch.orient = float(sign) if sign != 0 else 1.0
     return patch
 
@@ -649,33 +650,33 @@ class CurvatureReport:
     included: np.ndarray
     nu: Optional[np.ndarray]
     _space: ModelGeometry = field(repr=False)
-    _vectors: dict = field(repr=False)  # component triples of X, Xu, Xv, N (and T)
+    _vectors: dict = field(repr=False)  # component triples of X, Xu, Xv, N (T, JT)
     _forms: tuple = field(repr=False)  # E, F, G, L, M, N
     _errstate: dict = field(repr=False)
 
-    X = cached_property(lambda self: _stack3(self._vectors["X"], self.defect))
-    Xu = cached_property(lambda self: _stack3(self._vectors["Xu"], self.defect))
-    Xv = cached_property(lambda self: _stack3(self._vectors["Xv"], self.defect))
-    N = cached_property(lambda self: _stack3(self._vectors["N"], self.defect))
+    def _triple(self, name):
+        """The component triple of the vector field ``name``; T and JT are
+        made on first read (None where there is no split of d_z)."""
+        v = self._vectors
+        if name not in v:
+            if self.nu is None:
+                return None
+            with np.errstate(**self._errstate):
+                if name == "T":  # T = d_z - nu N
+                    nu, N = self.nu, v["N"]
+                    v["T"] = 0.0 - nu * N[0], 0.0 - nu * N[1], 1.0 - nu * N[2]
+                else:
+                    v["JT"] = _cross(self._space, v["X"], v["N"], self._triple("T"))
+        return v[name]
+
+    def _vector(name):
+        return cached_property(lambda self: None if (c := self._triple(name)) is None
+                               else _stack3(c, self.defect))
+
+    X, Xu, Xv, N, T, JT = map(_vector, ("X", "Xu", "Xv", "N", "T", "JT"))
+    del _vector
     I = cached_property(lambda self: _sym2(*self._forms[:3], self.defect))
     II = cached_property(lambda self: _sym2(*self._forms[3:], self.defect))
-
-    @cached_property
-    def T(self):
-        if self.nu is None:
-            return None
-        nu, N = self.nu, self._vectors["N"]
-        with np.errstate(**self._errstate):  # T = d_z - nu N
-            self._vectors["T"] = 0.0 - nu * N[0], 0.0 - nu * N[1], 1.0 - nu * N[2]
-        return _stack3(self._vectors["T"], self.defect)
-
-    @cached_property
-    def JT(self):
-        if self.T is None:
-            return None
-        X, N, T = (self._vectors[k] for k in ("X", "N", "T"))
-        with np.errstate(**self._errstate):
-            return _stack3(_cross(self._space, X, N, T), self.defect)
 
     @property
     def defect_max(self) -> float:
@@ -688,8 +689,8 @@ class CurvatureReport:
     @property
     def defect_argmax(self):
         masked = np.where(self.included, self.defect, -np.inf)
-        i, j = np.unravel_index(np.argmax(masked), masked.shape)
-        return float(self.U[i, j]), float(self.V[i, j])
+        k = np.unravel_index(np.argmax(masked), masked.shape)
+        return tuple(float(np.broadcast_to(a, masked.shape)[k]) for a in (self.U, self.V))
 
     def defect_summary(self) -> dict:
         """Max, mean, and argmax of the defect over included points."""

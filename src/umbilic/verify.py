@@ -4,7 +4,8 @@ Every identity the umbilicity analysis rests on is checked here by finite
 differences against the closed-form geometry: the Killing property of the
 vertical field, the curvature commutator on an umbilic patch, the fibration
 curvature formula, the gradient law for the common principal curvature, the
-bracket [T, JT], and the Sol frame relations.  A least-squares search
+bracket [T, JT], and the Sol frame relations.  The checks contract component
+triples (x, y, z) against the sparse geometry kernels.  A least-squares search
 (`nonexistence_falsifier`, bounded Levenberg-Marquardt on the trace-free
 shape operator) then looks for umbilic surfaces in the fibration chart and
 reports the smallest defect it can reach, which stays bounded away from
@@ -22,14 +23,16 @@ import numpy as np
 
 from .geometry import (
     ModelGeometry,
+    _check_domain,
+    _connection,
+    _cross,
+    _curvature,
+    _Dual,
+    _dot,
+    _lowering,
     _m3_axis_geodesic,
-    connection,
-    cross,
-    curvature_tensor,
     h2xr,
-    inner,
     m3,
-    norm,
     s2xr,
     sol,
     vertical_field,
@@ -125,14 +128,14 @@ def check_killing(space: ModelGeometry, grid=(32, 16), seed=0) -> IdentityCheck:
     """The vertical field satisfies nabla_X xi = tau (X ^ xi) for random X."""
     n_u, n_v = _require_grid(grid)
     n = n_u * n_v
-    p = sample_points(space, n, seed=seed)
-    xi = vertical_field(space, p)
-    rng = np.random.default_rng(seed + 1)
-    X = rng.normal(size=(n, 3))
-    X /= norm(space, p, X)[:, None]
-    nabla = connection(space, p)(X, xi)
-    resid = norm(space, p, nabla - space.tau * cross(space, p, X, xi))
-    return IdentityCheck("killing", (n_u, n_v), _stats(resid))
+    P = tuple(sample_points(space, n, seed=seed).T)
+    xi = tuple(np.full(n, c) for c in vertical_field(space))
+    X = tuple(np.random.default_rng(seed + 1).normal(size=(n, 3)).T)
+    lower = _lowering(space, _check_domain(space, P))
+    size = np.sqrt(_dot(X, lower(X)))
+    X = tuple(c / size for c in X)
+    W = [a - space.tau * b for a, b in zip(_connection(space, P)(X, xi), _cross(space, P, X, xi))]
+    return IdentityCheck("killing", (n_u, n_v), _stats(np.sqrt(_dot(W, lower(W)))))
 
 
 def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
@@ -146,58 +149,56 @@ def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
 def _sol_identities(st, seed):
     f = st.f
     _require_umbilic(st.patch, f)
-    space, X = st.patch.space, f.X
-    n_u, n_v = st.grid
-    z = X[..., 2]
-    shape = z.shape
+    space, grid = st.space, st.grid
+    z = st.X[2]
+    zero, one, em, ep = np.zeros_like(z), np.ones_like(z), np.exp(-z), np.exp(z)
 
     # orthonormal frame E1 = e^{-z} dx, E2 = e^{z} dy, E3 = dz, its
     # z-derivatives dE (the only ones) and its closed covariant-derivative table
-    E, dE = np.zeros((2, 3) + shape + (3,))
-    E[0, ..., 0], E[1, ..., 1], E[2, ..., 2] = np.exp(-z), np.exp(z), 1.0
-    dE[0, ..., 0], dE[1, ..., 1] = -E[0, ..., 0], E[1, ..., 1]
-    table = {(0, 0): -E[2], (0, 2): E[0], (1, 1): E[2], (1, 2): -E[1]}
-    gamma = connection(space, X)
+    E = (em, zero, zero), (zero, ep, zero), (zero, zero, one)
+    dE = (-em, zero, zero), (zero, ep, zero), (zero, zero, zero)
+    table = {(0, 0): tuple(-c for c in E[2]), (0, 2): E[0], (1, 1): E[2],
+             (1, 2): tuple(-c for c in E[1])}
     frame_resid = []
     for i in range(3):
         for j in range(3):
             # nabla_{E_i} E_j; frame fields depend on z only
-            flow = E[i][..., 2:3] * dE[j]
-            conn = gamma(E[i], E[j])
-            want = table.get((i, j), 0.0)
-            frame_resid.append(norm(space, X, flow + conn - want))
-    frame = IdentityCheck("sol_frame_table", (n_u, n_v),
+            want = table.get((i, j), (0.0,) * 3)
+            frame_resid.append(st.norm([E[i][2] * d + g - w for d, g, w in zip(
+                dE[j], st.gamma(E[i], E[j]), want)]))
+    frame = IdentityCheck("sol_frame_table", grid,
                           _stats(np.max(np.stack(frame_resid), axis=0)))
 
     # curvature tensor against its closed quadratic form in <., dz>
     rng = np.random.default_rng(seed)
-    pts = sample_points(space, n_u * n_v, seed=seed)
-    W4 = rng.normal(size=(4, n_u * n_v, 3))
+    n = grid[0] * grid[1]
+    P = tuple(sample_points(space, n, seed=seed).T)
+    W = [tuple(w.T) for w in rng.normal(size=(4, n, 3))]
+    lower = _lowering(space, P)
+    gW = [lower(w) for w in W]
     ip = {}
     for a in range(4):
         for b in range(a, 4):
-            ip[a, b] = ip[b, a] = inner(space, pts, W4[a], W4[b])
-    e3 = np.zeros((n_u * n_v, 3))
-    e3[:, 2] = 1.0
-    zc = [inner(space, pts, W4[a], e3) for a in range(4)]
-    lhs = inner(space, pts, curvature_tensor(space, pts, W4[0], W4[1], W4[2]), W4[3])
+            ip[a, b] = ip[b, a] = _dot(W[a], gW[b])
+    ge3 = lower((np.zeros(n), np.zeros(n), np.ones(n)))
+    zc = [_dot(W[a], ge3) for a in range(4)]
+    lhs = _dot(_curvature(space, P, W[0], W[1], W[2]), gW[3])
     rhs = (ip[0, 2] * ip[1, 3] - ip[0, 3] * ip[1, 2]) + 2.0 * (
         ip[0, 3] * zc[1] * zc[2] + ip[1, 2] * zc[0] * zc[3]
         - ip[0, 2] * zc[1] * zc[3] - ip[1, 3] * zc[0] * zc[2])
     scale = 1.0 + np.abs(lhs)
-    curved = IdentityCheck("sol_curvature_formula", (n_u, n_v),
-                           _stats(np.abs(lhs - rhs) / scale))
+    curved = IdentityCheck("sol_curvature_formula", grid, _stats(np.abs(lhs - rhs) / scale))
 
     # [T, JT](lambda) = 8 alpha beta with (alpha, beta) the horizontal frame
     # components of T
     lam_u, lam_v = st.partials("umbilicity_factor")
-    b1, b2 = _tangent_components(space, f, _bracket(space, st))
+    b1, b2 = st.tangent(_bracket(st))
     lie = b1 * lam_u + b2 * lam_v
-    alpha = inner(space, X, f.T, E[0])
-    beta = inner(space, X, f.T, E[1])
+    alpha = _dot(st.T, st.lower(E[0]))
+    beta = _dot(st.T, st.lower(E[1]))
     resid = np.abs(lie - 8.0 * alpha * beta)
     lie_check = IdentityCheck(
-        "lie_lambda", (n_u, n_v), _stats(resid, st.ok),
+        "lie_lambda", grid, _stats(resid, st.ok),
         skipped_points=int(np.sum(~st.ok)),
         extras={"alpha_max": float(np.max(np.abs(alpha[f.included]))),
                 "beta_max": float(np.max(np.abs(beta[f.included])))},
@@ -219,21 +220,32 @@ def _steps(patch, fd_step):
 class _Stencil:
     """Surface fields of a patch on a grid, and at its four shifts U +- hu, V +- hv.
 
-    The center report ``f`` is evaluated here.  The four shifts are
-    evaluated on first use of :meth:`partials` or :attr:`ok`, in one
-    :func:`surface_fields` call on a stacked (4, n_u, n_v) grid, of which
-    only the fields the checks difference are kept.  The curvature term
-    R(X_u, X_v)N is likewise computed once, on first use.  ``run_suite``
-    builds one stencil per patch and hands it to every check on that patch.
+    The center report ``f`` is evaluated here, with the component triples
+    X, Xu, Xv, N (T and JT on first use) the checks contract, one lowering
+    ``lower`` and one connection ``gamma`` at X, and the lowered X_u, X_v.
+    The four shifts are evaluated on first use of :meth:`partials` or
+    :attr:`ok`, in one :func:`surface_fields` call on a stacked
+    (4, n_u, n_v) grid, of which only the fields the checks difference are
+    kept.  The curvature term R(X_u, X_v)N is likewise computed once, on
+    first use.  ``run_suite`` builds one stencil per patch and hands it to
+    every check on that patch.
     """
 
     SHIFTED_FIELDS = ("umbilicity_factor", "nu", "T", "JT", "included")
 
     def __init__(self, patch: SurfacePatch, grid, fd_step=None):
-        self.patch = patch
+        self.patch, self.space = patch, patch.space
         self.grid = n_u, n_v = _require_grid(grid)
         self.f = surface_fields(patch, *patch.grid(n_u, n_v))
         self.hu, self.hv = _steps(patch, fd_step)
+        self.X, self.Xu, self.Xv, self.N = (self.f._triple(k) for k in ("X", "Xu", "Xv", "N"))
+        self.lower = _lowering(self.space, self.X)
+        self.gamma = _connection(self.space, self.X)
+        self.gXu, self.gXv = self.lower(self.Xu), self.lower(self.Xv)
+
+    T = cached_property(lambda self: self.f._triple("T"))
+    JT = cached_property(lambda self: self.f._triple("JT"))
+    gT = cached_property(lambda self: self.lower(self.T))
 
     @cached_property
     def _shifted(self):
@@ -241,7 +253,8 @@ class _Stencil:
         U, V, hu, hv = self.f.U, self.f.V, self.hu, self.hv
         rep = surface_fields(self.patch, np.stack([U + hu, U - hu, U, U]),
                              np.stack([V, V, V + hv, V - hv]))
-        return {name: getattr(rep, name) for name in self.SHIFTED_FIELDS}
+        return {name: rep._triple(name) if name in ("T", "JT") else getattr(rep, name)
+                for name in self.SHIFTED_FIELDS}
 
     @cached_property
     def ok(self):
@@ -252,40 +265,43 @@ class _Stencil:
     @cached_property
     def curvature(self):
         """R(X_u, X_v)N at the center."""
-        f = self.f
-        return curvature_tensor(self.patch.space, f.X, f.Xu, f.Xv, f.N)
+        return _curvature(self.space, self.X, self.Xu, self.Xv, self.N)
 
     def partials(self, name):
-        """Centered differences of the field ``name`` along u and along v."""
-        s = self._shifted[name]
-        return (s[0] - s[1]) / (2.0 * self.hu), (s[2] - s[3]) / (2.0 * self.hv)
+        """Centered differences of the field ``name`` along u and along v
+        (a pair of component triples for T and JT)."""
+        s, hu, hv = self._shifted[name], 2.0 * self.hu, 2.0 * self.hv
+        if isinstance(s, tuple):
+            return (tuple((c[0] - c[1]) / hu for c in s), tuple((c[2] - c[3]) / hv for c in s))
+        return (s[0] - s[1]) / hu, (s[2] - s[3]) / hv
+
+    def norm(self, W):
+        """|W| at the center."""
+        return np.sqrt(_dot(W, self.lower(W)))
+
+    def tangent(self, W):
+        """Coefficients of a tangent vector in the (X_u, X_v) basis."""
+        return _solve_first_form(*self.f._forms[:3], _dot(W, self.gXu), _dot(W, self.gXv))
 
 
-def _solve_first_form(I, b0, b1):
-    """(x0, x1) with I x = b at every grid point, by Cramer's rule."""
-    i00, i01, i10, i11 = I[..., 0, 0], I[..., 0, 1], I[..., 1, 0], I[..., 1, 1]
-    det = i00 * i11 - i01 * i10
-    return (i11 * b0 - i01 * b1) / det, (i00 * b1 - i10 * b0) / det
+def _solve_first_form(E, F, G, b0, b1):
+    """(x0, x1) with [[E, F], [F, G]] x = b at every grid point, by Cramer's rule."""
+    det = E * G - F * F
+    return (G * b0 - F * b1) / det, (E * b1 - F * b0) / det
 
 
-def _tangent_components(space, f, W):
-    """Coefficients of a tangent vector in the (X_u, X_v) basis."""
-    return _solve_first_form(f.I, inner(space, f.X, W, f.Xu), inner(space, f.X, W, f.Xv))
-
-
-def _covariant_along(space, st, W, name):
+def _covariant_along(st, W, name):
     """nabla_W of the vector field ``name`` along the surface at grid points."""
-    f = st.f
-    w1, w2 = _tangent_components(space, f, W)
+    w1, w2 = st.tangent(W)
     Au, Av = st.partials(name)
-    flow = w1[..., None] * Au + w2[..., None] * Av
-    return flow + connection(space, f.X)(W, getattr(f, name))
+    return tuple(w1 * au + w2 * av + g for au, av, g in zip(
+        Au, Av, st.gamma(W, getattr(st, name))))
 
 
-def _bracket(space, st):
+def _bracket(st):
     """[T, JT] = nabla_T JT - nabla_JT T by finite differences."""
-    return (_covariant_along(space, st, st.f.T, "JT")
-            - _covariant_along(space, st, st.f.JT, "T"))
+    return tuple(a - b for a, b in zip(_covariant_along(st, st.T, "JT"),
+                                       _covariant_along(st, st.JT, "T")))
 
 
 def _require_umbilic(patch, f):
@@ -320,8 +336,8 @@ def _curvature_commutator(st):
     f = st.f
     _require_umbilic(st.patch, f)
     lam_u, lam_v = st.partials("umbilicity_factor")
-    rhs = lam_u[..., None] * f.Xv - lam_v[..., None] * f.Xu
-    resid = norm(st.patch.space, f.X, st.curvature - rhs)
+    resid = st.norm([r - (lam_u * xv - lam_v * xu)
+                     for r, xu, xv in zip(st.curvature, st.Xu, st.Xv)])
     return IdentityCheck("curvature_commutator", st.grid,
                          _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
@@ -337,15 +353,13 @@ def check_daniel_formula(space: ModelGeometry, patch: SurfacePatch,
 
 
 def _daniel_formula(st):
-    f, space = st.f, st.patch.space
+    f = st.f
     if not np.any(f.included):
         raise ImmersionError(f"patch {st.patch.name!r} is degenerate on the grid")
-    X = f.X
-    c = space.bundle_discriminant
-    rhs = c * f.nu[..., None] * (
-        inner(space, X, f.Xv, f.T)[..., None] * f.Xu
-        - inner(space, X, f.Xu, f.T)[..., None] * f.Xv)
-    resid = norm(space, X, st.curvature - rhs)
+    c_nu = st.space.bundle_discriminant * f.nu
+    a, b = _dot(st.Xv, st.gT), _dot(st.Xu, st.gT)
+    resid = st.norm([r - c_nu * (a * xu - b * xv)
+                     for r, xu, xv in zip(st.curvature, st.Xu, st.Xv)])
     return IdentityCheck("daniel_formula", st.grid,
                          _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
@@ -365,13 +379,12 @@ def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
 
 
 def _gradient_identity(st):
-    f, space = st.f, st.patch.space
+    f, space = st.f, st.space
     _require_umbilic(st.patch, f)
     lam_u, lam_v = st.partials("umbilicity_factor")
-    a, b = _solve_first_form(f.I, lam_u, lam_v)
-    grad = a[..., None] * f.Xu + b[..., None] * f.Xv
-    c = 2.0 if space.kind == "sol" else space.bundle_discriminant
-    resid = norm(space, f.X, grad + c * f.nu[..., None] * f.T)
+    a, b = _solve_first_form(*f._forms[:3], lam_u, lam_v)
+    c_nu = (2.0 if space.kind == "sol" else space.bundle_discriminant) * f.nu
+    resid = st.norm([a * xu + b * xv + c_nu * t for xu, xv, t in zip(st.Xu, st.Xv, st.T)])
     name = "gradient_sol" if space.kind == "sol" else "gradient_product"
     return IdentityCheck(name, st.grid, _stats(resid, f.included),
                          skipped_points=int(np.sum(~f.included)))
@@ -387,19 +400,18 @@ def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
 
 
 def _bracket_and_jtnu(st):
-    f, space = st.f, st.patch.space
-    _require_umbilic(st.patch, f)
-    T_norm2 = inner(space, f.X, f.T, f.T)
+    _require_umbilic(st.patch, st.f)
+    T_norm2 = _dot(st.T, st.gT)
     active = st.ok & (np.sqrt(np.maximum(T_norm2, 0.0)) >= T_FLOOR)
     skipped = int(np.sum(~active))
     bracket_check = IdentityCheck(
         "bracket_TJT", st.grid,
-        _stats(norm(space, f.X, _bracket(space, st)), active), skipped_points=skipped)
+        _stats(st.norm(_bracket(st)), active), skipped_points=skipped)
 
     nu_u, nu_v = st.partials("nu")
-    jt1, jt2 = _tangent_components(space, f, f.JT)
+    jt1, jt2 = st.tangent(st.JT)
     jt_nu = jt1 * nu_u + jt2 * nu_v
-    resid = np.abs(jt_nu + space.tau * T_norm2)
+    resid = np.abs(jt_nu + st.space.tau * T_norm2)
     jtnu_check = IdentityCheck("jt_nu", st.grid, _stats(resid, active),
                                skipped_points=skipped)
     return bracket_check, jtnu_check
@@ -413,8 +425,8 @@ def _batch_param(a):
     """A trial parameter: a scalar, or a (K,) batch shaped (K, 1, 1).
 
     The batch shape broadcasts against the (n_u, n_v) or (1, n_u, n_v) grid
-    the K trials share, and against the axis of a sphere's two Jacobi
-    fields stacked in front of them.
+    the K trials share, and against a sphere jet's derivative arrays, which
+    stack its u and v directions in front of them.
     """
     a = np.asarray(a, dtype=float)
     return a[..., None, None] if a.ndim else a
@@ -482,50 +494,46 @@ def default_rho_window(space: ModelGeometry):
     return (0.15, hi)
 
 
-# complex step of the Jacobi-field jets: its O(step^2) error is far below
-# rounding, and products of a few steps stay clear of subnormal numbers
-_JACOBI_STEP = 1e-30
-
-
 def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
                           polar_margin=0.35, name=None) -> SurfacePatch:
     """Geodesic sphere of M^3(kappa, tau) about the axis point (0, 0, center_height).
 
     (u, v) are the polar and azimuthal angles of the initial velocity.  The
-    jet evaluates the closed-form m3 geodesics and their two Jacobi fields,
-    the u and v variations of the initial velocity, as one complex-step
-    batch, so X, X_u and X_v are exact.  By the Gauss lemma the end velocity
+    jet evaluates the closed-form m3 geodesics in real forward mode: each
+    quantity carries its u and v derivatives (:class:`umbilic.geometry._Dual`),
+    so X, the two Jacobi fields X_u and X_v, the end velocity and its
+    variations are exact to rounding.  By the Gauss lemma the end velocity
     gamma'(1) is normal to the sphere; with its u and v variations it gives
     the second fundamental form by the Weingarten equation.  ``chart`` is
-    the real end point, for forced finite differencing.  ``center_height``
-    and ``radius`` of shape (K,) make a batch of K spheres on a grid they
-    share.  A space of another kind than m3 raises ValueError.
+    the same end point without derivatives, for forced finite differencing.
+    ``center_height``, ``radius`` or both of shape (K,) make a batch of K
+    spheres on a grid they share.  Another kind of space than m3 raises ValueError.
     """
     if space.kind != "m3":
         raise ValueError(f"geodesic spheres are built in the m3 chart, not {space.kind!r}")
-    height, radius = _batch_param(center_height), _batch_param(radius)
+    height, radius = np.broadcast_arrays(_batch_param(center_height), _batch_param(radius))
     u_range, v_range = (polar_margin, np.pi - polar_margin), (0.0, 2.0 * np.pi)
 
     def directions(U, V):
+        # the unit initial velocity and its u and v derivatives, as triples
         U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
         su, cu, sv, cv = np.sin(U), np.cos(U), np.sin(V), np.cos(V)
-        zero = np.zeros_like(U)
-        return (np.stack([su * cv, su * sv, cu], axis=-1),
-                np.stack([cu * cv, cu * sv, -su], axis=-1),
-                np.stack([-su * sv, su * cv, zero], axis=-1))
+        return ((su * cv, su * sv, cu), (cu * cv, cu * sv, -su),
+                (-su * sv, su * cv, np.zeros_like(U)))
 
     def chart(U, V):
         d, _, _ = directions(U, V)
-        return _m3_axis_geodesic(space, height, radius[..., None] * d)[..., :3]
+        end = _m3_axis_geodesic(space, height, tuple(radius * c for c in d))
+        return np.stack(end[:3], axis=-1)
 
     def jet(U, V):
-        d, d_u, d_v = directions(U, V)
-        v0 = radius[..., None] * (d + 1j * _JACOBI_STEP * np.stack([d_u, d_v]))
-        y = np.moveaxis(_m3_axis_geodesic(space, height, v0), -1, 0)
-        dy = y.imag / _JACOBI_STEP
-        return {"X": tuple(y[:3, 0].real), "Xu": tuple(dy[:3, 0]), "Xv": tuple(dy[:3, 1]),
-                "normal": tuple(y[3:, 0].real), "normal_u": tuple(dy[3:, 0]),
-                "normal_v": tuple(dy[3:, 1])}
+        v = tuple(_Dual(radius * c, np.stack([radius * c_u, radius * c_v]))
+                  for c, c_u, c_v in zip(*directions(U, V)))
+        end = _m3_axis_geodesic(space, height, v)
+        X, n = end[:3], end[3:]
+        return {"X": tuple(w.v for w in X), "Xu": tuple(w.d[0] for w in X),
+                "Xv": tuple(w.d[1] for w in X), "normal": tuple(w.v for w in n),
+                "normal_u": tuple(w.d[0] for w in n), "normal_v": tuple(w.d[1] for w in n)}
 
     return SurfacePatch(space, name or "geodesic-sphere", u_range, v_range,
                         jet, chart=chart)

@@ -47,6 +47,17 @@ trial; ``umbilic.verify._trial_fields``, which evaluates the trial-free
 fields once on the shared (1, n_u, n_v) grid, is checked against it bit for
 bit.
 
+``STACKED_CHECKS`` are the identity checks on (..., 3) vectors, with their
+stacked ``_Stencil``: they contract through the public ``inner``, ``norm``,
+``cross`` and ``connection`` and a ``curvature_tensor`` that takes the
+imaginary part of complex contractions.  Patched into ``umbilic.verify``
+they give the reports the component-major checks are checked against, byte
+for byte.  ``complex_step_sphere_patch`` is the geodesic sphere whose Jacobi
+fields come from a complex step through the complex ``_m3_axis_geodesic``
+and ``_sinc_cos``; the real forward-mode sphere jets are checked against
+it.  ``stacked_orient`` is the orientation of an orbit patch on (..., 3)
+vectors, with a dense metric solve for Sol's conormal.
+
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
 profiles of ``umbilic.profiles`` are checked against it.  ``ode_sol_profile``
@@ -54,24 +65,44 @@ integrates the Sol graph equation the same way, for the closed-form
 lemniscatic Sol profile.
 """
 
+from functools import cached_property
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from umbilic.geometry import (
+    _CS,
+    _GL_NODES,
+    _GL_WEIGHTS,
     ModelGeometry,
     _check_domain,
     _dense,
     _inverse_table,
     connection,
     cross,
+    inner,
     lowering,
+    metric_at,
+    norm,
+    vertical_field,
 )
 from umbilic.profiles import (
     GeneratingCurve,
     _SHAPE_RATE,
     _build_plane_curve,
     _plane_jet,
+)
+from umbilic.surfaces import ImmersionError, SurfacePatch, surface_fields
+from umbilic.verify import (
+    T_FLOOR,
+    IdentityCheck,
+    _batch_param,
+    _require_grid,
+    _require_umbilic,
+    _stats,
+    _steps,
+    sample_points,
 )
 
 GEODESIC_RTOL = 1e-12
@@ -710,3 +741,366 @@ def lockstep_levenberg_marquardt(objective, x0s, bounds, maxfev):
     fx = [score[np.all(P == xk, axis=1)][0] for xk in x]
     return (np.array(x), np.array(cost), np.array(fx), np.array(nfev),
             np.array(status))
+
+
+# ---------------------------------------------------------------------------
+# the identity checks on (..., 3) vectors
+
+
+def curvature_tensor(space, p, X, Y, Z):
+    """R(X, Y)Z on (..., 3) vectors, by the public connection at p and at
+    complex steps of p along X and Y, as the package computed it before its
+    complex-step contractions moved to real arithmetic."""
+    p = np.asarray(p, dtype=float)
+    X, Y, Z = np.asarray(X), np.asarray(Y), np.asarray(Z)
+    gamma = connection(space, p)
+    dY = connection(space, p + (1j * _CS) * Y)(X, Z).imag / _CS
+    dX = connection(space, p + (1j * _CS) * X)(Y, Z).imag / _CS
+    return dY - dX + gamma(Y, gamma(X, Z)) - gamma(X, gamma(Y, Z))
+
+
+def check_killing(space: ModelGeometry, grid=(32, 16), seed=0) -> IdentityCheck:
+    """The vertical field satisfies nabla_X xi = tau (X ^ xi) for random X."""
+    n_u, n_v = _require_grid(grid)
+    n = n_u * n_v
+    p = sample_points(space, n, seed=seed)
+    xi = vertical_field(space, p)
+    rng = np.random.default_rng(seed + 1)
+    X = rng.normal(size=(n, 3))
+    X /= norm(space, p, X)[:, None]
+    nabla = connection(space, p)(X, xi)
+    resid = norm(space, p, nabla - space.tau * cross(space, p, X, xi))
+    return IdentityCheck("killing", (n_u, n_v), _stats(resid))
+
+
+def _sol_identities(st, seed):
+    f = st.f
+    _require_umbilic(st.patch, f)
+    space, X = st.patch.space, f.X
+    n_u, n_v = st.grid
+    z = X[..., 2]
+    shape = z.shape
+
+    # orthonormal frame E1 = e^{-z} dx, E2 = e^{z} dy, E3 = dz, its
+    # z-derivatives dE (the only ones) and its closed covariant-derivative table
+    E, dE = np.zeros((2, 3) + shape + (3,))
+    E[0, ..., 0], E[1, ..., 1], E[2, ..., 2] = np.exp(-z), np.exp(z), 1.0
+    dE[0, ..., 0], dE[1, ..., 1] = -E[0, ..., 0], E[1, ..., 1]
+    table = {(0, 0): -E[2], (0, 2): E[0], (1, 1): E[2], (1, 2): -E[1]}
+    gamma = connection(space, X)
+    frame_resid = []
+    for i in range(3):
+        for j in range(3):
+            # nabla_{E_i} E_j; frame fields depend on z only
+            flow = E[i][..., 2:3] * dE[j]
+            conn = gamma(E[i], E[j])
+            want = table.get((i, j), 0.0)
+            frame_resid.append(norm(space, X, flow + conn - want))
+    frame = IdentityCheck("sol_frame_table", (n_u, n_v),
+                          _stats(np.max(np.stack(frame_resid), axis=0)))
+
+    # curvature tensor against its closed quadratic form in <., dz>
+    rng = np.random.default_rng(seed)
+    pts = sample_points(space, n_u * n_v, seed=seed)
+    W4 = rng.normal(size=(4, n_u * n_v, 3))
+    ip = {}
+    for a in range(4):
+        for b in range(a, 4):
+            ip[a, b] = ip[b, a] = inner(space, pts, W4[a], W4[b])
+    e3 = np.zeros((n_u * n_v, 3))
+    e3[:, 2] = 1.0
+    zc = [inner(space, pts, W4[a], e3) for a in range(4)]
+    lhs = inner(space, pts, curvature_tensor(space, pts, W4[0], W4[1], W4[2]), W4[3])
+    rhs = (ip[0, 2] * ip[1, 3] - ip[0, 3] * ip[1, 2]) + 2.0 * (
+        ip[0, 3] * zc[1] * zc[2] + ip[1, 2] * zc[0] * zc[3]
+        - ip[0, 2] * zc[1] * zc[3] - ip[1, 3] * zc[0] * zc[2])
+    scale = 1.0 + np.abs(lhs)
+    curved = IdentityCheck("sol_curvature_formula", (n_u, n_v),
+                           _stats(np.abs(lhs - rhs) / scale))
+
+    # [T, JT](lambda) = 8 alpha beta with (alpha, beta) the horizontal frame
+    # components of T
+    lam_u, lam_v = st.partials("umbilicity_factor")
+    b1, b2 = _tangent_components(space, f, _bracket(space, st))
+    lie = b1 * lam_u + b2 * lam_v
+    alpha = inner(space, X, f.T, E[0])
+    beta = inner(space, X, f.T, E[1])
+    resid = np.abs(lie - 8.0 * alpha * beta)
+    lie_check = IdentityCheck(
+        "lie_lambda", (n_u, n_v), _stats(resid, st.ok),
+        skipped_points=int(np.sum(~st.ok)),
+        extras={"alpha_max": float(np.max(np.abs(alpha[f.included]))),
+                "beta_max": float(np.max(np.abs(beta[f.included])))},
+    )
+    return [frame, curved, lie_check]
+
+
+class _Stencil:
+    """Surface fields of a patch on a grid, and at its four shifts U +- hu, V +- hv.
+
+    The center report ``f`` is evaluated here.  The four shifts are
+    evaluated on first use of :meth:`partials` or :attr:`ok`, in one
+    :func:`surface_fields` call on a stacked (4, n_u, n_v) grid, of which
+    only the fields the checks difference are kept.  The curvature term
+    R(X_u, X_v)N is likewise computed once, on first use.  ``run_suite``
+    builds one stencil per patch and hands it to every check on that patch.
+    """
+
+    SHIFTED_FIELDS = ("umbilicity_factor", "nu", "T", "JT", "included")
+
+    def __init__(self, patch: SurfacePatch, grid, fd_step=None):
+        self.patch = patch
+        self.grid = n_u, n_v = _require_grid(grid)
+        self.f = surface_fields(patch, *patch.grid(n_u, n_v))
+        self.hu, self.hv = _steps(patch, fd_step)
+
+    @cached_property
+    def _shifted(self):
+        # the fields at U + hu, U - hu, V + hv, V - hv, stacked on axis 0
+        U, V, hu, hv = self.f.U, self.f.V, self.hu, self.hv
+        rep = surface_fields(self.patch, np.stack([U + hu, U - hu, U, U]),
+                             np.stack([V, V, V + hv, V - hv]))
+        return {name: getattr(rep, name) for name in self.SHIFTED_FIELDS}
+
+    @cached_property
+    def ok(self):
+        """Admissible at the center and at every shift."""
+        inc = self._shifted["included"]
+        return inc[0] & inc[1] & inc[2] & inc[3] & self.f.included
+
+    @cached_property
+    def curvature(self):
+        """R(X_u, X_v)N at the center."""
+        f = self.f
+        return curvature_tensor(self.patch.space, f.X, f.Xu, f.Xv, f.N)
+
+    def partials(self, name):
+        """Centered differences of the field ``name`` along u and along v."""
+        s = self._shifted[name]
+        return (s[0] - s[1]) / (2.0 * self.hu), (s[2] - s[3]) / (2.0 * self.hv)
+
+
+def _solve_first_form(I, b0, b1):
+    """(x0, x1) with I x = b at every grid point, by Cramer's rule."""
+    i00, i01, i10, i11 = I[..., 0, 0], I[..., 0, 1], I[..., 1, 0], I[..., 1, 1]
+    det = i00 * i11 - i01 * i10
+    return (i11 * b0 - i01 * b1) / det, (i00 * b1 - i10 * b0) / det
+
+
+def _tangent_components(space, f, W):
+    """Coefficients of a tangent vector in the (X_u, X_v) basis."""
+    return _solve_first_form(f.I, inner(space, f.X, W, f.Xu), inner(space, f.X, W, f.Xv))
+
+
+def _covariant_along(space, st, W, name):
+    """nabla_W of the vector field ``name`` along the surface at grid points."""
+    f = st.f
+    w1, w2 = _tangent_components(space, f, W)
+    Au, Av = st.partials(name)
+    flow = w1[..., None] * Au + w2[..., None] * Av
+    return flow + connection(space, f.X)(W, getattr(f, name))
+
+
+def _bracket(space, st):
+    """[T, JT] = nabla_T JT - nabla_JT T by finite differences."""
+    return (_covariant_along(space, st, st.f.T, "JT")
+            - _covariant_along(space, st, st.f.JT, "T"))
+
+
+def _curvature_commutator(st):
+    f = st.f
+    _require_umbilic(st.patch, f)
+    lam_u, lam_v = st.partials("umbilicity_factor")
+    rhs = lam_u[..., None] * f.Xv - lam_v[..., None] * f.Xu
+    resid = norm(st.patch.space, f.X, st.curvature - rhs)
+    return IdentityCheck("curvature_commutator", st.grid,
+                         _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
+
+
+def _daniel_formula(st):
+    f, space = st.f, st.patch.space
+    if not np.any(f.included):
+        raise ImmersionError(f"patch {st.patch.name!r} is degenerate on the grid")
+    X = f.X
+    c = space.bundle_discriminant
+    rhs = c * f.nu[..., None] * (
+        inner(space, X, f.Xv, f.T)[..., None] * f.Xu
+        - inner(space, X, f.Xu, f.T)[..., None] * f.Xv)
+    resid = norm(space, X, st.curvature - rhs)
+    return IdentityCheck("daniel_formula", st.grid,
+                         _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
+
+
+def _gradient_identity(st):
+    f, space = st.f, st.patch.space
+    _require_umbilic(st.patch, f)
+    lam_u, lam_v = st.partials("umbilicity_factor")
+    a, b = _solve_first_form(f.I, lam_u, lam_v)
+    grad = a[..., None] * f.Xu + b[..., None] * f.Xv
+    c = 2.0 if space.kind == "sol" else space.bundle_discriminant
+    resid = norm(space, f.X, grad + c * f.nu[..., None] * f.T)
+    name = "gradient_sol" if space.kind == "sol" else "gradient_product"
+    return IdentityCheck(name, st.grid, _stats(resid, f.included),
+                         skipped_points=int(np.sum(~f.included)))
+
+
+def _bracket_and_jtnu(st):
+    f, space = st.f, st.patch.space
+    _require_umbilic(st.patch, f)
+    T_norm2 = inner(space, f.X, f.T, f.T)
+    active = st.ok & (np.sqrt(np.maximum(T_norm2, 0.0)) >= T_FLOOR)
+    skipped = int(np.sum(~active))
+    bracket_check = IdentityCheck(
+        "bracket_TJT", st.grid,
+        _stats(norm(space, f.X, _bracket(space, st)), active), skipped_points=skipped)
+
+    nu_u, nu_v = st.partials("nu")
+    jt1, jt2 = _tangent_components(space, f, f.JT)
+    jt_nu = jt1 * nu_u + jt2 * nu_v
+    resid = np.abs(jt_nu + space.tau * T_norm2)
+    jtnu_check = IdentityCheck("jt_nu", st.grid, _stats(resid, active),
+                               skipped_points=skipped)
+    return bracket_check, jtnu_check
+
+
+STACKED_CHECKS = {name: globals()[name] for name in (
+    "_Stencil", "check_killing", "_sol_identities", "_curvature_commutator",
+    "_daniel_formula", "_gradient_identity", "_bracket_and_jtnu")}
+
+
+# ---------------------------------------------------------------------------
+# complex-step geodesic-sphere jets
+
+
+def _sinc_cos(q):
+    """sin(sqrt q)/sqrt q and cos(sqrt q), entire in real or complex q."""
+    small = np.abs(q) < 0.25  # a Taylor series there, in place of 0/0
+    s = np.sqrt(np.where(small, 1.0, q) + 0j)  # either root: both are even in it
+    sinc, cos, qs, ss, sc = np.sin(s) / s, np.cos(s), q[small], 1.0, 1.0
+    for k in range(8, 0, -1):
+        ss, sc = 1.0 - qs * ss / (2 * k * (2 * k + 1)), 1.0 - qs * sc / (2 * k * (2 * k - 1))
+    sinc[small], cos[small] = ss, sc
+    return (sinc, cos) if np.iscomplexobj(q) else (sinc.real, cos.real)
+
+
+def _m3_axis_geodesic(space, height, v):
+    """End state (..., 6) at t = 1 of the m3 geodesics from (0, 0, height), velocity v.
+
+    With v = (v0, v1, c), a^2 = v0^2 + v1^2, D = kappa a^2 + 4 tau^2 c^2,
+    S = sin(sqrt(D) t)/sqrt(D) and V = (1 - cos(sqrt(D) t))/D, the base curve
+    is the circle x + iy = 2 (v0 + i v1)(S + 2i tau c V)/(2 - kappa a^2 V), in
+    real components so that a complex step in v carries the Jacobi fields.
+    The angular momentum about the axis is zero, so z' = c (1 + tau^2 r^2),
+    r^2 = x^2 + y^2, integrated by 20-point Gauss-Legendre.
+    """
+    k, tau = space.kappa, space.tau
+    v0, v1, c = v[..., 0], v[..., 1], v[..., 2]
+    a2 = v0 * v0 + v1 * v1
+    ka2, D = k * a2, k * a2 + 4.0 * tau * tau * c * c
+    # (sin(sqrt(D) t/2)/sqrt(D))^2 = V/2 at t = 1 and at the nodes
+    t = np.concatenate([[1.0], _GL_NODES])
+    sinc, cos = _sinc_cos(D[..., None] * (0.25 * t * t))
+    half2 = (0.5 * t * sinc) ** 2
+    r2 = 4.0 * a2[..., None] * half2 / (1.0 - ka2[..., None] * half2)
+    S, V = sinc[..., 0] * cos[..., 0], 2.0 * half2[..., 0]
+    C, Q, B, dB = 1.0 - D * V, 2.0 - ka2 * V, 2.0 * tau * c * V, 2.0 * tau * c * S
+    x, y = 2.0 * (v0 * S - v1 * B) / Q, 2.0 * (v0 * B + v1 * S) / Q
+    z = height + c * (1.0 + tau * tau * (r2[..., 1:] @ _GL_WEIGHTS))
+    # d/dt: S' = C, V' = S, Q' = -kappa a^2 S
+    state = np.stack([x, y, z, (2.0 * (v0 * C - v1 * dB) + x * ka2 * S) / Q,
+                      (2.0 * (v0 * dB + v1 * C) + y * ka2 * S) / Q,
+                      c * (1.0 + tau * tau * r2[..., 0])], axis=-1)
+    _check_domain(space, (x, y, z))
+    return state
+
+
+# complex step of the Jacobi-field jets: its O(step^2) error is far below
+# rounding, and products of a few steps stay clear of subnormal numbers
+_JACOBI_STEP = 1e-30
+
+
+def complex_step_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
+                          polar_margin=0.35, name=None) -> SurfacePatch:
+    """Geodesic sphere of M^3(kappa, tau) about the axis point (0, 0, center_height).
+
+    (u, v) are the polar and azimuthal angles of the initial velocity.  The
+    jet evaluates the closed-form m3 geodesics and their two Jacobi fields,
+    the u and v variations of the initial velocity, as one complex-step
+    batch, so X, X_u and X_v are exact.  By the Gauss lemma the end velocity
+    gamma'(1) is normal to the sphere; with its u and v variations it gives
+    the second fundamental form by the Weingarten equation.  ``chart`` is
+    the real end point, for forced finite differencing.  ``center_height``
+    and ``radius`` of shape (K,) make a batch of K spheres on a grid they
+    share.  A space of another kind than m3 raises ValueError.
+    """
+    if space.kind != "m3":
+        raise ValueError(f"geodesic spheres are built in the m3 chart, not {space.kind!r}")
+    height, radius = _batch_param(center_height), _batch_param(radius)
+    u_range, v_range = (polar_margin, np.pi - polar_margin), (0.0, 2.0 * np.pi)
+
+    def directions(U, V):
+        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
+        su, cu, sv, cv = np.sin(U), np.cos(U), np.sin(V), np.cos(V)
+        zero = np.zeros_like(U)
+        return (np.stack([su * cv, su * sv, cu], axis=-1),
+                np.stack([cu * cv, cu * sv, -su], axis=-1),
+                np.stack([-su * sv, su * cv, zero], axis=-1))
+
+    def chart(U, V):
+        d, _, _ = directions(U, V)
+        return _m3_axis_geodesic(space, height, radius[..., None] * d)[..., :3]
+
+    def jet(U, V):
+        d, d_u, d_v = directions(U, V)
+        v0 = radius[..., None] * (d + 1j * _JACOBI_STEP * np.stack([d_u, d_v]))
+        y = np.moveaxis(_m3_axis_geodesic(space, height, v0), -1, 0)
+        dy = y.imag / _JACOBI_STEP
+        return {"X": tuple(y[:3, 0].real), "Xu": tuple(dy[:3, 0]), "Xv": tuple(dy[:3, 1]),
+                "normal": tuple(y[3:, 0].real), "normal_u": tuple(dy[3:, 0]),
+                "normal_v": tuple(dy[3:, 1])}
+
+    return SurfacePatch(space, name or "geodesic-sphere", u_range, v_range,
+                        jet, chart=chart)
+
+
+# ---------------------------------------------------------------------------
+# orbit-patch orientation on (..., 3) vectors
+
+
+def stacked_orient(patch, curve):
+    """The normal sign that makes the profile convention hold globally.
+
+    The sign of the cross-product normal against the profile normal is
+    constant on a connected patch, so one well-conditioned sample fixes it.
+    """
+    u0, u1 = patch.u_range
+    v0, v1 = patch.v_range
+    v_ref = 0.5 * (v0 + v1)
+    us = np.linspace(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0), 33)
+    j = curve.jet(us)
+    if curve.kind == "sol":
+        i = int(np.argmax(np.abs(j["z_y"])))
+    else:
+        i = int(np.argmax(np.abs(np.cos(j["theta"])) * np.minimum(np.abs(j["rho"]), 1.0)))
+    jet = patch.jet(np.asarray(us[i]), np.asarray(v_ref))
+    X, Xu, Xv = (np.stack(jet[k], axis=-1) for k in ("X", "Xu", "Xv"))
+    if curve.kind == "sol":
+        # conormal covector of the graph z = z(y) is (0, -z', 1)
+        cov = np.array([0.0, -float(j["z_y"][i]), 1.0])
+        hint = np.linalg.solve(metric_at(patch.space, X), cov)
+    else:
+        theta = float(j["theta"][i])
+        xi = vertical_field(patch.space, X)
+        horiz = Xu - inner(patch.space, X, Xu, xi) * xi
+        nh = norm(patch.space, X, horiz)
+        if nh < 1e-12 or abs(np.cos(theta)) < 1e-12:
+            hint = np.cos(theta) * xi
+        else:
+            u_rho = horiz / nh * np.sign(np.cos(theta))
+            hint = -np.sin(theta) * u_rho + np.cos(theta) * xi
+    n_cross = cross(patch.space, X, Xu, Xv)
+    n_cross = n_cross * float(np.asarray(jet.get("orient_sign", 1.0)))
+    sign = np.sign(inner(patch.space, X, n_cross, hint))
+    return float(sign) if sign != 0 else 1.0

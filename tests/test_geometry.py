@@ -29,6 +29,7 @@ from umbilic.geometry import (
     ModelGeometry,
     _GL_NODES,
     _GL_WEIGHTS,
+    _Dual,
     _m3_axis_geodesic,
     _sinc_cos,
     apply_isometry,
@@ -517,7 +518,7 @@ def test_gauss_legendre_rule_matches_numpy():
 
 
 def test_sinc_cos_series_meets_the_direct_quotient():
-    # values and complex-step derivatives on both sides of the switch |q| = 1/4
+    # values and forward-mode derivatives on both sides of the switch |q| = 1/4
     q = np.array([-0.2500001, -0.2499999, 0.2499999, 0.2500001, -3.0, 1e-9, 0.0, 7.0])
     sinc, cos = _sinc_cos(q)
     r = np.sqrt(np.abs(q))
@@ -526,7 +527,10 @@ def test_sinc_cos_series_meets_the_direct_quotient():
     want_cos = np.where(q > 0, np.cos(r), np.cosh(r))
     assert np.max(np.abs(sinc - want_sinc)) <= 1e-15
     assert np.max(np.abs(cos - want_cos)) <= 1e-15
-    d_sinc, d_cos = (f.imag / 1e-30 for f in _sinc_cos(q + 1e-30j))
+    dual = _sinc_cos(_Dual(q, np.ones((1,) + q.shape)))
+    # the dual values are the plain ones
+    assert [f.v.tobytes() for f in dual] == [sinc.tobytes(), cos.tobytes()]
+    d_sinc, d_cos = (f.d[0] for f in dual)
     # d/dq cos(sqrt q) = -sinc/2; d/dq sinc = (cos - sinc)/(2q), -1/6 at q = 0
     assert np.max(np.abs(d_cos + 0.5 * want_sinc)) <= 1e-15
     safe = np.where(q != 0, q, 1.0)
@@ -538,22 +542,23 @@ def test_sinc_cos_series_meets_the_direct_quotient():
 def test_axis_geodesics_match_exp_map(kappa, tau):
     sp = m3(kappa, tau)
     v = _axis_starts(kappa, tau)
-    got = _m3_axis_geodesic(sp, 0.3, v)
+    got = np.stack(_m3_axis_geodesic(sp, 0.3, v.T)[:3], axis=-1)
     want = np.array([exp_map(sp, [0.0, 0.0, 0.3], w) for w in v])
-    assert np.max(np.abs(got[:, :3] - want)) <= 1e-10
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("kappa,tau", AXIS_PAIRS)
 def test_axis_geodesic_jacobi_fields_match_rk4(kappa, tau):
-    # the complex steps along two random directions carry the Jacobi fields;
-    # 2000 RK4 steps keep the oracle's truncation error near 1e-11
+    # forward-mode derivatives along two random directions carry the Jacobi
+    # fields; the oracle's complex steps along them carry those of RK4, whose
+    # 2000 steps keep its truncation error near 1e-11
     sp = m3(kappa, tau)
     v = _axis_starts(kappa, tau)
-    w = v + 1e-30j * np.random.default_rng(3).normal(size=(2,) + v.shape)
-    got = _m3_axis_geodesic(sp, 0.3, w)
-    want = _rk4_flow(sp, np.array([0.0, 0.0, 0.3]), w, 2000)
-    assert np.max(np.abs(got.real - want.real)) <= 1e-9
-    assert np.max(np.abs(got.imag - want.imag)) / 1e-30 <= 1e-9
+    dirs = np.random.default_rng(3).normal(size=(2,) + v.shape)
+    end = _m3_axis_geodesic(sp, 0.3, tuple(map(_Dual, v.T, np.moveaxis(dirs, -1, 0))))
+    want = _rk4_flow(sp, np.array([0.0, 0.0, 0.3]), v + 1e-30j * dirs, 2000)
+    assert np.max(np.abs(np.stack([w.v for w in end], -1) - want.real)) <= 1e-9
+    assert np.max(np.abs(np.stack([w.d for w in end], -1) - want.imag / 1e-30)) <= 1e-9
 
 
 # --- vector algebra ----------------------------------------------------------

@@ -13,6 +13,7 @@ from oracles import (
     _geodesic_rhs,
     christoffel_contract,
     principal_curvature_normal_part,
+    stacked_orient,
     stacked_surface_fields,
 )
 from umbilic.families import build_family, family_names
@@ -23,6 +24,7 @@ from umbilic.geometry import (
     h3,
     hyperbolic_translation,
     inner,
+    isometry_jet,
     m3,
     norm,
     parabolic,
@@ -660,20 +662,15 @@ def test_synthetic_profile_rejects_unknown_variant():
 
 
 def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
-    # the surface fields, the geodesic right-hand side and the identity
-    # suites contract vectors against the closed-form components; the dense
-    # tensors stay for callers outside these paths (building an orbit patch
-    # orients it with one metric_at call)
+    # the surface fields, the geodesic right-hand side, the identity suites
+    # and the orientation of orbit patches contract vectors against the
+    # closed-form components; the dense tensors stay for callers outside
+    # these paths
     import sys
 
     import umbilic.geometry as geometry
     from umbilic.families import build_family
     from umbilic.verify import geodesic_sphere_patch, run_suite
-
-    patches = [build_family(name, param)[1] for name, param in (
-        ("H2xR_elliptic", 1.0), ("S2xR_a_lt_1", 0.6), ("Sol_Fa", 1.0))]
-    patches.append(rotational_graph_patch(m3(1.0, 0.5), [0.3, -0.2, 0.1]))
-    patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8))
 
     def block(*names):
         for name in names:
@@ -689,10 +686,13 @@ def test_surface_fields_and_geodesic_flow_use_no_dense_tensors(monkeypatch):
             with pytest.raises(AssertionError, match=f"{name} called"):
                 getattr(geometry, name)(h3(), np.array([0.0, 0.0, 1.0]))
 
-    block("christoffels", "christoffel_deriv", "riemann")
+    block("christoffels", "christoffel_deriv", "riemann", "metric_at")
     for suite in ("product-identities", "sol-identities"):
         assert run_suite(suite, grid=(16, 16))["max_residual"] < 1e-5
-    block("metric_at")
+    patches = [build_family(name, param)[1] for name, param in (
+        ("H2xR_elliptic", 1.0), ("S2xR_a_lt_1", 0.6), ("Sol_Fa", 1.0))]
+    patches.append(rotational_graph_patch(m3(1.0, 0.5), [0.3, -0.2, 0.1]))
+    patches.append(geodesic_sphere_patch(m3(1.0, 0.5), radius=0.8))
     for patch in patches:
         rep = surface_fields(patch, *patch.grid(8, 6))
         assert np.all(np.isfinite(rep.defect[rep.included]))
@@ -817,3 +817,56 @@ def test_surface_fields_convert_no_stacked_vectors(monkeypatch):
         assert np.all(np.isfinite(rep.defect[rep.included]))
         for name in ("X", "Xu", "Xv", "I", "II", "N", "T", "JT"):
             assert np.all(np.isfinite(getattr(rep, name)[rep.included])), name
+
+
+_ORIENT_PARAMS = {"S2xR_a_lt_1": (0.3, 0.6, 0.9), "S2xR_a_gt_1": (1.2, 1.5, 3.0),
+                  "H2xR_elliptic": (0.5, 1.0, 2.0), "H2xR_hyperbolic": (0.25, 0.5, 0.75),
+                  "Sol_Fa": (0.5, 1.0, 4.0)}
+
+
+def test_orbit_orientation_matches_the_stacked_oracle():
+    # the orientation sample on component triples picks the sign of the
+    # (..., 3) computation: every catalog family built by a sweep, the
+    # parabolic companion, and their images under isometries
+    cases = [build_family(name, param) for name in family_names()
+             for param in _ORIENT_PARAMS.get(name, (None,))]
+    curve = h2xr_parabolic_profile()
+    cases.append((curve, orbit_surface(curve, parabolic(np.pi, 1.0), s_range=(-4.0, 4.0),
+                                       profile_ideal=0.0)))
+    signs = set()
+    for curve, patch in cases:
+        if curve is None:  # the Sol plane's chart is not a sweep
+            continue
+        assert patch.orient == stacked_orient(patch, curve), patch.name
+        signs.add(patch.orient)
+        isos = ([sol_translation(0.3, -0.2, 0.5)] if patch.space.kind == "sol" else
+                [vertical_shift(0.7), slice_reflection(0.25)])
+        for iso in isos:
+            moved = transform_patch(patch, iso)
+            _, J, _ = isometry_jet(patch.space, iso, np.zeros(3))
+            assert moved.orient == patch.orient * np.sign(np.linalg.det(J))
+    assert signs == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("case", ["graph-batch", "shared-graph-batch", "stencil", "family"])
+def test_defect_summary_reads_grids_of_every_rank(case):
+    # a (3, 8, 8) graph batch on its broadcast and its shared grid, the
+    # (4, 16, 16) stencil stack and a family's 2-D grid: the argmax is the
+    # (u, v) of a point where the defect is largest, as gen prints it in 2-D
+    patch = trial_patch(m3(0.0, 0.5), "graph", np.random.default_rng(6).uniform(-1, 1, (3, 6)))
+    U, V = patch.grid(8, 8)
+    patch, U, V = {
+        "graph-batch": lambda: (patch, *np.broadcast_arrays(U, V, np.zeros((3, 8, 8)))[:2]),
+        "shared-graph-batch": lambda: (patch, U[None], V[None]),
+        "stencil": lambda: _stencil_stack("H2xR_elliptic"),
+        "family": lambda: (build_family("H2xR_elliptic", 1.0)[1], *build_family(
+            "H2xR_elliptic", 1.0)[1].grid(16, 16)),
+    }[case]()
+    rep = surface_fields(patch, U, V)
+    summary = rep.defect_summary()
+    u, v = summary["argmax"]
+    at = (np.broadcast_to(U, rep.defect.shape) == u) & (np.broadcast_to(V, rep.defect.shape) == v)
+    assert summary["max"] == np.max(rep.defect[at & rep.included])
+    if case == "family":
+        i, j = np.unravel_index(np.argmax(np.where(rep.included, rep.defect, -np.inf)), U.shape)
+        assert (u, v) == (float(U[i, j]), float(V[i, j]))

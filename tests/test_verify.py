@@ -1,17 +1,36 @@
 """Identity checks, their FD convergence, and the umbilic falsification search."""
 
 import copy
+import json
 
+import mpmath
 import numpy as np
 import pytest
-from oracles import broadcast_trial_fields, lockstep_levenberg_marquardt, stacked_jet
+from oracles import (
+    STACKED_CHECKS,
+    broadcast_trial_fields,
+    complex_step_sphere_patch,
+    lockstep_levenberg_marquardt,
+    stacked_jet,
+)
 from scipy.optimize import least_squares
 
 import umbilic.families
 import umbilic.verify
 from umbilic.families import build_family
-from umbilic.geometry import ChartDomainError, h2xr, h3, m3, metric_at, r3, s2xr, sol
-from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart
+from umbilic.geometry import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    ChartDomainError,
+    h2xr,
+    h3,
+    m3,
+    metric_at,
+    r3,
+    s2xr,
+    sol,
+)
+from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart, surface_fields
 from umbilic.verify import (
     _PRODUCT_SUITE_CASES,
     _TRIAL_FAMILIES,
@@ -142,7 +161,9 @@ def test_first_form_solve_matches_numpy():
     I = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(2)
     b = rng.normal(size=(48, 48, 2))
     want = np.linalg.solve(I, b[..., None])[..., 0]
-    x0, x1 = _solve_first_form(I, b[..., 0], b[..., 1])
+    # the solve reads the forms E, F, G of a symmetric I
+    assert np.array_equal(I, np.swapaxes(I, -1, -2))
+    x0, x1 = _solve_first_form(I[..., 0, 0], I[..., 0, 1], I[..., 1, 1], b[..., 0], b[..., 1])
     scale = np.abs(want).max(axis=-1) * np.linalg.cond(I)
     assert np.all(np.abs(np.stack([x0, x1], -1) - want).max(axis=-1) <= 1e-15 * scale)
 
@@ -283,13 +304,13 @@ def test_product_suite_evaluates_five_grids_per_family(monkeypatch):
 
 def test_product_suite_computes_each_curvature_tensor_once(monkeypatch):
     calls = []
-    real = umbilic.verify.curvature_tensor
+    real = umbilic.verify._curvature
 
     def counted(space, *args):
         calls.append(space.kind)
         return real(space, *args)
 
-    monkeypatch.setattr(umbilic.verify, "curvature_tensor", counted)
+    monkeypatch.setattr(umbilic.verify, "_curvature", counted)
     run_suite("product-identities", grid=(16, 16))
     assert sorted(calls) == ["h2xr"] * 3 + ["s2xr"] * 3
 
@@ -576,6 +597,18 @@ def test_sphere_defect_does_not_depend_on_the_center_height(kappa, tau):
         got = [_one_trial_defect_of(geodesic_sphere_patch(sp, height, r), (24, 1))
                for r in radii]
         assert np.max(np.abs(np.array(got) - want)) <= 1e-14, height
+
+
+def test_sphere_batch_of_center_heights_matches_one_sphere_at_a_time():
+    # a (K,) batch of heights about one radius broadcasts like a batch of radii
+    sp = m3(-1.0, 1.0)
+    heights = np.array([-0.5, 0.0, 0.3])
+    U, V = geodesic_sphere_patch(sp).grid(6, 5)
+    batch = surface_fields(geodesic_sphere_patch(sp, heights, 0.8), U[None], V[None])
+    for k, height in enumerate(heights):
+        one = surface_fields(geodesic_sphere_patch(sp, height, 0.8), U, V)
+        for name in ("X", "Xu", "Xv", "N", "defect"):
+            assert getattr(batch, name)[k].tobytes() == getattr(one, name).tobytes(), name
 
 
 _ORACLE_SPACES = [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (-1.0, 0.0),
@@ -876,3 +909,175 @@ def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("bogus")
     assert len(SUITE_NAMES) == 4
+
+
+def test_suites_convert_no_stacked_vectors(monkeypatch):
+    # the four suites contract component triples from the jets to the
+    # residuals, and building their patches orients them on triples too, so
+    # no vector is split from or joined onto a last axis
+    import umbilic.geometry as geometry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stacked vector converted")
+
+    monkeypatch.setattr(geometry, "_components", refuse)
+    monkeypatch.setattr(geometry, "_join", refuse)
+    with pytest.raises(AssertionError, match="converted"):
+        geometry.inner(m3(0.0, 0.5), np.zeros(3), np.ones(3), np.ones(3))
+    for suite in SUITE_NAMES:
+        assert run_suite(suite, grid=(16, 16))["max_residual"] < 1e-5, suite
+
+
+# --- the checks and the sphere jets against their oracles ---------------------------
+
+
+def _stacked_checks(monkeypatch, calls):
+    # the checks on (..., 3) vectors in place of those on component triples
+    for name, fn in STACKED_CHECKS.items():
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(umbilic.verify, name, counted)
+
+
+@pytest.mark.parametrize("suite", ["product-identities", "sol-identities", "killing-grid"])
+@pytest.mark.parametrize("grid,seed", [((16, 16), 0), ((48, 48), 0), ((48, 48), 5)])
+def test_suites_match_the_stacked_oracle_bytewise(monkeypatch, suite, grid, seed):
+    # each contraction keeps its operands and order, inner(A, B) = _dot(A, lower(B)),
+    # so the reports are the bytes of the (..., 3) checks'
+    got = json.dumps(run_suite(suite, grid=grid, seed=seed))
+    calls = []
+    with monkeypatch.context() as m:
+        _stacked_checks(m, calls)
+        want = json.dumps(run_suite(suite, grid=grid, seed=seed))
+    assert calls
+    assert got == want
+
+
+@pytest.mark.parametrize("grid", [(16, 16), (48, 48)])
+def test_daniel_grid_stays_within_1e_15_of_the_complex_step_oracle(monkeypatch, grid):
+    # the real forward-mode sphere jets move each check's residual by
+    # rounding only (at most 3.3e-16 measured); the checks alone on the same
+    # jets are byte-identical
+    got = run_suite("daniel-grid", grid=grid)
+    calls = []
+    with monkeypatch.context() as m:
+        _stacked_checks(m, calls)
+        assert json.dumps(run_suite("daniel-grid", grid=grid)) == json.dumps(got)
+        m.setattr(umbilic.verify, "geodesic_sphere_patch", complex_step_sphere_patch)
+        want = run_suite("daniel-grid", grid=grid)
+    assert calls.count("_daniel_formula") == 2 * 7
+    for a, b in zip(got["checks"], want["checks"], strict=True):
+        assert a["skipped_points"] == b["skipped_points"]
+        assert abs(a["max_residual"] - b["max_residual"]) <= 1e-15
+        assert abs(a["mean_residual"] - b["mean_residual"]) <= 1e-15
+
+
+_DANIEL_SPACES = [(k, t) for k in (-1.0, 0.0, 1.0) for t in (0.0, 0.5, 1.0) if k != 4.0 * t * t]
+
+
+@pytest.mark.parametrize("kappa,tau", _DANIEL_SPACES)
+def test_real_sphere_jets_match_the_complex_step_oracle(kappa, tau):
+    # radii from the daniel-grid sphere's 0.9 up to 1.7; every jet takes the
+    # Taylor branch of sinc and cos at the first Gauss-Legendre nodes, the
+    # spaces with kappa < 0 reach D < 0, those with tau = 1 sqrt(D) > pi
+    sp = m3(kappa, tau)
+    radii = np.array([0.05, 0.5, 0.9, 1.3, 1.7])
+    patch = geodesic_sphere_patch(sp, 0.1, radii)
+    U, V = (a[None] for a in patch.grid(24, 12))
+    got, want = patch.jet(U, V), complex_step_sphere_patch(sp, 0.1, radii).jet(U, V)
+    for key in want:
+        a, b = np.stack(got[key]), np.stack(want[key])
+        assert np.max(np.abs(a - b)) <= 2e-15 * np.max(np.abs(b)), key
+    a2, c2 = (radii[:, None, None] * np.sin(U)) ** 2, (radii[:, None, None] * np.cos(U)) ** 2
+    D = kappa * a2 + 4.0 * tau * tau * c2
+    assert (D < 0).any() == (kappa < 0)
+    assert (D > np.pi**2).any() == (tau == 1.0 and kappa >= 0.0)
+
+
+def _mp_axis_geodesic(kappa, tau, height, v):
+    # the closed form of geometry._m3_axis_geodesic for one mpmath velocity
+    v0, v1, c = v
+    a2 = v0 * v0 + v1 * v1
+    D = kappa * a2 + 4 * tau * tau * c * c
+    t = [mpmath.mpf(1)] + [mpmath.mpf(float(x)) for x in _GL_NODES]
+    sinc = [mpmath.sin(mpmath.sqrt(D) * s / 2) / (mpmath.sqrt(D) * s / 2) for s in t]
+    cos = mpmath.cos(mpmath.sqrt(D) / 2)
+    half2 = [(s * q / 2) ** 2 for s, q in zip(t, sinc)]
+    r2 = [4 * a2 * h / (1 - kappa * a2 * h) for h in half2]
+    S, V = sinc[0] * cos, 2 * half2[0]
+    C, Q, B, dB = 1 - D * V, 2 - kappa * a2 * V, 2 * tau * c * V, 2 * tau * c * S
+    x, y = 2 * (v0 * S - v1 * B) / Q, 2 * (v0 * B + v1 * S) / Q
+    z = height + c * (1 + tau * tau * mpmath.fsum(
+        mpmath.mpf(float(w)) * r for w, r in zip(_GL_WEIGHTS, r2[1:])))
+    return [x, y, z, (2 * (v0 * C - v1 * dB) + x * kappa * a2 * S) / Q,
+            (2 * (v0 * dB + v1 * C) + y * kappa * a2 * S) / Q, c * (1 + tau * tau * r2[0])]
+
+
+@pytest.mark.parametrize("kappa,tau,radius", [(-4.0, 1.0, 1.7), (1.0, 0.0, 2.2),
+                                              (1.0, 1.0, 2.2)])
+def test_sphere_jets_meet_a_50_digit_evaluation(kappa, tau, radius):
+    # where the real and the complex-step jets part by up to 5e-15 relative,
+    # both are that close to the same closed form at 50 digits (a complex
+    # step of 1e-30 gives its Jacobi fields); the gap is their rounding
+    sp = m3(kappa, tau)
+    patches = [geodesic_sphere_patch(sp, 0.1, radius), complex_step_sphere_patch(sp, 0.1, radius)]
+    U, V = patches[0].grid(8, 3)
+    jets = [{k: np.stack(v) for k, v in p.jet(U, V).items()} for p in patches]
+    want = {k: np.zeros_like(v) for k, v in jets[0].items()}
+    with mpmath.workdps(50):
+        h = mpmath.mpf("1e-30")
+        for i, j in np.ndindex(U.shape):
+            u, v = mpmath.mpf(float(U[i, j])), mpmath.mpf(float(V[i, j]))
+            d = [mpmath.sin(u) * mpmath.cos(v), mpmath.sin(u) * mpmath.sin(v), mpmath.cos(u)]
+            steps = {("X", "normal"): [0, 0, 0],
+                     ("Xu", "normal_u"): [mpmath.cos(u) * mpmath.cos(v),
+                                          mpmath.cos(u) * mpmath.sin(v), -mpmath.sin(u)],
+                     ("Xv", "normal_v"): [-mpmath.sin(u) * mpmath.sin(v),
+                                          mpmath.sin(u) * mpmath.cos(v), 0]}
+            for (X, n), e in steps.items():
+                end = _mp_axis_geodesic(mpmath.mpf(kappa), mpmath.mpf(tau), mpmath.mpf("0.1"),
+                                        [radius * (a + 1j * h * b) for a, b in zip(d, e)])
+                part = (lambda w: mpmath.re(w)) if X == "X" else (lambda w: mpmath.im(w) / h)
+                want[X][:, i, j] = [float(part(w)) for w in end[:3]]
+                want[n][:, i, j] = [float(part(w)) for w in end[3:]]
+    for key, w in want.items():
+        for jet in jets:  # 3.1e-15 at most, measured
+            assert np.max(np.abs(jet[key] - w)) <= 4e-15 * np.max(np.abs(w)), key
+
+
+_C06_SPACES = [(0.0, 0.5), (-1.0, 1.0), (1.0, 1.0)]
+
+
+def test_sphere_searches_keep_their_course_under_the_complex_step_oracle(monkeypatch):
+    # the C06 sphere searches and the sphere control at seeds 0-9: every
+    # restart stops with the same status after the same rows, and the floors
+    # agree to rounding; the best radius may move between restarts that tie
+    real = umbilic.verify._levenberg_marquardt
+
+    def searches():
+        runs, reports = [], []
+
+        def recorded(*args):
+            out = real(*args)
+            runs.append((out[3].tolist(), out[4].tolist()))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(umbilic.verify, "_levenberg_marquardt", recorded)
+            for seed in range(10):
+                reports += [nonexistence_falsifier(kappa, tau, family="sphere", n_starts=3,
+                                                   seed=seed) for kappa, tau in _C06_SPACES]
+                reports.append(nonexistence_falsifier(1.0, 0.5, family="sphere", n_starts=2,
+                                                      budget=300, seed=1 + seed))
+        return runs, reports
+
+    got = searches()
+    monkeypatch.setattr(umbilic.verify, "geodesic_sphere_patch", complex_step_sphere_patch)
+    want = searches()
+    assert got[0] == want[0]
+    for a, b in zip(got[1], want[1], strict=True):
+        assert (a["n_evals"], a["partial"]) == (b["n_evals"], b["partial"])
+        assert abs(a["min_defect_found"] - b["min_defect_found"]) <= 1e-15
+    assert all(r["min_defect_found"] < 1e-15 for r in got[1][3::4])
