@@ -20,6 +20,7 @@ which is flagged ``partial`` in the report).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -244,7 +245,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept."""
     parser = _Parser(
         prog="umbilic",
         description="Invariant surface families in product and Sol "
@@ -263,14 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="output path (.obj/.ply/.csv/.json)")
     gen.add_argument("--format", choices=_FORMATS, default=None,
                      help="override the format inferred from --out")
-    gen.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="run a residual suite, emit JSON")
     ver.add_argument("--suite", required=True, choices=SUITE_NAMES)
     ver.add_argument("--grid", default="16x16")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None, help="write the JSON report here")
-    ver.set_defaults(func=cmd_verify)
 
     fal = sub.add_parser(
         "falsify", help="search the trial families for a low-defect surface")
@@ -289,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "scored on n_u points of one meridian, so n_v "
                           "does not change the search")
     fal.add_argument("--out", default=None)
-    fal.set_defaults(func=cmd_falsify)
 
     con = sub.add_parser(
         "conformal", help="conformality and flattening reports for the model maps")
@@ -299,20 +299,19 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--samples", type=int, default=None,
                      help="per-axis sample count (sol-flat: profile samples, odd)")
     con.add_argument("--out", default=None)
-    con.set_defaults(func=cmd_conformal)
 
     cat = sub.add_parser("catalog", help="list the registered families")
     cat.add_argument("--json", action="store_true")
     cat.add_argument("--out", default=None, help="with --json, write the report here")
-    cat.set_defaults(func=cmd_catalog)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,7 +117,9 @@ def h2xi_to_h3_map() -> ConformalMap:
     return ConformalMap("h2xi_to_h3", h2xr(-1.0), h3(), evaluate)
 
 
-def _fd_jacobian(evaluate, points, h):
+def _fd_jacobian(evaluate, points):
+    """Centred differences with step 1e-6 in each chart coordinate."""
+    h = 1e-6
     J = np.empty(points.shape[:-1] + (3, 3))
     for k in range(3):
         dp = np.zeros(3)
@@ -126,7 +128,7 @@ def _fd_jacobian(evaluate, points, h):
     return J
 
 
-def conformality_check(cmap: ConformalMap, points, h=1e-6) -> dict:
+def conformality_check(cmap: ConformalMap, points) -> dict:
     """Pointwise off-proportionality of the pullback metric.
 
     Returns the conformal factor field phi (square root of the trace ratio)
@@ -134,7 +136,7 @@ def conformality_check(cmap: ConformalMap, points, h=1e-6) -> dict:
     Points with a singular derivative are reported, not silently dropped.
     """
     points = np.asarray(points, dtype=float)
-    J = cmap.jacobian(points) if cmap.jacobian else _fd_jacobian(cmap.evaluate, points, h)
+    J = cmap.jacobian(points) if cmap.jacobian else _fd_jacobian(cmap.evaluate, points)
     g_dom = metric_at(cmap.domain, points)
     g_cod = metric_at(cmap.codomain, cmap.evaluate(points))
     G = np.einsum("...ki,...kl,...lj->...ij", J, g_cod, J)
@@ -162,7 +164,7 @@ def pushforward(cmap: ConformalMap, patch: SurfacePatch, name=None) -> SurfacePa
     )
 
 
-def sol_flattening(curve, n=129, margin=0.95) -> dict:
+def sol_flattening(curve, n=129) -> dict:
     """Arc-length-style flattening of the invariant Sol graph.
 
     The new abscissa is xi(y) = integral of e^{-4 z} from 0 to y.  The first
@@ -171,7 +173,8 @@ def sol_flattening(curve, n=129, margin=0.95) -> dict:
     (t, xi) coordinates the induced metric becomes e^{2z} (dt^2 + s dxi^2)
     with a constant s (equal to 1 for the unit-parameter graph); the report
     also measures which power of e^{-z} the raw g_yy actually follows.
-    ``n`` is the odd number of profile samples; the middle one is y = 0.
+    ``n`` is the odd number of profile samples, spread over 0.95 of the
+    span; the middle one is y = 0.
     """
     if curve.kind != "sol":
         raise ValueError("flattening applies to Sol graph profiles")
@@ -180,7 +183,7 @@ def sol_flattening(curve, n=129, margin=0.95) -> dict:
     if n % 2 == 0:
         raise ValueError("the flattening needs an odd sample count, so that "
                          "y = 0 is a sample")
-    y = np.linspace(margin * curve.span[0], margin * curve.span[1], n)
+    y = np.linspace(0.95 * curve.span[0], 0.95 * curve.span[1], n)
     j = curve.jet(y)
     z, z_y = j["z"], j["z_y"]
     xi = -(y + np.exp(2.0 * z) * z_y) / curve.param

@@ -48,7 +48,7 @@ class FamilyDefinition:
                 f"{self.name} needs parameter {self.param_name} "
                 f"({self.param_name} must lie in {self.param_range})")
         param = float(param)
-        if not self._check(param):
+        if not (np.isfinite(param) and self._check(param)):
             raise ValueError(
                 f"{self.param_name} must lie in {self.param_range}")
         return param

@@ -71,6 +71,8 @@ class ModelGeometry:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown geometry kind {self.kind!r}")
+        if not (np.isfinite(self.kappa) and np.isfinite(self.tau)):
+            raise ValueError(f"kappa and tau must be finite, got ({self.kappa}, {self.tau})")
         if self.kind == "s2xr" and not self.kappa > 0:
             raise ValueError("s2xr requires kappa > 0")
         if self.kind == "h2xr" and not self.kappa < 0:
@@ -744,68 +746,56 @@ def _mobius_jet(M, w):
 
 
 def isometry_jet(space: ModelGeometry, iso: IsometrySpec, p):
-    """Image point, Jacobian J[k, i] = dq^k/dp^i and Hessian H[k, i, j].
+    """Image points q, Jacobians J[..., k, i] = dq^k/dp^i and Hessians
+    H[..., k, i, j] at the chart points p (..., 3).
 
     All supported isometries have closed-form jets: the base actions are
     Moebius (holomorphic) or affine, the fiber actions affine.
     """
     p = np.asarray(p, dtype=float)
-    q = np.empty(3)
-    J = np.zeros((3, 3))
-    H = np.zeros((3, 3, 3))
-    if iso.kind == "identity":
-        return p.copy(), np.eye(3), H
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    J = np.zeros(p.shape + (3,))
+    H = np.zeros(p.shape + (3, 3))
     if iso.kind in ("rotation", "parabolic", "hyperbolic"):
         if space.kind not in ("s2xr", "h2xr"):
             raise IllFormedIsometryError(f"{iso.kind} isometries require a product space")
-        M = _mobius_matrix(space, iso)
-        w = complex(p[0], p[1])
-        val, d1, d2 = _mobius_jet(M, w)
-        q[:] = (val.real, val.imag, p[2])
-        J[0, 0], J[0, 1] = d1.real, -d1.imag
-        J[1, 0], J[1, 1] = d1.imag, d1.real
-        J[2, 2] = 1.0
+        val, d1, d2 = _mobius_jet(_mobius_matrix(space, iso), x + 1j * y)
+        J[..., 0, 0], J[..., 0, 1] = d1.real, -d1.imag
+        J[..., 1, 0], J[..., 1, 1] = d1.imag, d1.real
+        J[..., 2, 2] = 1.0
         # holomorphic f: f_xx = f'', f_xy = i f'', f_yy = -f''
-        H[0, 0, 0], H[1, 0, 0] = d2.real, d2.imag
-        H[0, 0, 1] = H[0, 1, 0] = -d2.imag
-        H[1, 0, 1] = H[1, 1, 0] = d2.real
-        H[0, 1, 1], H[1, 1, 1] = -d2.real, -d2.imag
-        return q, J, H
-    if iso.kind == "vertical_shift":
+        H[..., 0, 0, 0], H[..., 1, 0, 0] = d2.real, d2.imag
+        H[..., 0, 0, 1] = H[..., 0, 1, 0] = -d2.imag
+        H[..., 1, 0, 1] = H[..., 1, 1, 0] = d2.real
+        H[..., 0, 1, 1], H[..., 1, 1, 1] = -d2.real, -d2.imag
+        return np.stack([val.real, val.imag, z], axis=-1), J, H
+    # the rest are affine: q^k is entries[k] times p^cols[k] plus a constant
+    cols = [0, 1, 2]
+    if iso.kind == "identity":
+        q, entries = (x, y, z), (1.0, 1.0, 1.0)
+    elif iso.kind == "vertical_shift":
         if space.kind not in ("s2xr", "h2xr", "m3"):
             raise IllFormedIsometryError("vertical_shift requires a vertical direction")
-        q[:] = (p[0], p[1], p[2] + iso.shift)
-        return q, np.eye(3), H
-    if iso.kind == "slice_reflection":
+        q, entries = (x, y, z + iso.shift), (1.0, 1.0, 1.0)
+    elif iso.kind == "slice_reflection":
         if space.kind not in ("s2xr", "h2xr"):
             raise IllFormedIsometryError("slice_reflection requires a product space")
-        q[:] = (p[0], p[1], 2.0 * iso.level - p[2])
-        J[:] = np.diag([1.0, 1.0, -1.0])
-        return q, J, H
-    if iso.kind in ("sol_translation", "sol_swap"):
+        q, entries = (x, y, 2.0 * iso.level - z), (1.0, 1.0, -1.0)
+    elif iso.kind in ("sol_translation", "sol_swap"):
         if space.kind != "sol":
             raise IllFormedIsometryError(f"{iso.kind} requires sol")
         a, b, c = iso.abc
-        s1, s2 = iso.signs
+        e1, e2 = iso.signs[0] * np.exp(-c), iso.signs[1] * np.exp(c)
         if iso.kind == "sol_translation":
-            q[:] = (s1 * np.exp(-c) * p[0] + a, s2 * np.exp(c) * p[1] + b, p[2] + c)
-            J[0, 0] = s1 * np.exp(-c)
-            J[1, 1] = s2 * np.exp(c)
-            J[2, 2] = 1.0
+            q, entries = (e1 * x + a, e2 * y + b, z + c), (e1, e2, 1.0)
         else:
-            q[:] = (s1 * np.exp(-c) * p[1] + a, s2 * np.exp(c) * p[0] + b, -p[2] + c)
-            J[0, 1] = s1 * np.exp(-c)
-            J[1, 0] = s2 * np.exp(c)
-            J[2, 2] = -1.0
-        return q, J, H
-    raise IllFormedIsometryError(f"unknown isometry kind {iso.kind!r}")
+            q, entries, cols = (e1 * y + a, e2 * x + b, -z + c), (e1, e2, -1.0), [1, 0, 2]
+    else:
+        raise IllFormedIsometryError(f"unknown isometry kind {iso.kind!r}")
+    J[..., [0, 1, 2], cols] = entries
+    return np.stack(q, axis=-1), J, H
 
 
 def apply_isometry(space: ModelGeometry, iso: IsometrySpec, p) -> np.ndarray:
-    """Image of p under the isometry (broadcasts over leading axes)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        return isometry_jet(space, iso, p)[0]
-    flat = p.reshape(-1, 3)
-    out = np.stack([isometry_jet(space, iso, q)[0] for q in flat])
-    return out.reshape(p.shape)
+    """Image of the chart points p (..., 3) under the isometry."""
+    return isometry_jet(space, iso, p)[0]

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .surfaces import GRID_MARGIN, SurfacePatch, curvature_report
+from .surfaces import SurfacePatch, curvature_report
 
 _W = 24  # widest %.17g token, "-4.9406564584124654e-324"
 _ROWS = 4096  # rows formatted per block
@@ -142,8 +142,7 @@ def _text_rows(table, prefix, sep):
         yield out.tobytes().translate(None, b"\0")
 
 
-def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-              vertices=None):
+def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, vertices=None):
     """Vertices and 0-based quad indices of the structured parameter grid.
 
     Vertex (i, j) of the grid sits at flat index ``i * n_v + j``; quads wind
@@ -154,7 +153,7 @@ def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     if n_u < 2 or n_v < 2:
         raise ValueError("a quad mesh needs at least a 2 x 2 grid")
     if vertices is None:
-        vertices = patch.chart(*patch.grid(n_u, n_v, margin=margin))
+        vertices = patch.chart(*patch.grid(n_u, n_v))
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     if len(vertices) != n_u * n_v:
         raise ValueError("vertex array does not match the grid")
@@ -164,24 +163,21 @@ def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     return vertices, quads.astype(np.int32)
 
 
-def defect_quality(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-                   h=None) -> np.ndarray:
+def defect_quality(patch: SurfacePatch, n_u=48, n_v=48) -> np.ndarray:
     """Per-vertex umbilicity defect on the same grid ``grid_mesh`` uses.
 
     Points inside the axis tube or with a degenerate first fundamental form
     carry NaN rather than a misleading number.
     """
-    return curvature_report(patch, n_u=n_u, n_v=n_v, margin=margin,
-                            h=h).defect_quality()
+    return curvature_report(patch, n_u=n_u, n_v=n_v).defect_quality()
 
 
-def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-              vertices=None):
+def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, vertices=None):
     """Write the patch grid as a Wavefront OBJ with quad faces (1-based).
 
     ``vertices`` is passed on to :func:`grid_mesh`.
     """
-    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin, vertices=vertices)
+    vertices, quads = grid_mesh(patch, n_u, n_v, vertices=vertices)
     with open(path, "wb") as fh:
         fh.write(("# %s: %d x %d grid\n" % (patch.name, n_u, n_v)).encode())
         fh.writelines(_text_rows(vertices, b"v ", " "))
@@ -189,19 +185,14 @@ def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     return {"vertices": len(vertices), "faces": len(quads)}
 
 
-def write_ply(path, patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-              quality=None, vertices=None):
+def write_ply(path, patch: SurfacePatch, n_u=48, n_v=48, quality=None, vertices=None):
     """Write a binary little-endian PLY with float64 positions.
 
-    ``quality`` may be None, an array of per-vertex scalars, or the string
-    ``"defect"`` to compute the umbilicity defect on the export grid.
-    ``vertices`` is passed on to :func:`grid_mesh`.
+    ``quality`` may be None or an array of per-vertex scalars, such as
+    :func:`defect_quality` on the export grid.  ``vertices`` is passed on
+    to :func:`grid_mesh`.
     """
-    vertices, quads = grid_mesh(patch, n_u, n_v, margin=margin, vertices=vertices)
-    if isinstance(quality, str):
-        if quality != "defect":
-            raise ValueError(f"unknown quality field {quality!r}")
-        quality = defect_quality(patch, n_u, n_v, margin=margin)
+    vertices, quads = grid_mesh(patch, n_u, n_v, vertices=vertices)
     props = ["property double x\n", "property double y\n", "property double z\n"]
     if quality is not None:
         quality = np.asarray(quality, dtype=float).ravel()

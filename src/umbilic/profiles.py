@@ -56,6 +56,7 @@ import numpy as np
 from .elliptic import ellipj, ellipj_zeta, elliptic_K
 
 Z_CLIP = -30.0
+N_SAMPLES = 2001  # rows of a profile's sample table
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,10 @@ def _closed_jet_parabolic(s):
     }
 
 
-def _build_plane_curve(kind, param, jet, event, s_span, n_samples, period_data):
-    """Sample ``jet`` on a symmetric span: ``s_span``, or by default 5.5
-    sizing events (at least 10; 12 when the profile has no event)."""
+def _build_plane_curve(kind, param, jet, event, s_span, period_data, n_samples=N_SAMPLES):
+    """Sample ``jet`` at ``n_samples`` points of a symmetric span: ``s_span``,
+    or by default 5.5 sizing events (at least 10; 12 when the profile has no
+    event)."""
     if s_span is not None:
         smax = 0.5 * (s_span[1] - s_span[0])
     else:
@@ -215,7 +217,7 @@ def _build_plane_curve(kind, param, jet, event, s_span, n_samples, period_data):
     )
 
 
-def s2xr_profile(a, s_span=None, n_samples=2001) -> GeneratingCurve:
+def s2xr_profile(a, s_span=None) -> GeneratingCurve:
     """Profile of the rotational family in S^2 x R, parameter a > 0.
 
     a < 1 winds (rho increases by 2 pi per period 2 s1), a = 1 is the
@@ -227,7 +229,7 @@ def s2xr_profile(a, s_span=None, n_samples=2001) -> GeneratingCurve:
         raise ValueError("a must be positive")
     if a == 1.0:
         return _build_plane_curve("s2xr", a, _closed_jet_s2xr_a1, None, s_span,
-                                  n_samples, None)
+                                  None)
     if a < 1:
         m = a * a
 
@@ -237,7 +239,7 @@ def s2xr_profile(a, s_span=None, n_samples=2001) -> GeneratingCurve:
 
         s1 = 2.0 * elliptic_K(m)
         return _build_plane_curve("s2xr", a, _plane_jet("s2xr", a, state), s1,
-                                  s_span, n_samples, PeriodData(s1=s1))
+                                  s_span, PeriodData(s1=s1))
     m = 1.0 / (a * a)
 
     def state(s):
@@ -246,10 +248,10 @@ def s2xr_profile(a, s_span=None, n_samples=2001) -> GeneratingCurve:
 
     delta = elliptic_K(m) / a
     return _build_plane_curve("s2xr", a, _plane_jet("s2xr", a, state), delta,
-                              s_span, n_samples, PeriodData(delta=delta))
+                              s_span, PeriodData(delta=delta))
 
 
-def h2xr_elliptic_profile(b, s_span=None, n_samples=2001) -> GeneratingCurve:
+def h2xr_elliptic_profile(b, s_span=None) -> GeneratingCurve:
     """Rotational (elliptic) family in H^2 x R, any b > 0; sphere-like."""
     b = float(b)
     if not b > 0:
@@ -263,16 +265,16 @@ def h2xr_elliptic_profile(b, s_span=None, n_samples=2001) -> GeneratingCurve:
 
     delta = elliptic_K(m) / b
     return _build_plane_curve("h2xr-elliptic", b, _plane_jet("h2xr-elliptic", b, state),
-                              delta, s_span, n_samples, PeriodData(delta=delta))
+                              delta, s_span, PeriodData(delta=delta))
 
 
-def h2xr_parabolic_profile(s_span=None, n_samples=2001) -> GeneratingCurve:
+def h2xr_parabolic_profile(s_span=None) -> GeneratingCurve:
     """Parabolic-invariant family in H^2 x R (no parameter; horocycle levels)."""
     return _build_plane_curve("h2xr-parabolic", None, _closed_jet_parabolic, None,
-                              s_span, n_samples, PeriodData(delta=0.0))
+                              s_span, PeriodData(delta=0.0))
 
 
-def h2xr_hyperbolic_profile(c, s_span=None, n_samples=2001) -> GeneratingCurve:
+def h2xr_hyperbolic_profile(c, s_span=None) -> GeneratingCurve:
     """Equidistant-invariant family in H^2 x R, parameter 0 < c < 1."""
     c = float(c)
     if not 0 < c < 1:
@@ -288,7 +290,7 @@ def h2xr_hyperbolic_profile(c, s_span=None, n_samples=2001) -> GeneratingCurve:
     delta = elliptic_K(m) / c
     return _build_plane_curve("h2xr-hyperbolic", c,
                               _plane_jet("h2xr-hyperbolic", c, state), delta,
-                              s_span, n_samples, PeriodData(delta=delta))
+                              s_span, PeriodData(delta=delta))
 
 
 def _lemniscate_series(v, p):
@@ -326,7 +328,7 @@ _SOL_U = ((_SOL_K - np.sqrt(2.0) * _lemniscate_series(np.exp(-_SOL_DEPTH), 1))
 _SOL_W = _sol_w(_SOL_U)[0]
 
 
-def sol_profile(a, z_clip=Z_CLIP, n_samples=2001) -> GeneratingCurve:
+def sol_profile(a, z_clip=Z_CLIP) -> GeneratingCurve:
     """The translation-invariant Sol graph family, parameter a > 0.
 
     Crest height z(0) = z0 = (1/4) log a; with c = a^{1/4}/sqrt(2),
@@ -363,8 +365,8 @@ def sol_profile(a, z_clip=Z_CLIP, n_samples=2001) -> GeneratingCurve:
         z_y = -sn * dn / (c * cn**3)
         return {"z": z, "z_y": z_y, "z_yy": -3.0 * z_y**2 - 2.0 * np.exp(-2.0 * z)}
 
-    n_deep = max(n_samples // 8, 16)
-    grid = np.linspace(-y_switch, y_switch, n_samples - 2 * n_deep)
+    n_deep = N_SAMPLES // 8
+    grid = np.linspace(-y_switch, y_switch, N_SAMPLES - 2 * n_deep)
     z_deep = np.linspace(z_switch, z_clip, n_deep + 1)[1:]
     y_deep = y_a - scale * _lemniscate_series(np.exp(z_deep - z0), 3)
     samples = np.vstack([np.column_stack([-y_deep[::-1], z_deep[::-1]]),

@@ -46,7 +46,7 @@ from .geometry import (
     _lowering,
     _mobius_jet,
 )
-from .profiles import GeneratingCurve
+from .profiles import GeneratingCurve, _build_plane_curve
 
 FD_STEP_FRACTION = 1e-4
 AXIS_TUBE = 1e-2
@@ -81,9 +81,8 @@ class SurfacePatch:
     ``normal`` with its chart partials ``normal_u`` and ``normal_v``; the
     second fundamental form then comes from the Weingarten equation.
     ``chart(U, V)`` returns positions only, on a trailing axis of chart
-    components; it always exists so curvature can be recomputed by finite
-    differences at a chosen step.  ``orient`` is the overall sign applied to
-    the cross-product normal.
+    components; by default it is the jet's ``X``.  ``orient`` is the overall
+    sign applied to the cross-product normal.
     """
 
     space: ModelGeometry
@@ -99,10 +98,10 @@ class SurfacePatch:
             jet = self.jet
             self.chart = lambda U, V: np.stack(jet(U, V)["X"], axis=-1)
 
-    def grid(self, n_u=48, n_v=48, margin=GRID_MARGIN):
-        """Meshgrid over the domain inset by a relative margin."""
+    def grid(self, n_u=48, n_v=48):
+        """Meshgrid over the domain inset by the relative margin ``GRID_MARGIN``."""
         (u0, u1), (v0, v1) = self.u_range, self.v_range
-        du, dv = margin * (u1 - u0), margin * (v1 - v0)
+        du, dv = GRID_MARGIN * (u1 - u0), GRID_MARGIN * (v1 - v0)
         u = np.linspace(u0 + du, u1 - du, n_u)
         v = np.linspace(v0 + dv, v1 - dv, n_v)
         return np.meshgrid(u, v, indexing="ij")
@@ -136,14 +135,14 @@ def fd_jet(chart, u_range, v_range, h=None):
     return jet
 
 
-def patch_from_chart(space, name, chart, u_range, v_range, h=None) -> SurfacePatch:
+def patch_from_chart(space, name, chart, u_range, v_range) -> SurfacePatch:
     """Wrap a bare chart map in a patch with finite-difference jets."""
     return SurfacePatch(
         space=space,
         name=name,
         u_range=tuple(u_range),
         v_range=tuple(v_range),
-        jet=fd_jet(chart, u_range, v_range, h=h),
+        jet=fd_jet(chart, u_range, v_range),
         chart=chart,
     )
 
@@ -317,18 +316,7 @@ def synthetic_profile(kind, variant, level=0.0) -> GeneratingCurve:
             "rho_ss": zero, "t_ss": zero, "theta_ss": zero,
         }
 
-    span = 8.0
-    grid = np.linspace(-span, span, 257)
-    rho, t, theta = fields(grid)
-    return GeneratingCurve(
-        kind=kind,
-        param=None,
-        span=(-span, span),
-        columns=("s", "rho", "t", "theta"),
-        samples=np.column_stack([grid, rho, t, theta]),
-        period_data=None,
-        _jet=jet,
-    )
+    return _build_plane_curve(kind, None, jet, None, (-8.0, 8.0), None, n_samples=257)
 
 
 _ACTION_FOR_KIND = {
@@ -377,17 +365,12 @@ def orbit_surface(curve: GeneratingCurve, action, s_range=None, v_range=None,
         space = sol()
         jet = _sol_graph_jet(curve)
         v_range = v_range or (-1.0, 1.0)
-    elif curve.kind == "s2xr":
+    elif curve.kind in ("s2xr", "h2xr-elliptic"):
         if tuple(action.center) != (0.0, 0.0):
             raise IncompatibleActionError("orbit sweeps require rotation about the origin")
-        space = s2xr(1.0)
-        jet = _rotational_jet(curve, +1.0)
-        v_range = v_range or (0.0, _TWO_PI)
-    elif curve.kind == "h2xr-elliptic":
-        if tuple(action.center) != (0.0, 0.0):
-            raise IncompatibleActionError("orbit sweeps require rotation about the origin")
-        space = h2xr(-1.0)
-        jet = _rotational_jet(curve, -1.0)
+        kappa = 1.0 if curve.kind == "s2xr" else -1.0
+        space = s2xr(kappa) if kappa > 0 else h2xr(kappa)
+        jet = _rotational_jet(curve, kappa)
         v_range = v_range or (0.0, _TWO_PI)
     elif curve.kind == "h2xr-parabolic":
         space = h2xr(-1.0)
@@ -464,19 +447,18 @@ def transform_patch(patch: SurfacePatch, iso, name=None) -> SurfacePatch:
 
     def moved_jet(U, V):
         j = base_jet(U, V)
-        flats = {k: np.stack(j[k], axis=-1).reshape(-1, 3) for k in JET_KEYS}
-        res = {k: np.empty_like(flats[k]) for k in JET_KEYS}
-        for n, p in enumerate(flats["X"]):
-            q, J, H = isometry_jet(space, iso, p)
-            a, b = flats["Xu"][n], flats["Xv"][n]
-            res["X"][n] = q
-            res["Xu"][n] = J @ a
-            res["Xv"][n] = J @ b
-            res["Xuu"][n] = J @ flats["Xuu"][n] + np.einsum("kij,i,j->k", H, a, a)
-            res["Xuv"][n] = J @ flats["Xuv"][n] + np.einsum("kij,i,j->k", H, a, b)
-            res["Xvv"][n] = J @ flats["Xvv"][n] + np.einsum("kij,i,j->k", H, b, b)
-        shape = (3,) + np.shape(j["X"][0])
-        out = {k: tuple(res[k].T.reshape(shape)) for k in JET_KEYS}
+        X, Xu, Xv, Xuu, Xuv, Xvv = (np.stack(j[k], axis=-1) for k in JET_KEYS)
+        q, J, H = isometry_jet(space, iso, X)
+
+        def push(W):  # J W
+            return np.einsum("...ki,...i->...k", J, W)
+
+        def hess(A, B):  # H(A, B)
+            return np.einsum("...kij,...i,...j->...k", H, A, B)
+
+        pushed = (q, push(Xu), push(Xv), push(Xuu) + hess(Xu, Xu),
+                  push(Xuv) + hess(Xu, Xv), push(Xvv) + hess(Xv, Xv))
+        out = {k: tuple(np.moveaxis(w, -1, 0)) for k, w in zip(JET_KEYS, pushed)}
         if "orient_sign" in j:
             out["orient_sign"] = j["orient_sign"]
         return out
@@ -492,19 +474,13 @@ def transform_patch(patch: SurfacePatch, iso, name=None) -> SurfacePatch:
     u_ref = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v_ref = 0.5 * (patch.v_range[0] + patch.v_range[1])
     p_ref = patch.chart(np.asarray(u_ref), np.asarray(v_ref))
-    _, J, _ = isometry_jet(space, iso, np.asarray(p_ref, dtype=float))
+    _, J, _ = isometry_jet(space, iso, p_ref)
     moved.orient = patch.orient * float(np.sign(np.linalg.det(J)))
     return moved
 
 
 # ---------------------------------------------------------------------------
 # curvature
-
-
-def _jet_arrays(patch, U, V, h=None):
-    if h is None:
-        return patch.jet(U, V)
-    return fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)(U, V)
 
 
 def _stack3(comps, *like):
@@ -569,9 +545,9 @@ def _forms_from_jet(space, j, orient):
     return (E, F, G, L, M, Nn), N, gN
 
 
-def _checked_forms(patch: SurfacePatch, u, v, h):
+def _checked_forms(patch: SurfacePatch, u, v):
     """E, F, G, L, M, N and the unit normal's components at (u, v), det I checked."""
-    j = _jet_arrays(patch, np.asarray(u, dtype=float), np.asarray(v, dtype=float), h=h)
+    j = patch.jet(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     (E, F, G, L, M, Nn), N, _ = _forms_from_jet(patch.space, j, patch.orient)
     bad = np.flatnonzero(E * G - F * F <= IMMERSION_FLOOR)
     if bad.size:
@@ -582,14 +558,12 @@ def _checked_forms(patch: SurfacePatch, u, v, h):
     return (E, F, G, L, M, Nn), N
 
 
-def fundamental_forms(patch: SurfacePatch, u, v, h=None):
+def fundamental_forms(patch: SurfacePatch, u, v):
     """First and second fundamental forms and the unit normal at (u, v).
 
-    ``h`` forces a finite-difference jet with that step on the patch chart;
-    by default the patch's own (closed-form or default-step) jet is used.
     Raises :class:`ImmersionError` where det I falls below 1e-10.
     """
-    (E, F, G, L, M, Nn), N = _checked_forms(patch, u, v, h)
+    (E, F, G, L, M, Nn), N = _checked_forms(patch, u, v)
     return _sym2(E, F, G), _sym2(L, M, Nn), _stack3(N)
 
 
@@ -609,9 +583,9 @@ def _shape_invariants(E, F, G, L, M, Nn):
     return H, np.sqrt(s * s + b * b), s, b
 
 
-def principal_curvatures(patch: SurfacePatch, u, v, h=None):
+def principal_curvatures(patch: SurfacePatch, u, v):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
-    forms, _ = _checked_forms(patch, u, v, h)
+    forms, _ = _checked_forms(patch, u, v)
     H, half_gap, _, _ = _shape_invariants(*forms)
     return H - half_gap, H + half_gap
 
@@ -705,18 +679,17 @@ class CurvatureReport:
         return np.where(self.included, self.defect, np.nan).ravel()
 
 
-def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
+def surface_fields(patch: SurfacePatch, U, V) -> CurvatureReport:
     """Every surface field of the patch at the parameter points (U, V).
 
     The one place a patch jet becomes surface data: the verify checks, the
     slice classifier and :func:`curvature_report` all read their fields from
-    here.  ``h`` forces a finite-difference jet with that step on the patch
-    chart.  Never raises on degenerate points; they are only excluded.
+    here.  Never raises on degenerate points; they are only excluded.
     Fields keep the broadcast shape of their inputs: on a (1, n_u, n_v) grid
     a batch patch's fields that do not depend on the batch stay (1, n_u, n_v).
     """
     space = patch.space
-    j = _jet_arrays(patch, U, V, h=h)
+    j = patch.jet(U, V)
     forms, N, gN = _forms_from_jet(space, j, patch.orient)
     E, F, G = forms[:3]
     included = (np.sqrt(G) > AXIS_TUBE) & (E * G - F * F > IMMERSION_FLOOR)
@@ -734,10 +707,9 @@ def surface_fields(patch: SurfacePatch, U, V, h=None) -> CurvatureReport:
     )
 
 
-def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
-                     h=None) -> CurvatureReport:
+def curvature_report(patch: SurfacePatch, n_u=48, n_v=48) -> CurvatureReport:
     """Surface fields on the patch grid, with at least one admissible point."""
-    rep = surface_fields(patch, *patch.grid(n_u, n_v, margin=margin), h=h)
+    rep = surface_fields(patch, *patch.grid(n_u, n_v))
     if not np.any(rep.included):
         raise ImmersionError(
             f"patch {patch.name!r}: no admissible grid points outside the axis tube"
@@ -745,14 +717,14 @@ def curvature_report(patch: SurfacePatch, n_u=48, n_v=48, margin=GRID_MARGIN,
     return rep
 
 
-def umbilicity_defect(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
+def umbilicity_defect(patch: SurfacePatch, n_u=48, n_v=48) -> dict:
     """Max, mean, and argmax of the scaled umbilicity defect on a grid."""
-    return curvature_report(patch, n_u=n_u, n_v=n_v, h=h).defect_summary()
+    return curvature_report(patch, n_u=n_u, n_v=n_v).defect_summary()
 
 
-def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48, h=None) -> dict:
+def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48) -> dict:
     """Range statistics of the mean curvature on a grid."""
-    rep = curvature_report(patch, n_u=n_u, n_v=n_v, h=h)
+    rep = curvature_report(patch, n_u=n_u, n_v=n_v)
     H = rep.mean_curvature[rep.included]
     return {
         "max_abs": float(np.max(np.abs(H))),
@@ -821,13 +793,8 @@ def _level_points(patch, level, n_v):
     exact zero.  Returns the hit coordinates ``(us, vs)`` as arrays in
     v order, the number of flat lines and the number of lines.
     """
-    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
-    du = GRID_MARGIN * (u1 - u0)
-    dv = GRID_MARGIN * (v1 - v0)
-    vs = np.linspace(v0 + dv, v1 - dv, n_v)
-    u_grid = np.linspace(u0 + du, u1 - du, 257)
-
-    U, V = np.meshgrid(u_grid, vs, indexing="ij")
+    U, V = patch.grid(257, n_v)
+    u_grid, vs = U[:, 0], V[0]
     f = patch.chart(U, V)[..., 2] - level
     flat = np.all(np.abs(f) < 1e-12, axis=0)
     change = np.sign(f[:-1]) * np.sign(f[1:]) < 0
@@ -877,9 +844,7 @@ def _slice_geodesic_curvature(space, chart2d, vs, dv):
     return (4.0 * fine - coarse) / 3.0
 
 
-def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
-                             band=CLASSIFY_BAND, constancy_tol=CONSTANCY_TOL,
-                             strict=False) -> list:
+def classify_slice_structure(patch: SurfacePatch, levels, n_v=64, strict=False) -> list:
     """Classify the curves cut on a product-space patch by horizontal slices.
 
     For each level t0, the level curve is sampled (one intersection per
@@ -894,10 +859,11 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
     :class:`TransversalityError` when ``strict``.  A root solve that fails
     to converge raises ``RuntimeError``.
 
-    Tags: ``geodesic`` when |k_g| sits within ``band`` of 0; on the sphere
-    base every other circle is ``elliptic``; on the hyperbolic base |k_g|
-    against 1 separates ``elliptic`` / ``parabolic`` / ``hyperbolic``; and
-    ``none`` marks level curves whose k_g or nu fail to be constant.
+    Tags: ``geodesic`` when |k_g| sits within ``CLASSIFY_BAND`` of 0; on the
+    sphere base every other circle is ``elliptic``; on the hyperbolic base
+    |k_g| against 1 separates ``elliptic`` / ``parabolic`` / ``hyperbolic``;
+    and ``none`` marks level curves whose k_g or nu vary by more than
+    ``CONSTANCY_TOL``.
     """
     if patch.space.kind not in ("s2xr", "h2xr"):
         raise ValueError("slice classification requires a product space")
@@ -964,13 +930,13 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64,
             n_points=len(us),
         )
 
-        if entry["k_g_residual"] > constancy_tol or entry["nu_residual"] > constancy_tol:
+        if entry["k_g_residual"] > CONSTANCY_TOL or entry["nu_residual"] > CONSTANCY_TOL:
             entry["tag"] = "none"
-        elif abs(kg_mean) <= band:
+        elif abs(kg_mean) <= CLASSIFY_BAND:
             entry["tag"] = "geodesic"
         elif patch.space.kind == "s2xr":
             entry["tag"] = "elliptic"
-        elif abs(abs(kg_mean) - 1.0) <= band:
+        elif abs(abs(kg_mean) - 1.0) <= CLASSIFY_BAND:
             entry["tag"] = "parabolic"
         elif abs(kg_mean) > 1.0:
             entry["tag"] = "elliptic"

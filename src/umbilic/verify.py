@@ -52,6 +52,8 @@ CHECK_NAMES = frozenset({
 UMBILIC_TOL = 1e-6
 T_FLOOR = 1e-6
 MIN_CHECK_POINTS = 256
+# the stencil's centred-difference steps, as a fraction of the u and v ranges
+STENCIL_STEP = 1e-5
 
 
 class NonUmbilicPatchError(ValueError):
@@ -138,12 +140,11 @@ def check_killing(space: ModelGeometry, grid=(32, 16), seed=0) -> IdentityCheck:
     return IdentityCheck("killing", (n_u, n_v), _stats(np.sqrt(_dot(W, lower(W)))))
 
 
-def check_sol_identities(patch: SurfacePatch, grid=(16, 16), fd_step=None,
-                         seed=0) -> list:
+def check_sol_identities(patch: SurfacePatch, grid=(16, 16), seed=0) -> list:
     """Frame table, curvature formula, and the [T,JT](lambda) law on Sol."""
     if patch.space.kind != "sol":
         raise ValueError("these identities live in the Sol group")
-    return _sol_identities(_Stencil(patch, grid, fd_step), seed)
+    return _sol_identities(_Stencil(patch, grid), seed)
 
 
 def _sol_identities(st, seed):
@@ -210,15 +211,10 @@ def _sol_identities(st, seed):
 # surface-level identities
 
 
-def _steps(patch, fd_step):
-    if fd_step is not None:
-        return float(fd_step), float(fd_step)
-    return (1e-5 * (patch.u_range[1] - patch.u_range[0]),
-            1e-5 * (patch.v_range[1] - patch.v_range[0]))
-
-
 class _Stencil:
     """Surface fields of a patch on a grid, and at its four shifts U +- hu, V +- hv.
+
+    hu and hv are ``STENCIL_STEP`` times the u and v ranges.
 
     The center report ``f`` is evaluated here, with the component triples
     X, Xu, Xv, N (T and JT on first use) the checks contract, one lowering
@@ -233,11 +229,12 @@ class _Stencil:
 
     SHIFTED_FIELDS = ("umbilicity_factor", "nu", "T", "JT", "included")
 
-    def __init__(self, patch: SurfacePatch, grid, fd_step=None):
+    def __init__(self, patch: SurfacePatch, grid):
         self.patch, self.space = patch, patch.space
         self.grid = n_u, n_v = _require_grid(grid)
         self.f = surface_fields(patch, *patch.grid(n_u, n_v))
-        self.hu, self.hv = _steps(patch, fd_step)
+        self.hu = STENCIL_STEP * (patch.u_range[1] - patch.u_range[0])
+        self.hv = STENCIL_STEP * (patch.v_range[1] - patch.v_range[0])
         self.X, self.Xu, self.Xv, self.N = (self.f._triple(k) for k in ("X", "Xu", "Xv", "N"))
         self.lower = _lowering(self.space, self.X)
         self.gamma = _connection(self.space, self.X)
@@ -320,7 +317,7 @@ def _check_space(space, patch):
 
 
 def check_curvature_commutator(space: ModelGeometry, patch: SurfacePatch,
-                               grid=(16, 16), fd_step=None) -> IdentityCheck:
+                               grid=(16, 16)) -> IdentityCheck:
     """R(X_u, X_v)N = lambda_u X_v - lambda_v X_u on an umbilic patch.
 
     The right-hand side is stated in the package's sign conventions
@@ -329,7 +326,7 @@ def check_curvature_commutator(space: ModelGeometry, patch: SurfacePatch,
     flip, so the residual is orientation-independent.
     """
     _check_space(space, patch)
-    return _curvature_commutator(_Stencil(patch, grid, fd_step))
+    return _curvature_commutator(_Stencil(patch, grid))
 
 
 def _curvature_commutator(st):
@@ -366,7 +363,7 @@ def _daniel_formula(st):
 
 
 def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
-                            grid=(16, 16), fd_step=None) -> IdentityCheck:
+                            grid=(16, 16)) -> IdentityCheck:
     """Gradient law of the common principal curvature on an umbilic patch.
 
     In the package's orientation conventions the law reads
@@ -375,7 +372,7 @@ def check_gradient_identity(space: ModelGeometry, patch: SurfacePatch,
     surface gradient is taken in the dual basis of (X_u, X_v) under I.
     """
     _check_space(space, patch)
-    return _gradient_identity(_Stencil(patch, grid, fd_step))
+    return _gradient_identity(_Stencil(patch, grid))
 
 
 def _gradient_identity(st):
@@ -391,12 +388,12 @@ def _gradient_identity(st):
 
 
 def check_bracket_and_jtnu(space: ModelGeometry, patch: SurfacePatch,
-                           grid=(16, 16), fd_step=None) -> tuple:
+                           grid=(16, 16)) -> tuple:
     """[T, JT] = 0 and JT.(nu) = -tau |T|^2 on an umbilic product patch."""
     _check_space(space, patch)
     if space.kind not in ("s2xr", "h2xr"):
         raise ValueError("the bracket law is checked on product spaces")
-    return _bracket_and_jtnu(_Stencil(patch, grid, fd_step))
+    return _bracket_and_jtnu(_Stencil(patch, grid))
 
 
 def _bracket_and_jtnu(st):
@@ -451,8 +448,7 @@ def _polyval(c, w):
     return val
 
 
-def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
-                           name=None) -> SurfacePatch:
+def rotational_graph_patch(space: ModelGeometry, coeffs, name=None) -> SurfacePatch:
     """Rotational graph t = f(rho), f an even polynomial with given coefficients.
 
     The jet is analytic, so the defect objective is limited only by the
@@ -461,8 +457,6 @@ def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
     components and X_v, X_uv, X_vv keep the grid's shape.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    if rho_window is None:
-        rho_window = default_rho_window(space)
     dcoeffs = _polyder(coeffs)
     ddcoeffs = _polyder(dcoeffs)
 
@@ -483,7 +477,7 @@ def rotational_graph_patch(space: ModelGeometry, coeffs, rho_window=None,
             "Xvv": (-U * cv, -U * sv, zero),
         }
 
-    return SurfacePatch(space, name or "rotational-graph", tuple(rho_window),
+    return SurfacePatch(space, name or "rotational-graph", default_rho_window(space),
                         (0.0, 2.0 * np.pi), jet)
 
 
@@ -495,7 +489,7 @@ def default_rho_window(space: ModelGeometry):
 
 
 def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
-                          polar_margin=0.35, name=None) -> SurfacePatch:
+                          name=None) -> SurfacePatch:
     """Geodesic sphere of M^3(kappa, tau) about the axis point (0, 0, center_height).
 
     (u, v) are the polar and azimuthal angles of the initial velocity.  The
@@ -505,14 +499,15 @@ def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,
     variations are exact to rounding.  By the Gauss lemma the end velocity
     gamma'(1) is normal to the sphere; with its u and v variations it gives
     the second fundamental form by the Weingarten equation.  ``chart`` is
-    the same end point without derivatives, for forced finite differencing.
-    ``center_height``, ``radius`` or both of shape (K,) make a batch of K
-    spheres on a grid they share.  Another kind of space than m3 raises ValueError.
+    the same end point without derivatives.  u keeps 0.35 away from the
+    poles.  ``center_height``, ``radius`` or both of shape (K,) make a batch
+    of K spheres on a grid they share.  Another kind of space than m3 raises
+    ValueError.
     """
     if space.kind != "m3":
         raise ValueError(f"geodesic spheres are built in the m3 chart, not {space.kind!r}")
     height, radius = np.broadcast_arrays(_batch_param(center_height), _batch_param(radius))
-    u_range, v_range = (polar_margin, np.pi - polar_margin), (0.0, 2.0 * np.pi)
+    u_range, v_range = (0.35, np.pi - 0.35), (0.0, 2.0 * np.pi)
 
     def directions(U, V):
         # the unit initial velocity and its u and v derivatives, as triples

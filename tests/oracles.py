@@ -58,6 +58,11 @@ and ``_sinc_cos``; the real forward-mode sphere jets are checked against
 it.  ``stacked_orient`` is the orientation of an orbit patch on (..., 3)
 vectors, with a dense metric solve for Sol's conormal.
 
+``point_isometry_jet`` is the jet of an isometry at one chart point, and
+``pointwise_moved_jet`` pushes a patch jet through it one point at a time;
+the array-wide ``umbilic.geometry.isometry_jet`` and
+``umbilic.surfaces.transform_patch`` are checked against them.
+
 ``ode_plane_profile`` integrates a plane profile's (rho, t, theta) system
 with DOP853 (``_integrate_plane``); the closed-form Jacobi and elementary
 profiles of ``umbilic.profiles`` are checked against it.  ``ode_sol_profile``
@@ -78,7 +83,10 @@ from umbilic.geometry import (
     ModelGeometry,
     _check_domain,
     _dense,
+    IllFormedIsometryError,
     _inverse_table,
+    _mobius_jet,
+    _mobius_matrix,
     connection,
     cross,
     inner,
@@ -93,6 +101,7 @@ from umbilic.profiles import (
     _build_plane_curve,
     _plane_jet,
 )
+from umbilic import verify
 from umbilic.surfaces import ImmersionError, SurfacePatch, surface_fields
 from umbilic.verify import (
     T_FLOOR,
@@ -101,7 +110,6 @@ from umbilic.verify import (
     _require_grid,
     _require_umbilic,
     _stats,
-    _steps,
     sample_points,
 )
 
@@ -416,7 +424,7 @@ def ode_plane_profile(kind, param, s_span=None, rtol=PROFILE_RTOL, atol=PROFILE_
         want = lambda y: y[0] - np.pi  # rho reaches pi
     dense, smax = _integrate_plane(kind, param, theta0, want, s_span, rtol, atol)
     return _build_plane_curve(kind, param, _plane_jet(kind, param, dense), None,
-                              (-smax, smax), 2001, None)
+                              (-smax, smax), None)
 
 
 def ode_sol_profile(a, rtol=PROFILE_RTOL, atol=PROFILE_ATOL):
@@ -487,13 +495,10 @@ def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:
     return xi - xi[n // 2]
 
 
-def stacked_jet(patch, U, V, h=None):
+def stacked_jet(patch, U, V):
     """The patch jet with every component triple stacked on a last axis, all
     of them broadcast to one shape."""
-    from umbilic.surfaces import fd_jet
-
-    jet = patch.jet if h is None else fd_jet(patch.chart, patch.u_range, patch.v_range, h=h)
-    j = jet(U, V)
+    j = patch.jet(U, V)
     shape = np.broadcast_shapes(*(np.shape(a) for v in j.values()
                                   if isinstance(v, tuple) for a in v))
     return {k: np.stack([np.broadcast_to(a, shape) for a in v], axis=-1)
@@ -550,12 +555,12 @@ def _stacked_forms(space, j, orient):
     return I, II, N, gN, det_I
 
 
-def stacked_surface_fields(patch, U, V, h=None) -> dict:
+def stacked_surface_fields(patch, U, V) -> dict:
     """Every ``CurvatureReport`` field of the patch at (U, V), by name."""
     from umbilic.surfaces import AXIS_TUBE, IMMERSION_FLOOR
 
     space = patch.space
-    j = stacked_jet(patch, U, V, h=h)
+    j = stacked_jet(patch, U, V)
     I, II, N, gN, det_I = _stacked_forms(space, j, patch.orient)
     X = j["X"]
     included = (np.sqrt(I[..., 1, 1]) > AXIS_TUBE) & (det_I > IMMERSION_FLOOR)
@@ -848,11 +853,12 @@ class _Stencil:
 
     SHIFTED_FIELDS = ("umbilicity_factor", "nu", "T", "JT", "included")
 
-    def __init__(self, patch: SurfacePatch, grid, fd_step=None):
+    def __init__(self, patch: SurfacePatch, grid):
         self.patch = patch
         self.grid = n_u, n_v = _require_grid(grid)
         self.f = surface_fields(patch, *patch.grid(n_u, n_v))
-        self.hu, self.hv = _steps(patch, fd_step)
+        self.hu = verify.STENCIL_STEP * (patch.u_range[1] - patch.u_range[0])
+        self.hv = verify.STENCIL_STEP * (patch.v_range[1] - patch.v_range[0])
 
     @cached_property
     def _shifted(self):
@@ -1104,3 +1110,76 @@ def stacked_orient(patch, curve):
     n_cross = n_cross * float(np.asarray(jet.get("orient_sign", 1.0)))
     sign = np.sign(inner(patch.space, X, n_cross, hint))
     return float(sign) if sign != 0 else 1.0
+
+
+# ---------------------------------------------------------------------------
+# isometry jets, one point at a time
+
+
+def point_isometry_jet(space, iso, p):
+    """Image point, Jacobian J[k, i] = dq^k/dp^i and Hessian H[k, i, j] at one
+    chart point p (3,)."""
+    p = np.asarray(p, dtype=float)
+    q = np.empty(3)
+    J = np.zeros((3, 3))
+    H = np.zeros((3, 3, 3))
+    if iso.kind == "identity":
+        return p.copy(), np.eye(3), H
+    if iso.kind in ("rotation", "parabolic", "hyperbolic"):
+        if space.kind not in ("s2xr", "h2xr"):
+            raise IllFormedIsometryError(f"{iso.kind} isometries require a product space")
+        val, d1, d2 = _mobius_jet(_mobius_matrix(space, iso), complex(p[0], p[1]))
+        q[:] = (val.real, val.imag, p[2])
+        J[0, 0], J[0, 1] = d1.real, -d1.imag
+        J[1, 0], J[1, 1] = d1.imag, d1.real
+        J[2, 2] = 1.0
+        # holomorphic f: f_xx = f'', f_xy = i f'', f_yy = -f''
+        H[0, 0, 0], H[1, 0, 0] = d2.real, d2.imag
+        H[0, 0, 1] = H[0, 1, 0] = -d2.imag
+        H[1, 0, 1] = H[1, 1, 0] = d2.real
+        H[0, 1, 1], H[1, 1, 1] = -d2.real, -d2.imag
+        return q, J, H
+    if iso.kind == "vertical_shift":
+        if space.kind not in ("s2xr", "h2xr", "m3"):
+            raise IllFormedIsometryError("vertical_shift requires a vertical direction")
+        q[:] = (p[0], p[1], p[2] + iso.shift)
+        return q, np.eye(3), H
+    if iso.kind == "slice_reflection":
+        if space.kind not in ("s2xr", "h2xr"):
+            raise IllFormedIsometryError("slice_reflection requires a product space")
+        q[:] = (p[0], p[1], 2.0 * iso.level - p[2])
+        J[:] = np.diag([1.0, 1.0, -1.0])
+        return q, J, H
+    if iso.kind in ("sol_translation", "sol_swap"):
+        if space.kind != "sol":
+            raise IllFormedIsometryError(f"{iso.kind} requires sol")
+        a, b, c = iso.abc
+        s1, s2 = iso.signs
+        if iso.kind == "sol_translation":
+            q[:] = (s1 * np.exp(-c) * p[0] + a, s2 * np.exp(c) * p[1] + b, p[2] + c)
+            J[0, 0], J[1, 1], J[2, 2] = s1 * np.exp(-c), s2 * np.exp(c), 1.0
+        else:
+            q[:] = (s1 * np.exp(-c) * p[1] + a, s2 * np.exp(c) * p[0] + b, -p[2] + c)
+            J[0, 1], J[1, 0], J[2, 2] = s1 * np.exp(-c), s2 * np.exp(c), -1.0
+        return q, J, H
+    raise IllFormedIsometryError(f"unknown isometry kind {iso.kind!r}")
+
+
+def pointwise_moved_jet(patch, iso, U, V):
+    """The jet of ``transform_patch(patch, iso)`` at (U, V), each point pushed
+    through its own ``point_isometry_jet``, as (..., 3) arrays by jet key."""
+    j = patch.jet(U, V)
+    keys = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
+    flats = {k: np.stack(j[k], axis=-1).reshape(-1, 3) for k in keys}
+    res = {k: np.empty_like(flats[k]) for k in keys}
+    for n, p in enumerate(flats["X"]):
+        q, J, H = point_isometry_jet(patch.space, iso, p)
+        a, b = flats["Xu"][n], flats["Xv"][n]
+        res["X"][n] = q
+        res["Xu"][n] = J @ a
+        res["Xv"][n] = J @ b
+        res["Xuu"][n] = J @ flats["Xuu"][n] + np.einsum("kij,i,j->k", H, a, a)
+        res["Xuv"][n] = J @ flats["Xuv"][n] + np.einsum("kij,i,j->k", H, a, b)
+        res["Xvv"][n] = J @ flats["Xvv"][n] + np.einsum("kij,i,j->k", H, b, b)
+    shape = np.shape(j["X"][0]) + (3,)
+    return {k: res[k].reshape(shape) for k in keys}

@@ -106,7 +106,7 @@ def test_gen_mesh_takes_its_vertices_from_the_report(capsys, tmp_path, monkeypat
     # the mesh vertices are the report's X, so the patch chart is never
     # called; the files match a mesh built through the chart byte for byte
     from umbilic.families import FamilyDefinition, catalog_rows
-    from umbilic.meshes import write_obj, write_ply
+    from umbilic.meshes import defect_quality, write_obj, write_ply
 
     built = []
     original = FamilyDefinition.build
@@ -135,7 +135,7 @@ def test_gen_mesh_takes_its_vertices_from_the_report(capsys, tmp_path, monkeypat
         if fmt == "obj":
             write_obj(ref, patch, 16, 12)
         else:
-            write_ply(ref, patch, 16, 12, quality="defect")
+            write_ply(ref, patch, 16, 12, quality=defect_quality(patch, 16, 12))
         assert out.read_bytes() == ref.read_bytes(), row["family"]
     assert len(built) == 12
 
@@ -189,6 +189,43 @@ def test_gen_mesh_needs_out_path(capsys):
         "gen", "--space", "s2xr", "--family", "slice", "--format", "obj"])
     assert rc == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["falsify", "--kappa", "nan", "--tau", "0.5", "--starts", "2", "--budget", "100"],
+     "kappa and tau must be finite"),
+    (["falsify", "--kappa", "0", "--tau", "inf", "--starts", "2", "--budget", "100"],
+     "kappa and tau must be finite"),
+    (["gen", "--space", "s2xr", "--family", "a-gt-1", "--param", "inf"],
+     "a must lie in (1,inf)"),
+    (["conformal", "--map", "sol-flat", "--param", "inf"], "a must lie in (0,inf)"),
+], ids=["falsify-kappa-nan", "falsify-tau-inf", "gen-param-inf", "conformal-param-inf"])
+def test_non_finite_input_exits_2_without_a_report(capsys, tmp_path, argv, message):
+    out = tmp_path / "report.json"
+    rc, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert rc == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_main_builds_one_parser_and_dispatches_at_call_time(capsys, monkeypatch):
+    import umbilic.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.suite) or 0)
+    assert main(["verify", "--suite", "killing-grid"]) == 0
+    assert main(["catalog"]) == 0
+    assert built.count("umbilic") == 1
+    assert ran == ["killing-grid"]
 
 
 def test_unknown_subcommand_is_a_single_line_error(capsys):

@@ -21,6 +21,7 @@ from oracles import (
     christoffel_contract,
     exp_map,
     inverse_metric,
+    point_isometry_jet,
 )
 from umbilic.geometry import (
     ChartDomainError,
@@ -667,6 +668,35 @@ def test_ill_formed_isometries_raise():
         apply_isometry(s2xr(1.0), parabolic(0.1, 1.0), np.zeros(3))
     with pytest.raises(IllFormedIsometryError):
         apply_isometry(h2xr(-1.0), sol_translation(0.0, 0.0, 1.0), np.zeros(3))
+
+
+_ISOMETRY_CASES = [
+    (s2xr(1.0), IsometrySpec()),
+    (s2xr(1.0), rotation(0.7, center=(0.2, -0.1))),
+    (s2xr(1.0), vertical_shift(1.2)),
+    (s2xr(1.0), slice_reflection(0.25)),
+    (h2xr(-1.0), rotation(1.1, center=(0.3, 0.2))),
+    (h2xr(-1.0), parabolic(0.4, 0.8)),
+    (h2xr(-1.0), hyperbolic_translation((0.9, 0.9 + np.pi), 0.6)),
+    (h2xr(-1.0), vertical_shift(-0.7)),
+    (h2xr(-1.0), slice_reflection(-0.4)),
+    (m3(-1.0, 1.0), vertical_shift(0.3)),
+    (sol(), sol_translation(0.4, -0.3, 0.5, signs=(-1, 1))),
+    (sol(), sol_swap(0.2, 0.1, -0.6, signs=(1, -1))),
+]
+
+
+@pytest.mark.parametrize("space,iso", _ISOMETRY_CASES,
+                         ids=[f"{sp.kind}-{iso.kind}" for sp, iso in _ISOMETRY_CASES])
+def test_isometry_jet_on_a_stack_matches_the_pointwise_oracle(space, iso):
+    P = np.random.default_rng(9).uniform(-0.6, 0.6, (4, 5, 3))
+    got = isometry_jet(space, iso, P)
+    for (i, j), p in zip(np.ndindex(4, 5), P.reshape(-1, 3)):
+        for g, w in zip(got, point_isometry_jet(space, iso, p)):
+            assert np.max(np.abs(g[i, j] - w)) <= 1e-15 * np.max(np.abs(w))
+    assert got[0].shape == (4, 5, 3) and got[1].shape == (4, 5, 3, 3)
+    assert got[2].shape == (4, 5, 3, 3, 3)
+    assert np.array_equal(apply_isometry(space, iso, P), got[0])
 
 
 @given(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.floats(0.1, 3.0))

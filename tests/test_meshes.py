@@ -70,7 +70,7 @@ def test_obj_matches_per_line_format(tmp_path, patch):
 
 def test_ply_round_trip_with_quality(tmp_path, patch):
     path = tmp_path / "s.ply"
-    info = write_ply(path, patch, n_u=12, n_v=9, quality="defect")
+    info = write_ply(path, patch, n_u=12, n_v=9, quality=defect_quality(patch, 12, 9))
     assert info["with_quality"]
     back = read_ply(str(path))
     assert back["columns"] == ["x", "y", "z", "quality"]

@@ -5,6 +5,8 @@ The batched slice classifier is checked against a scalar oracle: one
 geodesic curvature.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -12,6 +14,7 @@ from scipy.optimize import brentq
 from oracles import (
     _geodesic_rhs,
     christoffel_contract,
+    pointwise_moved_jet,
     principal_curvature_normal_part,
     stacked_orient,
     stacked_surface_fields,
@@ -53,6 +56,7 @@ from umbilic.surfaces import (
     TransversalityError,
     classify_slice_structure,
     curvature_report,
+    fd_jet,
     fundamental_forms,
     mean_curvature_stats,
     orbit_surface,
@@ -316,10 +320,15 @@ def test_report_frame_invariants_sol(family):
     _assert_frame_invariants(family[1]["sol"])
 
 
+def _fd_patch(patch, h):
+    """The patch with its jet replaced by a finite-difference jet of step h."""
+    return dataclasses.replace(patch, jet=fd_jet(patch.chart, patch.u_range, patch.v_range, h=h))
+
+
 def test_finite_difference_defect_scales_quadratically(family):
     _, patches = family
-    rep_h = curvature_report(patches["a_lt"], n_u=16, n_v=16, h=1e-3)
-    rep_h2 = curvature_report(patches["a_lt"], n_u=16, n_v=16, h=5e-4)
+    rep_h = curvature_report(_fd_patch(patches["a_lt"], 1e-3), n_u=16, n_v=16)
+    rep_h2 = curvature_report(_fd_patch(patches["a_lt"], 5e-4), n_u=16, n_v=16)
     ratio = rep_h.defect_max / rep_h2.defect_max
     assert 3.5 < ratio < 4.5
 
@@ -386,6 +395,23 @@ def test_sweep_parameter_is_the_isometry_parameter(family, key, action):
     direct = patch.chart(U, V + w)
     via_iso = apply_isometry(patch.space, action(w), patch.chart(U, V))
     assert np.max(np.abs(direct - via_iso)) < 1e-12
+
+
+@pytest.mark.parametrize("key,iso", [
+    ("a_gt", rotation(0.4)),
+    ("b", hyperbolic_translation((np.pi, 0.0), 0.5)),
+    ("p", parabolic(np.pi, 0.8)),
+    ("c", slice_reflection(0.1)),
+    ("sol", sol_translation(0.4, -0.3, 0.2)),
+])
+def test_moved_jet_matches_the_pointwise_oracle(family, key, iso):
+    patch = family[1][key]
+    U, V = patch.grid(4, 5)
+    got = transform_patch(patch, iso).jet(U, V)
+    for k, want in pointwise_moved_jet(patch, iso, U, V).items():
+        g = np.stack(got[k], axis=-1)
+        assert g.shape == want.shape, k
+        assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want)), k
 
 
 def test_sol_scaling_carries_one_graph_onto_another(family):
@@ -746,7 +772,7 @@ _PIPELINE_CASES = {
         m3(-1.0, 1.0), "graph", np.random.default_rng(22).uniform(-1, 1, (7, 6)), True),
     "shared-sphere-m3(-1,1)": lambda: _trial_batch(
         m3(-1.0, 1.0), "sphere", [[0.6], [1.1], [1.7]], True),
-    "fd-h": lambda: (build_family("S2xR_a_lt_1", 0.6)[1], None, None, 1e-3),
+    "fd-h": lambda: (_fd_patch(build_family("S2xR_a_lt_1", 0.6)[1], 1e-3),),
 }
 
 
@@ -757,12 +783,12 @@ def test_surface_fields_match_the_stacked_pipeline_bitwise(case):
     # and shared grids (the sphere takes the Weingarten path), a forced
     # finite-difference jet and the m3(1, 1/2) metric with its off-diagonal
     # entries
-    patch, U, V, h = (_PIPELINE_CASES[case]() + (None, None, None))[:4]
+    patch, U, V = (_PIPELINE_CASES[case]() + (None, None))[:3]
     if U is None:
         U, V = patch.grid(64, 64)
     with np.errstate(all="ignore"):
-        rep = surface_fields(patch, U, V, h=h)
-        want = stacked_surface_fields(patch, U, V, h=h)
+        rep = surface_fields(patch, U, V)
+        want = stacked_surface_fields(patch, U, V)
     assert np.count_nonzero(rep.included) > 0
     for name, value in want.items():
         got = getattr(rep, name)
