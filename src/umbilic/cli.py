@@ -35,7 +35,7 @@ from .conformal import (
 )
 from .families import build_family, catalog_rows, resolve_cli_family
 from .meshes import write_curve_csv, write_obj, write_ply
-from .surfaces import curvature_report
+from .surfaces import grid_defect
 from .verify import SUITE_NAMES, nonexistence_falsifier, run_suite
 
 SCHEMA_VERSION = 1
@@ -110,14 +110,15 @@ def cmd_gen(args) -> int:
     if fmt in ("obj", "ply", "csv") and args.out is None:
         raise ValueError("--out is required for obj, ply, or csv output")
 
-    # one report feeds the summary, the mesh vertices and the PLY quality
-    rep = curvature_report(patch, n_u, n_v)
-    defect = rep.defect_summary()
+    # one blocked evaluation feeds the summary, the mesh vertices and the
+    # PLY quality
+    grid = grid_defect(patch, n_u, n_v)
+    defect = grid.defect_summary()
     if fmt == "obj":
-        write_obj(args.out, patch, n_u, n_v, vertices=rep.X)
+        write_obj(args.out, patch, n_u, n_v, vertices=grid.X)
     elif fmt == "ply":
-        write_ply(args.out, patch, n_u, n_v, quality=rep.defect_quality(),
-                  vertices=rep.X)
+        write_ply(args.out, patch, n_u, n_v, quality=grid.defect_quality(),
+                  vertices=grid.X)
     elif fmt == "csv":
         if curve is None:
             raise ValueError(

@@ -9,7 +9,9 @@ round-trip IEEE doubles exactly.
 The OBJ and CSV text is numpy's, byte for byte that of ``%.17g`` and ``%d``:
 for 1e-4 <= |x| < 1e16 the digits are D = |x| 10^(16 - e) rounded half to
 even, and Dekker's two-product (Numer. Math. 18, 1971) gives that product
-exactly as hi + lo, hi an integer.  Python formats every other value.
+exactly as hi + lo, hi an integer; zeros are laid out by numpy too.
+Python formats every other value.  The OBJ and PLY records are written
+4096 rows at a time, so no writer holds a full-size copy of its arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 
 import numpy as np
 
-from .surfaces import SurfacePatch, curvature_report
+from .surfaces import SurfacePatch, grid_defect
 
 _W = 24  # widest %.17g token, "-4.9406564584124654e-324"
 _ROWS = 4096  # rows formatted per block
@@ -33,6 +35,7 @@ element vertex {n_vertex}
 property list uchar int vertex_indices
 end_header
 """
+_PLY_FACE = np.dtype([("count", "u1"), ("idx", "<i4", (4,))])
 
 
 def _split(a):  # Dekker: a == hi + lo, each with at most 26 bits
@@ -121,17 +124,24 @@ def _int_tokens(n):
     return keep.astype(np.uint8).take(count, axis=0) * words.view(np.uint8)
 
 
-def _text_rows(table, prefix, sep):
+def _blocks(n):
+    """Slices of at most ``_ROWS`` rows that cover ``range(n)`` in order."""
+    return (slice(start, start + _ROWS) for start in range(0, n, _ROWS))
+
+
+def _text_rows(table, prefix, sep, offset=0):
     """Yield ``prefix + sep.join(tokens) + "\\n"`` of each row, block by block.
 
     Floats print as ``"%.17g"``, integers as ``"%d"``: each block is laid
-    out as NUL-padded tokens, and the NULs are dropped at once.
+    out as NUL-padded tokens, and the NULs are dropped at once.  A nonzero
+    ``offset`` is added to each block before it is formatted.
     """
     table = np.asarray(table)
     tokens = _int_tokens if table.dtype.kind in "iu" else _double_tokens
     n_col = table.shape[1]
-    for start in range(0, len(table), _ROWS):
-        block = tokens(table[start:start + _ROWS].ravel())
+    for rows in _blocks(len(table)):
+        block = table[rows].ravel()
+        block = tokens(block + offset if offset else block)
         n_row, width = len(block) // n_col, block.shape[1]
         out = np.empty((n_row, len(prefix) + n_col * (width + 1)), np.uint8)
         out[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
@@ -157,19 +167,19 @@ def grid_mesh(patch: SurfacePatch, n_u=48, n_v=48, vertices=None):
     vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
     if len(vertices) != n_u * n_v:
         raise ValueError("vertex array does not match the grid")
-    i, j = np.meshgrid(np.arange(n_u - 1), np.arange(n_v - 1), indexing="ij")
-    base = (i * n_v + j).ravel()
-    quads = np.stack([base, base + n_v, base + n_v + 1, base + 1], axis=-1)
-    return vertices, quads.astype(np.int32)
+    base = (np.arange(0, (n_u - 1) * n_v, n_v, dtype=np.int32)[:, None]
+            + np.arange(n_v - 1, dtype=np.int32)).reshape(-1, 1)
+    return vertices, base + np.array([0, n_v, n_v + 1, 1], dtype=np.int32)
 
 
 def defect_quality(patch: SurfacePatch, n_u=48, n_v=48) -> np.ndarray:
     """Per-vertex umbilicity defect on the same grid ``grid_mesh`` uses.
 
     Points inside the axis tube or with a degenerate first fundamental form
-    carry NaN rather than a misleading number.
+    carry NaN rather than a misleading number.  The defect comes from the
+    blocked :func:`~umbilic.surfaces.grid_defect`.
     """
-    return curvature_report(patch, n_u=n_u, n_v=n_v).defect_quality()
+    return grid_defect(patch, n_u, n_v).defect_quality()
 
 
 def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, vertices=None):
@@ -181,7 +191,7 @@ def write_obj(path, patch: SurfacePatch, n_u=48, n_v=48, vertices=None):
     with open(path, "wb") as fh:
         fh.write(("# %s: %d x %d grid\n" % (patch.name, n_u, n_v)).encode())
         fh.writelines(_text_rows(vertices, b"v ", " "))
-        fh.writelines(_text_rows(quads + 1, b"f ", " "))
+        fh.writelines(_text_rows(quads, b"f ", " ", offset=1))
     return {"vertices": len(vertices), "faces": len(quads)}
 
 
@@ -199,22 +209,22 @@ def write_ply(path, patch: SurfacePatch, n_u=48, n_v=48, quality=None, vertices=
         if quality.shape[0] != vertices.shape[0]:
             raise ValueError("quality array does not match the vertex count")
         props.append("property double quality\n")
-        vertex_block = np.column_stack([vertices, quality])
-    else:
-        vertex_block = vertices
     header = _PLY_HEADER.format(
         n_u=n_u, n_v=n_v,
         n_vertex=vertices.shape[0], n_face=quads.shape[0],
         vertex_props="".join(props),
     )
-    face_dtype = np.dtype([("count", "u1"), ("idx", "<i4", (4,))])
-    faces = np.empty(quads.shape[0], dtype=face_dtype)
-    faces["count"] = 4
-    faces["idx"] = quads
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(vertex_block, dtype="<f8").tobytes())
-        fh.write(faces.tobytes())
+        for rows in _blocks(len(vertices)):
+            record = (vertices[rows] if quality is None
+                      else np.column_stack([vertices[rows], quality[rows]]))
+            fh.write(np.ascontiguousarray(record, dtype="<f8").tobytes())
+        for rows in _blocks(len(quads)):
+            faces = np.empty(len(quads[rows]), dtype=_PLY_FACE)
+            faces["count"] = 4
+            faces["idx"] = quads[rows]
+            fh.write(faces.tobytes())
     return {"vertices": vertices.shape[0], "faces": quads.shape[0],
             "with_quality": quality is not None}
 
@@ -256,8 +266,7 @@ def read_ply(path):
     body = data[end:]
     vertex_bytes = n_vertex * width * 8
     table = np.frombuffer(body[:vertex_bytes], dtype="<f8").reshape(n_vertex, width)
-    face_dtype = np.dtype([("count", "u1"), ("idx", "<i4", (4,))])
-    faces = np.frombuffer(body[vertex_bytes:], dtype=face_dtype)
+    faces = np.frombuffer(body[vertex_bytes:], dtype=_PLY_FACE)
     if faces.shape[0] != n_face or not np.all(faces["count"] == 4):
         raise ValueError("face block does not match the header")
     return {"columns": vertex_props, "vertices": table,

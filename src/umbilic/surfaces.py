@@ -54,6 +54,7 @@ GRID_MARGIN = 1e-3
 IMMERSION_FLOOR = 1e-10
 CLASSIFY_BAND = 1e-4
 CONSTANCY_TOL = 1e-3
+FIELD_BLOCK = 16384  # grid points per surface_fields call in grid_defect
 
 JET_KEYS = ("X", "Xu", "Xv", "Xuu", "Xuv", "Xvv")
 
@@ -83,6 +84,10 @@ class SurfacePatch:
     ``chart(U, V)`` returns positions only, on a trailing axis of chart
     components; by default it is the jet's ``X``.  ``orient`` is the overall
     sign applied to the cross-product normal.
+
+    ``jet`` acts elementwise over (U, V): its value at a point does not
+    depend on the other points passed with it, so :func:`grid_defect` can
+    evaluate a grid in blocks of rows and get the full grid's values.
     """
 
     space: ModelGeometry
@@ -98,13 +103,15 @@ class SurfacePatch:
             jet = self.jet
             self.chart = lambda U, V: np.stack(jet(U, V)["X"], axis=-1)
 
-    def grid(self, n_u=48, n_v=48):
-        """Meshgrid over the domain inset by the relative margin ``GRID_MARGIN``."""
+    def axes(self, n_u=48, n_v=48):
+        """The u and v samples of :meth:`grid`, as 1-D arrays."""
         (u0, u1), (v0, v1) = self.u_range, self.v_range
         du, dv = GRID_MARGIN * (u1 - u0), GRID_MARGIN * (v1 - v0)
-        u = np.linspace(u0 + du, u1 - du, n_u)
-        v = np.linspace(v0 + dv, v1 - dv, n_v)
-        return np.meshgrid(u, v, indexing="ij")
+        return np.linspace(u0 + du, u1 - du, n_u), np.linspace(v0 + dv, v1 - dv, n_v)
+
+    def grid(self, n_u=48, n_v=48):
+        """Meshgrid over the domain inset by the relative margin ``GRID_MARGIN``."""
+        return np.meshgrid(*self.axes(n_u, n_v), indexing="ij")
 
 
 def fd_jet(chart, u_range, v_range, h=None):
@@ -656,23 +663,49 @@ class CurvatureReport:
     def defect_max(self) -> float:
         return float(np.max(self.defect[self.included]))
 
-    @property
-    def defect_mean(self) -> float:
-        return float(np.mean(self.defect[self.included]))
+    def defect_summary(self) -> dict:
+        """Max, mean, and argmax of the defect over included points."""
+        return summarize_defect(self.defect, self.included, self.U, self.V)
 
-    @property
-    def defect_argmax(self):
-        masked = np.where(self.included, self.defect, -np.inf)
-        k = np.unravel_index(np.argmax(masked), masked.shape)
-        return tuple(float(np.broadcast_to(a, masked.shape)[k]) for a in (self.U, self.V))
+    def defect_quality(self) -> np.ndarray:
+        """The defect as a flat per-point array, NaN at excluded points."""
+        return np.where(self.included, self.defect, np.nan).ravel()
+
+
+def summarize_defect(defect, included, U, V) -> dict:
+    """Max, mean, and argmax (u, v) of the defect over included points.
+
+    ``U`` and ``V`` broadcast to the shape of ``defect``; the argmax is the
+    first largest point in C order.
+    """
+    kept = defect[included]
+    masked = np.where(included, defect, -np.inf)
+    k = np.unravel_index(np.argmax(masked), masked.shape)
+    return {
+        "max": float(np.max(kept)),
+        "mean": float(np.mean(kept)),
+        "argmax": tuple(float(np.broadcast_to(a, masked.shape)[k]) for a in (U, V)),
+    }
+
+
+@dataclass
+class GridDefect:
+    """What :func:`grid_defect` keeps of the surface fields on a patch grid.
+
+    ``X`` is (n_u, n_v, 3), ``defect`` and ``included`` are (n_u, n_v), as
+    in the :class:`CurvatureReport` of that grid; ``u`` and ``v`` are the
+    grid's axes (:meth:`SurfacePatch.axes`).
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    X: np.ndarray
+    defect: np.ndarray
+    included: np.ndarray
 
     def defect_summary(self) -> dict:
         """Max, mean, and argmax of the defect over included points."""
-        return {
-            "max": self.defect_max,
-            "mean": self.defect_mean,
-            "argmax": self.defect_argmax,
-        }
+        return summarize_defect(self.defect, self.included, self.u[:, None], self.v)
 
     def defect_quality(self) -> np.ndarray:
         """The defect as a flat per-point array, NaN at excluded points."""
@@ -682,9 +715,11 @@ class CurvatureReport:
 def surface_fields(patch: SurfacePatch, U, V) -> CurvatureReport:
     """Every surface field of the patch at the parameter points (U, V).
 
-    The one place a patch jet becomes surface data: the verify checks, the
-    slice classifier and :func:`curvature_report` all read their fields from
-    here.  Never raises on degenerate points; they are only excluded.
+    The one place a patch jet becomes surface data: the verify checks and
+    the falsifier, the slice classifier, :func:`curvature_report` and the
+    blocked :func:`grid_defect` (``gen``, :func:`umbilicity_defect`,
+    ``meshes.defect_quality``) all read their fields from here.  Never
+    raises on degenerate points; they are only excluded.
     Fields keep the broadcast shape of their inputs: on a (1, n_u, n_v) grid
     a batch patch's fields that do not depend on the batch stay (1, n_u, n_v).
     """
@@ -707,19 +742,55 @@ def surface_fields(patch: SurfacePatch, U, V) -> CurvatureReport:
     )
 
 
-def curvature_report(patch: SurfacePatch, n_u=48, n_v=48) -> CurvatureReport:
-    """Surface fields on the patch grid, with at least one admissible point."""
-    rep = surface_fields(patch, *patch.grid(n_u, n_v))
-    if not np.any(rep.included):
+def _require_admissible(patch, included):
+    if not np.any(included):
         raise ImmersionError(
             f"patch {patch.name!r}: no admissible grid points outside the axis tube"
         )
+
+
+def curvature_report(patch: SurfacePatch, n_u=48, n_v=48) -> CurvatureReport:
+    """Every surface field on the patch grid, in one report of about 400
+    bytes per point (:func:`grid_defect` keeps X and the defect in 33).
+
+    Raises :class:`ImmersionError` when no grid point is admissible.
+    """
+    rep = surface_fields(patch, *patch.grid(n_u, n_v))
+    _require_admissible(patch, rep.included)
     return rep
 
 
+def grid_defect(patch: SurfacePatch, n_u=48, n_v=48) -> GridDefect:
+    """X, the defect and ``included`` on the patch grid, evaluated in blocks.
+
+    :func:`surface_fields` runs on ``FIELD_BLOCK // n_v`` whole rows at a
+    time (on runs of ``FIELD_BLOCK`` points of a longer row), and only X,
+    the defect and the mask are kept: about 33 bytes per grid point plus one
+    block's fields.  Jets act elementwise, so the values are bitwise those
+    of :func:`curvature_report`, which raises the same error.  Points on a
+    rotation axis divide by zero; they are excluded, so those warnings are off.
+    """
+    u, v = patch.axes(n_u, n_v)
+    X = np.empty((n_u, n_v, 3))
+    defect = np.empty((n_u, n_v))
+    included = np.empty((n_u, n_v), dtype=bool)
+    rows, cols = max(1, FIELD_BLOCK // n_v), min(n_v, FIELD_BLOCK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, n_u, rows):
+            for j in range(0, n_v, cols):
+                block = np.s_[i:i + rows, j:j + cols]
+                rep = surface_fields(patch, *np.meshgrid(u[block[0]], v[block[1]],
+                                                         indexing="ij"))
+                X[block], defect[block], included[block] = rep.X, rep.defect, rep.included
+                del rep  # else it lives on through the next block's evaluation
+    _require_admissible(patch, included)
+    return GridDefect(u, v, X, defect, included)
+
+
 def umbilicity_defect(patch: SurfacePatch, n_u=48, n_v=48) -> dict:
-    """Max, mean, and argmax of the scaled umbilicity defect on a grid."""
-    return curvature_report(patch, n_u=n_u, n_v=n_v).defect_summary()
+    """Max, mean, and argmax of the scaled umbilicity defect on a grid,
+    from the blocked :func:`grid_defect`."""
+    return grid_defect(patch, n_u, n_v).defect_summary()
 
 
 def mean_curvature_stats(patch: SurfacePatch, n_u=48, n_v=48) -> dict:

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,24 +78,63 @@ def test_gen_ply_carries_defect_quality(capsys, tmp_path):
     assert np.max(ply["vertices"][:, 3]) < 1e-6  # umbilic family
 
 
-def test_gen_ply_builds_one_curvature_report(capsys, tmp_path, monkeypatch):
-    # the defect summary and the PLY quality property share one report
-    original = umbilic.surfaces.curvature_report
+def test_gen_passes_each_grid_point_to_surface_fields_once(capsys, tmp_path, monkeypatch):
+    # gen evaluates its grid in row blocks of at most FIELD_BLOCK points and
+    # builds no full-grid report: every grid point goes through
+    # surface_fields once, in grid order
+    from umbilic.families import build_family
+
+    original = umbilic.surfaces.surface_fields
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return original(*args, **kwargs)
+    def counted(patch, U, V):
+        calls.append((np.array(U), np.array(V)))
+        return original(patch, U, V)
 
+    def full_report(*args, **kwargs):
+        raise AssertionError("gen built a full-grid curvature report")
+
+    monkeypatch.setattr(umbilic.surfaces, "surface_fields", counted)
     for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("umbilic")
-                and getattr(mod, "curvature_report", None) is original):
-            monkeypatch.setattr(mod, "curvature_report", counted)
-    rc, _, _ = _run(capsys, [
+        if getattr(mod, "__name__", "").startswith("umbilic") and hasattr(mod, "curvature_report"):
+            monkeypatch.setattr(mod, "curvature_report", full_report)
+    rc, _, err = _run(capsys, [
         "gen", "--space", "h2xr", "--family", "elliptic", "--param", "1.0",
-        "--grid", "16x16", "--out", str(tmp_path / "x.ply")])
-    assert rc == 0
-    assert len(calls) == 1
+        "--grid", "300x100", "--out", str(tmp_path / "x.ply")])
+    assert rc == 0, err
+    block = umbilic.surfaces.FIELD_BLOCK
+    assert [U.shape for U, _ in calls] == [(block // 100, 100), (300 - block // 100, 100)]
+    U, V = build_family("H2xR_elliptic", 1.0)[1].grid(300, 100)
+    assert np.array_equal(np.concatenate([u for u, _ in calls]), U)
+    assert np.array_equal(np.concatenate([v for _, v in calls]), V)
+
+
+AXIS_ROW_GRIDS = [
+    ("s2xr", "a-gt-1", "1.5", "5x5"),
+    ("s2xr", "a-gt-1", "1.5", "37x53"),
+    ("s2xr", "a-gt-1", "1.5", "3x200"),
+    ("h2xr", "elliptic", "1.0", "5x5"),
+    ("h2xr", "elliptic", "1.0", "3x200"),
+]
+
+
+@pytest.mark.parametrize("space,family,param,grid", AXIS_ROW_GRIDS)
+def test_gen_is_quiet_when_a_grid_row_sits_on_the_axis(capsys, space, family, param, grid):
+    # the axis row divides by zero in the shape invariants; its points are
+    # excluded, gen warns about nothing, and the report is the full-grid one
+    from umbilic.families import resolve_cli_family
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _run(capsys, ["gen", "--space", space, "--family", family,
+                                     "--param", param, "--grid", grid, "--format", "json"])
+    assert rc == 0 and err == "" and caught == []
+    _, patch = resolve_cli_family(space, family).build(float(param))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rep = umbilic.surfaces.curvature_report(patch, *map(int, grid.split("x")))
+    assert not rep.included.all()
+    want = rep.defect_summary()
+    assert json.loads(out)["result"]["defect"] == {**want, "argmax": list(want["argmax"])}
 
 
 GEN_PARAMS = {"a-lt-1": 0.6, "a-gt-1": 1.5, "elliptic": 1.0, "hyperbolic": 0.5,

@@ -228,3 +228,26 @@ def test_rows_split_into_blocks():
     x = np.random.default_rng(24).normal(size=(4096 * 2 + 17, 3))
     text = b"".join(_text_rows(x, b"v ", " "))
     assert text == ("v %.17g %.17g %.17g\n" * len(x) % tuple(x.ravel())).encode()
+
+
+def test_writers_match_whole_array_records_across_blocks(tmp_path, patch, monkeypatch):
+    # blocks of 7 rows, ragged at the end of both the vertex and face records
+    import umbilic.meshes as meshes
+
+    monkeypatch.setattr(meshes, "_ROWS", 7)
+    n_u, n_v = 9, 5
+    vertices, quads = grid_mesh(patch, n_u, n_v)
+    assert quads.dtype == np.int32
+    quality = defect_quality(patch, n_u, n_v)
+    write_obj(tmp_path / "s.obj", patch, n_u, n_v)
+    lines = ["# %s: %d x %d grid\n" % (patch.name, n_u, n_v)]
+    lines.extend("v %.17g %.17g %.17g\n" % tuple(v) for v in vertices)
+    lines.extend("f %d %d %d %d\n" % tuple(q + 1) for q in quads)
+    assert (tmp_path / "s.obj").read_bytes() == "".join(lines).encode()
+
+    write_ply(tmp_path / "s.ply", patch, n_u, n_v, quality=quality)
+    data = (tmp_path / "s.ply").read_bytes()
+    body = data[data.index(b"end_header\n") + len(b"end_header\n"):]
+    faces = np.empty(len(quads), dtype=[("count", "u1"), ("idx", "<i4", (4,))])
+    faces["count"], faces["idx"] = 4, quads
+    assert body == np.column_stack([vertices, quality]).astype("<f8").tobytes() + faces.tobytes()

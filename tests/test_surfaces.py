@@ -19,7 +19,8 @@ from oracles import (
     stacked_orient,
     stacked_surface_fields,
 )
-from umbilic.families import build_family, family_names
+from umbilic import surfaces
+from umbilic.families import build_family, catalog_rows, family_names, resolve_cli_family
 from umbilic.geometry import (
     christoffels,
     cross,
@@ -58,6 +59,7 @@ from umbilic.surfaces import (
     curvature_report,
     fd_jet,
     fundamental_forms,
+    grid_defect,
     mean_curvature_stats,
     orbit_surface,
     patch_from_chart,
@@ -896,3 +898,55 @@ def test_defect_summary_reads_grids_of_every_rank(case):
     if case == "family":
         i, j = np.unravel_index(np.argmax(np.where(rep.included, rep.defect, -np.inf)), U.shape)
         assert (u, v) == (float(U[i, j]), float(V[i, j]))
+
+
+CATALOG_PARAMS = {"a-lt-1": 0.6, "a-gt-1": 1.5, "elliptic": 1.0, "hyperbolic": 0.5,
+                  "fa": 1.0}
+
+
+@pytest.fixture(scope="module")
+def catalog_patches():
+    return [resolve_cli_family(row["space"], row["cli_key"]).build(
+        CATALOG_PARAMS.get(row["cli_key"]))[1] for row in catalog_rows()]
+
+
+def _bits(*arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+# the default block (256x256 spans four; 37x53 fits one), then blocks of two
+# rows with a one-row last block, and one-row runs of 20 points with a
+# ragged last run
+@pytest.mark.parametrize("grid,block", [((256, 256), None), ((37, 53), None),
+                                        ((37, 53), 106), ((6, 53), 20)],
+                         ids=["256x256", "37x53", "37x53-two-rows", "6x53-runs-of-20"])
+def test_grid_defect_matches_the_full_report_bitwise(catalog_patches, monkeypatch,
+                                                     grid, block):
+    from umbilic.meshes import defect_quality
+
+    if block is not None:
+        monkeypatch.setattr(surfaces, "FIELD_BLOCK", block)
+    for patch in catalog_patches:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rep = curvature_report(patch, *grid)
+        got = grid_defect(patch, *grid)
+        assert _bits(got.X, got.defect, got.included, got.defect_quality()) == _bits(
+            rep.X, rep.defect, rep.included, rep.defect_quality()), patch.name
+        summary = repr(rep.defect_summary())
+        assert repr(got.defect_summary()) == summary, patch.name
+        if grid != (256, 256):
+            assert repr(umbilicity_defect(patch, *grid)) == summary
+            assert _bits(defect_quality(patch, *grid)) == _bits(rep.defect_quality())
+
+
+def test_grid_defect_raises_like_the_full_report():
+    point = patch_from_chart(sol(), "point", lambda U, V: np.zeros(U.shape + (3,)),
+                             (0.0, 1.0), (0.0, 1.0))
+    messages = []
+    for evaluate in (curvature_report, grid_defect):
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ImmersionError) as exc:
+            evaluate(point, 6, 5)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == (
+        "patch 'point': no admissible grid points outside the axis tube")
