@@ -3,16 +3,16 @@
 Three maps are provided: the exponential-height map carrying the product of
 the round sphere and a line onto punctured Euclidean space, the normal
 geodesic flow carrying a hyperbolic-plane slab onto hyperbolic 3-space, and
-the arc-length flattening of the invariant Sol graph.  Each is packaged with
-enough derivative access to test the conformality relation
-pullback = phi^2 * (domain metric) pointwise.
+the arc-length flattening of the invariant Sol graph.  The first two carry
+closed-form Jacobians, through which the conformality relation
+pullback = phi^2 * (domain metric) is tested pointwise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,16 +33,15 @@ T_EDGE = 1e-9
 class ConformalMap:
     """A smooth map between model charts expected to be conformal.
 
-    ``evaluate`` sends chart points (..., 3) of ``domain`` into ``codomain``.
-    ``jacobian`` is optional; when absent, checks fall back to central
-    differences.
+    ``evaluate`` sends chart points (..., 3) of ``domain`` into ``codomain``;
+    ``jacobian`` gives its derivative there, J[..., i, k] = d image_i / d q_k.
     """
 
     kind: str
     domain: ModelGeometry
     codomain: ModelGeometry
     evaluate: Callable = field(repr=False)
-    jacobian: Optional[Callable] = field(repr=False, default=None)
+    jacobian: Callable = field(repr=False)
 
 
 def s2xr_to_r3(p, t):
@@ -103,9 +102,12 @@ def normal_flow_distance(t):
 def h2xi_to_h3_map() -> ConformalMap:
     """Flow of a hyperbolic-plane slab along normal geodesics of a fixed plane.
 
-    The plane is {x = 0} in the half-space chart, the disk factor is
-    identified with it by the Cayley transform, and height t in (0, pi) is
-    pushed to signed normal distance log tan(t/2); t = pi/2 is the identity.
+    The plane is {x = 0} in the half-space chart, identified with the disk
+    by the Cayley transform y0 + i z0 = i(1 + w)/(1 - w), w = x + iy.  Height
+    t in (0, pi) is pushed to signed normal distance d = log tan(t/2), so the
+    image is (z0 tanh d, y0, z0 sech d) = (-z0 cos t, y0, z0 sin t), the
+    identity at t = pi/2.  The Jacobian uses d(y0 + i z0)/dw = 2i/(1 - w)^2;
+    where :func:`normal_flow_distance` clips t, the map is constant in t.
     """
 
     def evaluate(q):
@@ -114,18 +116,20 @@ def h2xi_to_h3_map() -> ConformalMap:
         d = normal_flow_distance(q[..., 2])
         return np.stack([z0 * np.tanh(d), y0, z0 / np.cosh(d)], axis=-1)
 
-    return ConformalMap("h2xi_to_h3", h2xr(-1.0), h3(), evaluate)
+    def jacobian(q):
+        q = np.asarray(q, dtype=float)
+        x, y, t = q[..., 0], q[..., 1], q[..., 2]
+        _, z0 = _disk_to_halfplane(x, y)
+        dw = 2j / (1.0 - (x + 1j * y)) ** 2  # d(y0 + i z0)/dx; i dw is d/dy
+        clipped = np.clip(t, T_EDGE, np.pi - T_EDGE)
+        c, s = np.cos(clipped), np.sin(clipped)
+        z0_t = np.where(clipped == t, z0, 0.0)
+        rows = ((-dw.imag * c, -dw.real * c, z0_t * s),
+                (dw.real, -dw.imag, np.zeros_like(t)),
+                (dw.imag * s, dw.real * s, z0_t * c))
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
-
-def _fd_jacobian(evaluate, points):
-    """Centred differences with step 1e-6 in each chart coordinate."""
-    h = 1e-6
-    J = np.empty(points.shape[:-1] + (3, 3))
-    for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = h
-        J[..., :, k] = (evaluate(points + dp) - evaluate(points - dp)) / (2.0 * h)
-    return J
+    return ConformalMap("h2xi_to_h3", h2xr(-1.0), h3(), evaluate, jacobian)
 
 
 def conformality_check(cmap: ConformalMap, points) -> dict:
@@ -136,7 +140,7 @@ def conformality_check(cmap: ConformalMap, points) -> dict:
     Points with a singular derivative are reported, not silently dropped.
     """
     points = np.asarray(points, dtype=float)
-    J = cmap.jacobian(points) if cmap.jacobian else _fd_jacobian(cmap.evaluate, points)
+    J = cmap.jacobian(points)
     g_dom = metric_at(cmap.domain, points)
     g_cod = metric_at(cmap.codomain, cmap.evaluate(points))
     G = np.einsum("...ki,...kl,...lj->...ij", J, g_cod, J)

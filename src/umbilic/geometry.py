@@ -130,6 +130,16 @@ def chart_contains(space: ModelGeometry, p) -> np.ndarray:
     return _contains(space, p[..., 0], p[..., 1], p[..., 2])
 
 
+def chart_radius(space: ModelGeometry, fraction) -> float:
+    """``fraction`` of the radius of the chart's horizontal disk, rounded once:
+    1 for h2xr, 2/sqrt(-kappa) for m3 with kappa < 0, inf for the rest."""
+    if space.kind == "h2xr":
+        return fraction
+    if space.kind == "m3" and space.kappa < 0:
+        return 2.0 * fraction / np.sqrt(-space.kappa)
+    return np.inf
+
+
 def _contains(space, x, y, z):
     if space.kind == "h3":
         return z > 0

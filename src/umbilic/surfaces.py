@@ -29,12 +29,8 @@ import numpy as np
 
 from .geometry import (
     ModelGeometry,
-    connection,
-    cross,
     h2xr,
-    inner,
     isometry_jet,
-    norm,
     s2xr,
     sol,
     vertical_field,
@@ -590,6 +586,12 @@ def _shape_invariants(E, F, G, L, M, Nn):
     return H, np.sqrt(s * s + b * b), s, b
 
 
+def _solve_first_form(E, F, G, b0, b1):
+    """(x0, x1) with [[E, F], [F, G]] x = b at every grid point, by Cramer's rule."""
+    det = E * G - F * F
+    return (G * b0 - F * b1) / det, (E * b1 - F * b0) / det
+
+
 def principal_curvatures(patch: SurfacePatch, u, v):
     """Ordered principal curvatures (lambda1 <= lambda2) at (u, v)."""
     forms, _ = _checked_forms(patch, u, v)
@@ -885,50 +887,27 @@ def _level_points(patch, level, n_v):
     return us[hit], vs[hit], int(np.count_nonzero(flat)), n_v
 
 
-def _slice_geodesic_curvature(space, chart2d, vs, dv):
-    """Signed k_g of the level curve v -> chart2d(v) inside its slice.
-
-    The slice is totally geodesic, so the ambient covariant acceleration
-    projected onto the in-slice normal (the velocity rotated a quarter turn
-    about the vertical) is the intrinsic geodesic curvature.  Centered
-    differences at steps dv and dv/2 are Richardson-combined to cancel the
-    leading truncation term.  ``chart2d`` maps an array of v to level-curve
-    points; it is called once, on the centers and all four stencil offsets.
-    """
-    half = dv / 2.0
-    P = chart2d(np.concatenate([vs, vs + dv, vs - dv, vs + half, vs - half]))
-    c0, cp, cm, hp, hm = np.split(P, 5)
-    gamma = connection(space, c0)
-    xi = vertical_field(space, c0)
-
-    def kg(cp, cm, step):
-        vel = (cp - cm) / (2.0 * step)
-        acc2 = (cp - 2.0 * c0 + cm) / step**2
-        acc = acc2 + gamma(vel, vel)
-        speed2 = inner(space, c0, vel, vel)
-        n_in = cross(space, c0, xi, vel)
-        n_len = norm(space, c0, n_in)
-        return inner(space, c0, acc, n_in) / (n_len * speed2)
-
-    coarse = kg(cp, cm, dv)
-    fine = kg(hp, hm, half)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def classify_slice_structure(patch: SurfacePatch, levels, n_v=64, strict=False) -> list:
     """Classify the curves cut on a product-space patch by horizontal slices.
 
-    For each level t0, the level curve is sampled (one intersection per
-    v-line), its geodesic curvature inside the slice and the normal's
-    vertical component nu are measured, and their constancy is checked.
-    The hits, and the level-curve points of the k_g stencil (re-solved
-    within 5% of the u-range around the nearest hit), come from batched
-    bracketing root solves to 1e-14 in u, one per stage.  Levels the patch
-    meets tangentially (|T| below 1e-6 at a hit, or a slice contained in
-    the patch), and levels whose curve leaves the re-solve bracket at some
-    stencil point, are skipped and reported, or raise
-    :class:`TransversalityError` when ``strict``.  A root solve that fails
-    to converge raises ``RuntimeError``.
+    For each level t0 the level curve is hit once per v-line by batched
+    bracketing root solves to 1e-14 in u.  Its geodesic curvature k_g in the
+    slice (over the inner v-lines when there are more than four) and the
+    normal's vertical component nu are read off :func:`surface_fields` at
+    the hits and checked for constancy.  Levels met tangentially (|T| below
+    1e-6 at a hit, or a slice contained in the patch) are skipped and
+    reported, or raise :class:`TransversalityError` when ``strict``; a root
+    solve that fails to converge raises ``RuntimeError``.
+
+    k_g comes from the shape operator.  A slice is totally geodesic, so the
+    curve's acceleration is horizontal and normal to the curve.  Write
+    N = nu xi + h with h horizontal, so |h| = |T| = sqrt(1 - nu^2); with
+    e = JT/|T| (JT = N ^ T is horizontal and tangent to the surface),
+    II(e, e) = <nabla_e e, N> = +-k_g |T|.  With JT = a X_u + b X_v, (a, b)
+    from the first form by Cramer's rule,
+    k_g = sign(b) (L a^2 + 2 M a b + N b^2) / (1 - nu^2)^(3/2),
+    signed against xi ^ e with the curve traversed in increasing v.  On an
+    umbilic surface this is +-lambda/|T|.
 
     Tags: ``geodesic`` when |k_g| sits within ``CLASSIFY_BAND`` of 0; on the
     sphere base every other circle is ``elliptic``; on the hyperbolic base
@@ -942,56 +921,31 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64, strict=False) 
     out = []
     for level in levels:
         entry = {"level": float(level), "tag": None, "skipped": False}
+        out.append(entry)
         us, vs, flat, n_lines = _level_points(patch, level, n_v)
         if flat == n_lines:
-            entry.update(skipped=True, reason="slice contained in patch (tangential)")
-            if strict:
-                raise TransversalityError(entry["reason"])
-            out.append(entry)
-            continue
-        if us.size == 0:
+            reason = "slice contained in patch (tangential)"
+        elif us.size == 0:
             entry.update(skipped=True, reason="level not attained on patch")
-            out.append(entry)
             continue
-
-        nu = surface_fields(patch, us, vs).nu
-        t_norm = np.sqrt(np.maximum(1.0 - nu**2, 0.0))
-        if np.min(t_norm) < 1e-6:
-            entry.update(skipped=True,
-                         reason=f"tangential contact (min |T| = {np.min(t_norm):.2e})")
+        else:
+            rep = surface_fields(patch, us, vs)
+            nu = rep.nu
+            t_norm = np.sqrt(np.maximum(1.0 - nu**2, 0.0))
+            reason = (f"tangential contact (min |T| = {np.min(t_norm):.2e})"
+                      if np.min(t_norm) < 1e-6 else None)
+        if reason:
+            entry.update(skipped=True, reason=reason)
             if strict:
-                raise TransversalityError(entry["reason"])
-            out.append(entry)
+                raise TransversalityError(reason)
             continue
 
-        # dv balances second-difference truncation against root-solve noise
-        dv = 1e-3 * (patch.v_range[1] - patch.v_range[0])
-        bracket = 0.05 * (patch.u_range[1] - patch.u_range[0])
-
-        def height(u, v, _level=level):
-            return patch.chart(u, v)[..., 2] - _level
-
-        def chart2d(v, us=us, vs=vs):
-            # re-solve near the hit of the closest v-line; a point whose
-            # bracket holds no sign change would not lie on the level curve
-            u_near = us[np.argmin(np.abs(vs - v[:, None]), axis=1)]
-            lo = np.maximum(u_near - bracket, patch.u_range[0])
-            hi = np.minimum(u_near + bracket, patch.u_range[1])
-            lost = np.count_nonzero(~(height(lo, v) * height(hi, v) < 0))
-            if lost:
-                raise TransversalityError(
-                    f"level curve left its root bracket at {lost} of {v.size} points")
-            return patch.chart(_find_roots(height, lo, hi, (v,)), v)
-
-        inner_vs = vs[1:-1] if len(vs) > 4 else vs
-        try:
-            kg = _slice_geodesic_curvature(patch.space, chart2d, inner_vs, dv)
-        except TransversalityError as exc:
-            entry.update(skipped=True, reason=str(exc))
-            if strict:
-                raise
-            out.append(entry)
-            continue
+        E, F, G, L, M, Nn = rep._forms
+        gJT = _lowering(patch.space, rep._triple("X"))(rep._triple("JT"))
+        a, b = _solve_first_form(E, F, G, _dot(gJT, rep._triple("Xu")),
+                                 _dot(gJT, rep._triple("Xv")))
+        kg = np.sign(b) * (L * a * a + 2.0 * M * a * b + Nn * b * b) / t_norm**3
+        kg = kg[1:-1] if len(vs) > 4 else kg
         kg_mean = float(np.mean(kg))
         entry.update(
             k_g=kg_mean,
@@ -1013,5 +967,4 @@ def classify_slice_structure(patch: SurfacePatch, levels, n_v=64, strict=False) 
             entry["tag"] = "elliptic"
         else:
             entry["tag"] = "hyperbolic"
-        out.append(entry)
     return out

@@ -31,6 +31,8 @@ from .geometry import (
     _dot,
     _lowering,
     _m3_axis_geodesic,
+    chart_contains,
+    chart_radius,
     h2xr,
     m3,
     s2xr,
@@ -40,6 +42,7 @@ from .geometry import (
 from .surfaces import (
     ImmersionError,
     SurfacePatch,
+    _solve_first_form,
     surface_fields,
 )
 
@@ -116,10 +119,15 @@ _SAMPLE_BOX = {
 
 
 def sample_points(space: ModelGeometry, n, seed=0):
-    """Uniform random chart points in a box well inside the chart domain."""
+    """Uniform random chart points in a box inside the chart domain; a chart
+    too small for the kind's box (m3, kappa < -3.125) gets x and y in +-0.4
+    of its radius, the kappa = -1 box scaled."""
     rng = np.random.default_rng(seed)
-    cols = [rng.uniform(lo, hi, n) for lo, hi in _SAMPLE_BOX[space.kind]]
-    return np.column_stack(cols)
+    box = _SAMPLE_BOX[space.kind]
+    if not chart_contains(space, [box[0][1], box[1][1], box[2][1]]):
+        w = chart_radius(space, 0.4)
+        box = ((-w, w), (-w, w), box[2])
+    return np.column_stack([rng.uniform(lo, hi, n) for lo, hi in box])
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +287,6 @@ class _Stencil:
     def tangent(self, W):
         """Coefficients of a tangent vector in the (X_u, X_v) basis."""
         return _solve_first_form(*self.f._forms[:3], _dot(W, self.gXu), _dot(W, self.gXv))
-
-
-def _solve_first_form(E, F, G, b0, b1):
-    """(x0, x1) with [[E, F], [F, G]] x = b at every grid point, by Cramer's rule."""
-    det = E * G - F * F
-    return (G * b0 - F * b1) / det, (E * b1 - F * b0) / det
 
 
 def _covariant_along(st, W, name):
@@ -482,10 +484,11 @@ def rotational_graph_patch(space: ModelGeometry, coeffs, name=None) -> SurfacePa
 
 
 def default_rho_window(space: ModelGeometry):
-    hi = 1.2
-    if space.kind == "m3" and space.kappa < 0:
-        hi = min(hi, 0.6 * 2.0 / np.sqrt(-space.kappa))
-    return (0.15, hi)
+    """The rho range (0.15, 1.2) of the trial graphs, its upper end capped at
+    0.6 of the chart radius R.  Where the cap leaves nothing above 0.15
+    (R <= 0.25), the range is (0.075 R, 0.6 R), the kappa = -1 range scaled."""
+    hi = min(1.2, chart_radius(space, 0.6))
+    return (0.15, hi) if hi > 0.15 else (chart_radius(space, 0.075), hi)
 
 
 def geodesic_sphere_patch(space: ModelGeometry, center_height=0.0, radius=1.0,

@@ -33,7 +33,9 @@ public ``lowering``, ``cross`` and ``connection``.  The component-major
 
 ``sol_flattening_xi`` integrates e^{-4z} over a Sol graph by adaptive
 quadrature; the exact antiderivative of ``umbilic.conformal.sol_flattening``
-is checked against it.
+is checked against it.  ``fd_jacobian`` differentiates a chart map by
+centred differences; the closed-form Jacobians of the conformal maps are
+checked against it.
 
 ``_levenberg_marquardt`` is the bounded Levenberg-Marquardt search as one
 coroutine per restart, driven in lockstep by ``_lockstep``;
@@ -493,6 +495,17 @@ def sol_flattening_xi(curve, n=129, margin=0.95) -> np.ndarray:
                     for k in range(n - 1)])
     xi = np.concatenate([[0.0], np.cumsum(seg)])
     return xi - xi[n // 2]
+
+
+def fd_jacobian(evaluate, points):
+    """Centred differences with step 1e-6 in each chart coordinate."""
+    h = 1e-6
+    J = np.empty(points.shape[:-1] + (3, 3))
+    for k in range(3):
+        dp = np.zeros(3)
+        dp[k] = h
+        J[..., :, k] = (evaluate(points + dp) - evaluate(points - dp)) / (2.0 * h)
+    return J
 
 
 def stacked_jet(patch, U, V):

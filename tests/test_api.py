@@ -3,7 +3,9 @@
 Each option listed here had one value in use; the value is now a constant
 of the package (``surfaces.GRID_MARGIN``, ``verify.STENCIL_STEP``,
 ``profiles.N_SAMPLES``, ``surfaces.CLASSIFY_BAND``, ...).  A finite-difference
-jet with a chosen step is built with ``surfaces.fd_jet``.
+jet with a chosen step is built with ``surfaces.fd_jet``.  Arguments listed
+in ``REQUIRED`` lost their default: a ``ConformalMap`` carries its Jacobian,
+with no finite-difference fallback.
 """
 
 import inspect
@@ -45,6 +47,15 @@ def test_public_signature_takes_no_removed_option(fn, option):
     params = inspect.signature(fn).parameters
     assert option not in params
     assert not any(p.kind is p.VAR_KEYWORD for p in params.values())
+
+
+REQUIRED = [(conformal.ConformalMap, "jacobian")]
+
+
+@pytest.mark.parametrize("fn,arg", REQUIRED,
+                         ids=[f"{fn.__qualname__}-{arg}" for fn, arg in REQUIRED])
+def test_public_signature_has_no_default_for_required_argument(fn, arg):
+    assert inspect.signature(fn).parameters[arg].default is inspect.Parameter.empty
 
 
 def test_write_ply_quality_is_an_array(tmp_path):

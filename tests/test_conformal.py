@@ -1,9 +1,11 @@
 """Conformal maps: proportionality of pullbacks and umbilic pushforwards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import exp_map, sol_flattening_xi
+from oracles import exp_map, fd_jacobian, sol_flattening_xi
 from umbilic.conformal import (
     ConformalMap,
     conformality_check,
@@ -54,10 +56,10 @@ def test_exponential_height_map_is_conformal_with_factor_exp_t():
     res = conformality_check(s2xr_to_r3_map(), pts)
     assert res["max_off_proportionality"] < 1e-12
     assert np.max(np.abs(res["phi"] - np.exp(pts[:, 2]))) < 1e-10
-    # same conclusion through the finite-difference Jacobian path
-    fd = s2xr_to_r3_map()
-    fd.jacobian = None
-    res = conformality_check(fd, pts)
+    # same conclusion through the finite-difference Jacobian oracle
+    sm = s2xr_to_r3_map()
+    res = conformality_check(
+        dataclasses.replace(sm, jacobian=lambda q: fd_jacobian(sm.evaluate, q)), pts)
     assert res["max_off_proportionality"] < 1e-8
 
 
@@ -79,10 +81,12 @@ def test_identity_map_has_unit_factor_exactly():
 
 
 def test_shear_is_detected_as_non_conformal():
+    J = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     shear = ConformalMap(
         "shear", r3(), r3(),
         lambda q: np.stack([q[..., 0] + 0.5 * q[..., 1], q[..., 1], q[..., 2]],
                            axis=-1),
+        lambda q: np.broadcast_to(J, np.shape(q)[:-1] + (3, 3)),
     )
     rng = np.random.default_rng(2)
     res = conformality_check(shear, _sample_points(rng, 64))
@@ -149,16 +153,33 @@ def test_slab_map_clips_escaping_heights_with_warning():
     assert img[0, 2] > 0.0
 
 
-def test_slab_map_is_conformal_with_factor_cosec_t():
-    rng = np.random.default_rng(3)
-    pts = np.column_stack([
-        rng.uniform(-0.45, 0.45, 300),
-        rng.uniform(-0.45, 0.45, 300),
-        np.pi / 2 + rng.uniform(-1.0, 1.0, 300),
+def _slab_points(rng, n):
+    return np.column_stack([
+        rng.uniform(-0.45, 0.45, n),
+        rng.uniform(-0.45, 0.45, n),
+        np.pi / 2 + rng.uniform(-1.0, 1.0, n),
     ])
+
+
+def test_slab_map_is_conformal_with_factor_cosec_t():
+    pts = _slab_points(np.random.default_rng(3), 300)
     res = conformality_check(h2xi_to_h3_map(), pts)
     assert res["max_off_proportionality"] < 1e-8
     assert np.max(np.abs(res["phi"] - 1.0 / np.sin(pts[:, 2]))) < 1e-8
+
+
+@pytest.mark.parametrize("cmap,points", [
+    (s2xr_to_r3_map(), _sample_points(np.random.default_rng(5), 200)),
+    (h2xi_to_h3_map(), _slab_points(np.random.default_rng(6), 200)),
+], ids=["s2xr-r3", "h2xi-h3"])
+def test_closed_form_jacobian_matches_finite_differences(cmap, points):
+    assert np.max(np.abs(cmap.jacobian(points) - fd_jacobian(cmap.evaluate, points))) <= 1e-8
+
+
+def test_slab_jacobian_is_flat_in_t_where_t_is_clipped():
+    J = h2xi_to_h3_map().jacobian(np.array([[0.1, 0.2, 1e-12], [0.1, 0.2, np.pi - 1e-12]]))
+    assert np.all(J[..., 2] == 0.0)
+    assert np.all(np.isfinite(J))
 
 
 @pytest.mark.parametrize("t0", [np.pi / 2 - 0.4, np.pi / 2 + 0.6])

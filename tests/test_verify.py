@@ -22,6 +22,7 @@ from umbilic.geometry import (
     _GL_NODES,
     _GL_WEIGHTS,
     ChartDomainError,
+    chart_contains,
     h2xr,
     h3,
     m3,
@@ -30,12 +31,17 @@ from umbilic.geometry import (
     s2xr,
     sol,
 )
-from umbilic.surfaces import ImmersionError, curvature_report, patch_from_chart, surface_fields
+from umbilic.surfaces import (
+    ImmersionError,
+    _solve_first_form,
+    curvature_report,
+    patch_from_chart,
+    surface_fields,
+)
 from umbilic.verify import (
     _PRODUCT_SUITE_CASES,
     _TRIAL_FAMILIES,
     _levenberg_marquardt,
-    _solve_first_form,
     _trial_fields,
     _trial_grid,
     IdentityCheck,
@@ -47,10 +53,12 @@ from umbilic.verify import (
     check_gradient_identity,
     check_killing,
     check_sol_identities,
+    default_rho_window,
     geodesic_sphere_patch,
     nonexistence_falsifier,
     rotational_graph_patch,
     run_suite,
+    sample_points,
     trial_defect,
     trial_defects,
     trial_patch,
@@ -93,6 +101,17 @@ def test_killing_grid_suite():
     rep = run_suite("killing-grid", seed=0)
     assert rep["n_checks"] == 6
     assert rep["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("kappa", [-4.0, -16.0, -100.0])
+def test_small_m3_charts_hold_the_samples_and_the_rho_window(kappa):
+    # the chart is the disk of radius 2/sqrt(-kappa), too small for the
+    # +-0.8 sample box and, at kappa = -100, for any rho window above 0.15
+    sp = m3(kappa, 0.5)
+    assert np.all(chart_contains(sp, sample_points(sp, 512)))
+    lo, hi = default_rho_window(sp)
+    assert 0.0 < lo < hi < 2.0 / np.sqrt(-kappa)
+    assert check_killing(sp).residual_stats["max"] <= 1e-12
 
 
 # --- curvature commutator and fibration curvature formula ----------------------
